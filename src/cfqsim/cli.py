@@ -9,8 +9,10 @@ success, 1 on a precondition violation (one-line diagnostic on stderr),
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
+import re
 import sys
 
 from .costs import (
@@ -32,10 +34,33 @@ from .zeno import ChainConfig, asymptotic_limit, convergence_scan, run_chain, sc
 NORM_ACCEPT = 1e-12
 # Beyond this deviation the pair is rejected as a probable typo.
 NORM_REJECT = 1e-6
+# Largest star, counting --N or the --alice pairs.  run_star is linear in
+# spokes, but every label is N registers wide, so its time grows as N^2:
+# N = 600 takes about 1 s on a 2-vCPU Xeon host under Python 3.11.
+STAR_MAX_PARTIES = 600
+
+# A token such as '-0.6,0.2' or '-inf' is an amplitude literal, not an
+# option: no option of this parser starts with '-' and a digit or letter.
+_NEGATIVE_LITERAL = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every negative amplitude literal as a value.
+
+    argparse takes '-0.6' for a number but '-0.6,0.2' for an unknown option;
+    subparsers inherit this class.
+    """
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_LITERAL.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def parse_qubit(basis: tuple[str, str], pair: list[str], label: str) -> Qubit:
     a0, a1 = (parse_complex(t) for t in pair)
+    if not (cmath.isfinite(a0) and cmath.isfinite(a1)):
+        raise ValueError(f"{label} amplitudes must be finite")
     n2 = abs(a0) ** 2 + abs(a1) ** 2
     deviation = abs(n2 - 1.0)
     if deviation > NORM_REJECT:
@@ -91,6 +116,8 @@ def emit(records, fmt: str) -> str:
         cells = []
         for key in keys:
             v = record[key]
+            if v is None:
+                v = ""
             cells.append(f"{v:.12g}" if isinstance(v, float) else str(v))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -136,6 +163,9 @@ def cmd_scqkd(args) -> str:
 
 
 def cmd_star(args) -> str:
+    parties = len(args.alice) if args.alice else args.N
+    if parties is not None and parties > STAR_MAX_PARTIES:
+        raise ValueError(f"star has {parties} spoke parties; at most {STAR_MAX_PARTIES} are supported")
     if args.alice:
         alices = tuple(parse_qubit(("V", "H"), pair, "--alice") for pair in args.alice)
         if args.N is not None and args.N != len(alices):
@@ -145,14 +175,16 @@ def cmd_star(args) -> str:
         alices = tuple(_balanced(("V", "H")) for _ in range(n))
     bob = parse_qubit(("P", "B"), args.bob, "--bob") if args.bob else _balanced(("P", "B"))
     result = run_star(StarConfig(BeamSplitter(args.R), alices, bob))
-    if result.yield_probability > 0.0:
+    if result.state.amps:
         entropy = entanglement_entropy(result.state, [alice_register(0)])
+        log10_yield = result.log10_yield
     else:
-        entropy = 0.0
+        entropy, log10_yield = 0.0, None
     record = {
         "N": len(alices),
         "R": args.R,
         "yield": result.yield_probability,
+        "log10_yield": log10_yield,
         "cat_fidelity": cat_fidelity(result),
         "entropy_any_bipartition": entropy,
     }
@@ -250,7 +282,7 @@ def _add_format(parser, default="json"):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cfqsim",
         description="Counterfactual quantum communication: round simulation, "
         "cat-state networks, state transfer, and resource costs.",

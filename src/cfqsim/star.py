@@ -5,6 +5,16 @@ separate links, one per spoke party.  Conditioning every link on its
 counterfactual detector click projects the N+1 devices onto a cat-type
 superposition; the per-link evolution restricted to that sector is a
 simple non-unitary "keep the compatible branch" map.
+
+``run_star`` grows the state one spoke at a time from the hub qubit: each
+spoke is tensored in and propagated at once, so the incompatible branches
+die before the next spoke arrives.  Every propagator call sees at most 4
+labels and the state never holds more than 2, so the cost is linear in
+the number of spokes (times the O(N) label width).  The state is
+renormalized after every spoke, which keeps the amplitudes far above the
+pruning threshold however small the yield; the yield is carried as the
+product of the per-spoke norm**2 and, for yields below the double range,
+as its base-10 logarithm.
 """
 
 from __future__ import annotations
@@ -46,8 +56,9 @@ class StarConfig:
 
 @dataclass(frozen=True)
 class CatResult:
-    yield_probability: float  # probability that every link clicks D1
+    yield_probability: float  # probability that every link clicks D1; may underflow to 0
     state: PureState  # normalized state over (a_1..a_N, b); empty at zero yield
+    log10_yield: float  # log10 of the yield; finite where the float underflows, -inf at zero yield
 
 
 def partial_propagator(state: PureState, link: int, bs: BeamSplitter) -> PureState:
@@ -72,19 +83,20 @@ def partial_propagator(state: PureState, link: int, bs: BeamSplitter) -> PureSta
 
 
 def run_star(config: StarConfig) -> CatResult:
-    """Post-select every link on its counterfactual click."""
-    n = config.n_links
-    parts = [(alice_register(j), q) for j, q in enumerate(config.alices)]
-    parts.append((BOB_DEVICE, config.bob))
-    parts += [(detector_register(j), "none") for j in range(n)]
-    state = product_state(parts)
-    for j in range(n):
-        state = partial_propagator(state, j, config.bs)
-    y = state.norm2()
-    kept = (*(alice_register(j) for j in range(n)), BOB_DEVICE)
-    if y == 0.0:
-        return CatResult(0.0, PureState(kept, {}))
-    return CatResult(y, state.normalized().restrict(kept))
+    """Post-select every link on its counterfactual click, one spoke at a time."""
+    kept = (*(alice_register(j) for j in range(config.n_links)), BOB_DEVICE)
+    state = product_state([(BOB_DEVICE, config.bob)])
+    y, log10_y = 1.0, 0.0
+    for j, q in enumerate(config.alices):
+        spoke = product_state([(alice_register(j), q), (detector_register(j), "none")])
+        state = partial_propagator(state.tensor(spoke), j, config.bs)
+        if not state.amps:
+            return CatResult(0.0, PureState(kept, {}), -math.inf)
+        n2 = state.norm2()
+        y *= n2
+        log10_y += math.log10(n2)
+        state = state.normalized()
+    return CatResult(y, state.restrict(kept), log10_y)
 
 
 def ideal_cat(n_links: int) -> PureState:
@@ -102,7 +114,7 @@ def ideal_cat(n_links: int) -> PureState:
 
 def cat_fidelity(result: CatResult) -> float:
     """Overlap-squared of the post-selected state with the balanced cat."""
-    n = sum(1 for r in result.state.registers if r.kind == "device_a")
-    if result.yield_probability == 0.0 or not result.state.amps:
+    if not result.state.amps:
         return 0.0
+    n = sum(1 for r in result.state.registers if r.kind == "device_a")
     return fidelity_up_to_phase(result.state, ideal_cat(n))

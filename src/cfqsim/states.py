@@ -13,6 +13,7 @@ concurrently without coordination.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -77,6 +78,8 @@ class Qubit:
     def __post_init__(self) -> None:
         if len(self.basis) != 2 or self.basis[0] == self.basis[1]:
             raise ValueError("qubit basis must be two distinct symbols")
+        if not (cmath.isfinite(self.amp0) and cmath.isfinite(self.amp1)):
+            raise ValueError("qubit amplitudes must be finite")
         n2 = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
         if abs(n2 - 1.0) > NORM_TOL:
             raise ValueError(f"qubit amplitudes not normalized (norm^2 = {n2!r})")

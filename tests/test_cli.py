@@ -116,6 +116,26 @@ class TestRound:
         assert code == 1
         assert "unit norm" in err
 
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "0,nan", "1e400"])
+    def test_non_finite_amplitude_rejected(self, capsys, literal):
+        code, out, err = run_cli(capsys, "round", "--R", "0.5", "--alice", literal, "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+
+    @pytest.mark.parametrize(
+        "comma, plain",
+        [
+            (["0.8", "-0.6,0.0"], ["0.8", "-0.6"]),
+            (["-0.6,0", "0.8"], ["-0.6", "0.8"]),
+            (["-.6,-0.0", "-0.8,0"], ["-.6", "-0.8"]),
+        ],
+    )
+    def test_negative_comma_literal_parses(self, capsys, comma, plain):
+        assert run_json(capsys, "round", "--R", "0.5", "--alice", *comma) == run_json(
+            capsys, "round", "--R", "0.5", "--alice", *plain
+        )
+
 
 class TestScqkd:
     def test_balanced(self, capsys):
@@ -150,6 +170,44 @@ class TestStar:
         code, _, err = run_cli(capsys, "star", "--R", "0.5", "--N", "3", "--alice", "1", "0")
         assert code == 1
         assert "disagrees" in err
+
+    def test_tiny_yield_is_exact(self, capsys):
+        record = run_json(capsys, "star", "--R", "0.0001", "--N", "8")
+        assert record["yield"] == 3.90312609353e-35
+        assert record["log10_yield"] == pytest.approx(math.log10(3.90312609353e-35), abs=1e-9)
+        assert record["cat_fidelity"] == pytest.approx(1.0, abs=1e-12)
+        assert record["entropy_any_bipartition"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_yield_has_no_log(self, capsys):
+        record = run_json(capsys, "star", "--R", "0.5", "--alice", "1", "0", "--bob", "1", "0")
+        assert record["yield"] == 0.0
+        assert record["log10_yield"] is None
+        assert record["cat_fidelity"] == 0.0
+
+    @pytest.mark.parametrize("literal", ["nan", "inf"])
+    def test_non_finite_amplitude_rejected(self, capsys, literal):
+        code, out, err = run_cli(capsys, "star", "--R", "0.5", "--N", "1", "--alice", literal, "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+
+    def test_party_limit(self, capsys):
+        top = cli.STAR_MAX_PARTIES
+        record = run_json(capsys, "star", "--R", "0.5", "--N", str(top))
+        assert record["yield"] == 0.0  # below the double range
+        assert record["log10_yield"] == pytest.approx(top * math.log10(0.125), abs=1e-9)
+        assert record["cat_fidelity"] == pytest.approx(1.0, abs=1e-12)
+        assert record["entropy_any_bipartition"] == pytest.approx(1.0, abs=1e-12)
+        too_many = [
+            ["--N", str(top + 1)],
+            ["--N", "1000000000000"],
+            [arg for _ in range(top + 1) for arg in ("--alice", "0.6", "0.8")],
+        ]
+        for extra in too_many:
+            code, out, err = run_cli(capsys, "star", "--R", "0.5", *extra)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and str(top) in err
 
 
 class TestCzqe:

@@ -165,6 +165,68 @@ class TestRunStar:
 
         assert states_close(forward, backward, 1e-12)
 
+    @pytest.mark.parametrize("n", [16, 64, 256, 600])
+    def test_large_star_against_closed_form(self, n):
+        rng = np.random.default_rng(405 + n)
+        R = rng.uniform(0.3, 0.7)
+        alices = []
+        for _ in range(n):
+            w = rng.uniform(0.3, 0.7)
+            alices.append(Qubit(("V", "H"), math.sqrt(w), math.sqrt(1 - w) * np.exp(1j * rng.uniform(0, 6))))
+        alpha, beta = random_amplitude_pair(rng)
+        cfg = StarConfig(BeamSplitter(R), tuple(alices), Qubit(("P", "B"), alpha, beta))
+        result = run_star(cfg)
+        # (RT)^N (|alpha prod nu|^2 + |beta prod mu|^2), summed in log10
+        log_p = math.log10(abs(alpha) ** 2) + sum(math.log10(abs(q.amp1) ** 2) for q in alices)
+        log_b = math.log10(abs(beta) ** 2) + sum(math.log10(abs(q.amp0) ** 2) for q in alices)
+        top = max(log_p, log_b)
+        want_log10 = n * math.log10(R * (1 - R)) + top + math.log10(10 ** (log_p - top) + 10 ** (log_b - top))
+        assert result.log10_yield == pytest.approx(want_log10, abs=1e-9)
+        want_yield = 10.0**want_log10
+        if want_yield > 1e-300:  # below that the double loses digits or underflows
+            assert result.yield_probability == pytest.approx(want_yield, rel=1e-9)
+        else:
+            assert result.yield_probability < 1e-290
+        # the two-term cat: |H..H P> carries alpha prod nu, |V..V B> beta prod mu
+        assert set(result.state.amps) == {("H",) * n + ("P",), ("V",) * n + ("B",)}
+        arg_p = np.angle(alpha) + sum(np.angle(q.amp1) for q in alices)
+        arg_b = np.angle(beta) + sum(np.angle(q.amp0) for q in alices)
+        cat = PureState(
+            result.state.registers,
+            {
+                ("H",) * n + ("P",): math.sqrt(10 ** (log_p - top)) * np.exp(1j * arg_p),
+                ("V",) * n + ("B",): math.sqrt(10 ** (log_b - top)) * np.exp(1j * arg_b),
+            },
+        )
+        assert fidelity_up_to_phase(result.state, cat) == pytest.approx(1.0, abs=1e-9)
+
+    def test_every_propagator_call_sees_at_most_four_labels(self, monkeypatch):
+        import cfqsim.star as star
+
+        seen = []
+        original = star.partial_propagator
+
+        def counting(state, link, bs):
+            seen.append(len(state.amps))
+            return original(state, link, bs)
+
+        monkeypatch.setattr(star, "partial_propagator", counting)
+        rng = np.random.default_rng(406)
+        for n in (1, 5, 40):
+            seen.clear()
+            result = run_star(random_star(rng, n=n))
+            assert len(seen) == n
+            assert max(seen) <= 4
+            assert len(result.state.amps) == 2
+        cfg = StarConfig(
+            BeamSplitter(0.5),
+            (Qubit.balanced(("V", "H")), Qubit(("V", "H"), 1.0, 0.0), Qubit.balanced(("V", "H"))),
+            Qubit.balanced(("P", "B")),
+        )
+        seen.clear()
+        run_star(cfg)
+        assert seen == [4, 2, 2]  # the spoke pinned to V kills the P branch
+
     def test_empty_star_rejected(self):
         with pytest.raises(ValueError):
             StarConfig(BeamSplitter(0.5), (), Qubit.balanced(("P", "B")))

@@ -66,6 +66,19 @@ class TestQubit:
         with pytest.raises(ValueError):
             Qubit(("V", "V"), 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "amp0, amp1",
+        [
+            (math.nan, 1.0),
+            (1.0, complex(0.0, math.nan)),
+            (math.inf, 0.0),
+            (0.0, complex(-math.inf, 1.0)),
+        ],
+    )
+    def test_non_finite_rejected(self, amp0, amp1):
+        with pytest.raises(ValueError, match="finite"):
+            Qubit(("V", "H"), amp0, amp1)
+
 
 class TestProductState:
     def test_basis_product(self):
