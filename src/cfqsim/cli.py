@@ -34,10 +34,20 @@ from .zeno import ChainConfig, asymptotic_limit, convergence_scan, run_chain, sc
 NORM_ACCEPT = 1e-12
 # Beyond this deviation the pair is rejected as a probable typo.
 NORM_REJECT = 1e-6
+# Work caps, checked before any work starts; each is sized so that the
+# largest allowed input takes about 1-2 s on a 2-vCPU Xeon host under
+# Python 3.11.
 # Largest star, counting --N or the --alice pairs.  run_star is linear in
 # spokes, but every label is N registers wide, so its time grows as N^2:
-# N = 600 takes about 1 s on a 2-vCPU Xeon host under Python 3.11.
+# N = 600 takes about 0.6 s.
 STAR_MAX_PARTIES = 600
+# Most points in a --sweep grid: 100k cost-profile rows take about 0.8 s.
+SWEEP_MAX_POINTS = 100_000
+# Most mc --runs: 5e9 runs (20k batches) take about 1.2 s.
+MC_MAX_RUNS = 5_000_000_000
+# Most czqe work, L * 3^layers summed over the sweep points (3^layers
+# bounds the labels per step): L = 50000 at one layer takes about 1.4 s.
+CZQE_MAX_WORK = 150_000
 
 # A token such as '-0.6,0.2' or '-inf' is an amplitude literal, not an
 # option: no option of this parser starts with '-' and a digit or letter.
@@ -84,9 +94,16 @@ def parse_sweep(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError("sweep must be 'start:stop:step' with numeric fields") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError("sweep fields must be finite")
     if step <= 0 or stop < start:
         raise ValueError("sweep needs start <= stop and step > 0")
-    count = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step
+    if not span <= SWEEP_MAX_POINTS - 1:  # also catches an overflow to inf
+        raise ValueError(
+            f"sweep has about {span + 1:.3g} points; at most {SWEEP_MAX_POINTS} are supported"
+        )
+    count = int(round(span)) + 1
     values = [start + i * step for i in range(count)]
     if values and values[-1] > stop + 1e-12:
         values.pop()
@@ -200,10 +217,18 @@ def cmd_czqe(args) -> str:
             if abs(v - round(v)) > 1e-9 or round(v) < 1:
                 raise ValueError("czqe sweep values must be positive integers")
             l_values.append(int(round(v)))
+    elif args.L is None:
+        raise ValueError("czqe needs --L (or --sweep)")
+    else:
+        l_values = [args.L]
+    # 3**layers is computed only once layers is known to be small
+    if layers > math.log(CZQE_MAX_WORK, 3) or sum(l_values) * 3**layers > CZQE_MAX_WORK:
+        raise ValueError(
+            f"czqe work (L times 3^layers, summed over the sweep) exceeds {CZQE_MAX_WORK}"
+        )
+    if args.sweep:
         rows = convergence_scan(obstacle, layers, l_values, args.readout)
         return scan_to_csv(rows)
-    if args.L is None:
-        raise ValueError("czqe needs --L (or --sweep)")
     config = ChainConfig(L=args.L, theta=args.theta, obstacle=obstacle, layers=layers)
     result = run_chain(config, args.readout)
     record = {
@@ -265,6 +290,8 @@ def cmd_cost_min(args) -> str:
 
 
 def cmd_mc(args) -> str:
+    if args.runs > MC_MAX_RUNS:
+        raise ValueError(f"mc asks for {args.runs} runs; at most {MC_MAX_RUNS} are supported")
     report = monte_carlo(args.R, args.runs, args.seed)
     record = {
         "R": args.R,

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 # Inverse golden ratio, the bracket shrink factor of the section search.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -159,6 +157,8 @@ def monte_carlo(R: float, n: int, seed: int) -> McReport:
     if n < 1:
         raise ValueError("need at least one run")
     prof = cost_profile(R)
+    import numpy as np
+
     pvals = [prof.P_D1, prof.P_D2, prof.P_DB]
     counts = np.zeros(3, dtype=np.int64)
     drawn = 0

@@ -9,6 +9,15 @@ survival probability left behind by non-unitary maps.
 Every operation is a pure function over effectively immutable values;
 nothing here mutates its inputs, so independent evaluations can run
 concurrently without coordination.
+
+Validation happens once, at the boundary: the public ``PureState``
+constructor, ``product_state`` and the rule patterns of ``apply_map``
+check every register and symbol they are given.  States derived from
+already-valid states (map results, sectors, sums, scalings, tensor
+products, restrictions) are built with the trusted internal constructor
+``PureState._trusted``, which skips the label checks but prunes exactly
+as the public constructor does.  numpy is imported only by the two
+functions that compute with it, so the analytic paths start without it.
 """
 
 from __future__ import annotations
@@ -16,9 +25,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Amplitudes below this magnitude are numerical dust and are dropped after
 # every map application.
@@ -116,6 +126,15 @@ class PureState:
         self.registers = registers
         self.amps = clean
 
+    @classmethod
+    def _trusted(cls, registers: tuple[Register, ...], amps: Mapping[Label, complex]) -> "PureState":
+        """Build from distinct registers and complex amplitudes on labels
+        already known to fit them; prunes like ``__init__``."""
+        state = cls.__new__(cls)
+        state.registers = registers
+        state.amps = {l: a for l, a in amps.items() if abs(a) >= PRUNE_TOL}
+        return state
+
     def norm2(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amps.values()))
 
@@ -126,7 +145,7 @@ class PureState:
         n = self.norm()
         if n < PRUNE_TOL:
             raise ValueError("cannot normalize a zero state")
-        return PureState(self.registers, {l: a / n for l, a in self.amps.items()})
+        return PureState._trusted(self.registers, {l: a / n for l, a in self.amps.items()})
 
     def tensor(self, other: "PureState") -> "PureState":
         if set(self.registers) & set(other.registers):
@@ -136,7 +155,7 @@ class PureState:
             for l1, a1 in self.amps.items()
             for l2, a2 in other.amps.items()
         }
-        return PureState(self.registers + other.registers, amps)
+        return PureState._trusted(self.registers + other.registers, amps)
 
     def restrict(self, keep: Sequence[Register]) -> "PureState":
         """Drop registers whose symbol is a function of the kept label.
@@ -147,6 +166,8 @@ class PureState:
         information.
         """
         keep = tuple(keep)
+        if len(set(keep)) != len(keep):
+            raise ValueError("duplicate registers in state")
         keep_idx = [self.registers.index(r) for r in keep]
         drop_idx = [i for i in range(len(self.registers)) if i not in keep_idx]
         seen: dict[Label, Label] = {}
@@ -157,7 +178,7 @@ class PureState:
             if seen.setdefault(k, d) != d:
                 raise ValueError("dropped registers carry independent information")
             out[k] = amp
-        return PureState(keep, out)
+        return PureState._trusted(keep, out)
 
     def to_text(self) -> str:
         """Deterministic debug form: one 'label : re + im i' line per amplitude."""
@@ -173,13 +194,15 @@ class PureState:
         amps = dict(self.amps)
         for label, amp in other.amps.items():
             amps[label] = amps.get(label, 0j) + amp
-        return PureState(self.registers, amps)
+        return PureState._trusted(self.registers, amps)
 
     def __sub__(self, other: "PureState") -> "PureState":
         return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "PureState":
-        return PureState(self.registers, {l: a * scalar for l, a in self.amps.items()})
+        return PureState._trusted(
+            self.registers, {l: complex(a * scalar) for l, a in self.amps.items()}
+        )
 
     __rmul__ = __mul__
 
@@ -208,7 +231,7 @@ def product_state(parts: Sequence[tuple[Register, Union[Qubit, str]]]) -> PureSt
             for label, amp in amps.items()
             for sym, a in factor.items()
         }
-    return PureState(registers, amps)
+    return PureState._trusted(registers, amps)
 
 
 def apply_map(state: PureState, on: Sequence[Register], rules: MapRules) -> PureState:
@@ -246,7 +269,7 @@ def apply_map(state: PureState, on: Sequence[Register], rules: MapRules) -> Pure
                 new[i] = sym
             t = tuple(new)
             out[t] = out.get(t, 0j) + amp * coeff
-    return PureState(state.registers, out)
+    return PureState._trusted(state.registers, out)
 
 
 def unitary_rules(register: Register, matrix: np.ndarray) -> MapRules:
@@ -269,7 +292,7 @@ def sector(state: PureState, register: Register, symbols: Sequence[str]) -> Pure
     """Unnormalized projection onto the labels carrying one of ``symbols``."""
     i = state.registers.index(register)
     allowed = set(symbols)
-    return PureState(
+    return PureState._trusted(
         state.registers, {l: a for l, a in state.amps.items() if l[i] in allowed}
     )
 
@@ -318,6 +341,8 @@ def entanglement_entropy(state: PureState, partition: Sequence[Register]) -> flo
     Computed from the singular values of the bipartite amplitude matrix;
     symmetric under complementing the partition.
     """
+    import numpy as np
+
     part = set(partition)
     regs = set(state.registers)
     if not part or part == regs:

@@ -112,7 +112,7 @@ def obstacle_step(state: PureState) -> PureState:
         else:
             total = mass + (abs(prior) ** 2 if prior is not None else 0.0)
             merged[label] = complex(math.sqrt(total))
-    return PureState(state.registers, merged)
+    return PureState._trusted(state.registers, merged)
 
 
 def unabsorbed_sector(state: PureState) -> PureState:

@@ -1,9 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cfqsim import cli
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the size check")
 
 
 def run_cli(capsys, *argv):
@@ -228,6 +236,25 @@ class TestCzqe:
         assert code == 1
         assert "--L" in err
 
+    def test_work_limit(self, capsys, monkeypatch):
+        cap = cli.CZQE_MAX_WORK
+        monkeypatch.setattr(cli, "run_chain", _no_work)
+        with pytest.raises(AssertionError, match="work started"):  # at the cap the engine runs
+            cli.main(["czqe", "--L", str(cap // 3)])
+        monkeypatch.setattr(cli, "convergence_scan", _no_work)
+        too_much = [
+            ["--L", str(cap // 3 + 1)],
+            ["--L", "100000000"],
+            ["--L", "10", "--N", "1000000000"],
+            ["--L", "3", "--N", "10"],  # 3 * 3^10 > cap
+            ["--sweep", f"1:{cap // 3}:1"],  # few points, large summed L
+        ]
+        for extra in too_much:
+            code, out, err = run_cli(capsys, "czqe", *extra)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: czqe work") and str(cap) in err
+
 
 class TestQst:
     def test_both_branches(self, capsys):
@@ -260,6 +287,20 @@ class TestCost:
         code, _, err = run_cli(capsys, "cost", "--sweep", "0.9:0.1:0.05")
         assert code == 1
 
+    def test_sweep_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sweep_profiles", _no_work)
+        for sweep in ("0.1:0.2:1e-300", "-1e308:1e308:1e-300", "0:1:1e-5"):
+            code, out, err = run_cli(capsys, "cost", "--sweep", sweep)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: sweep has") and str(cli.SWEEP_MAX_POINTS) in err
+
+    @pytest.mark.parametrize("sweep", ["0.1:inf:0.1", "nan:1:0.1", "0.1:0.2:nan", "-inf:0.5:0.1"])
+    def test_non_finite_sweep(self, capsys, sweep):
+        code, out, err = run_cli(capsys, "cost", "--sweep", sweep)
+        assert (code, out) == (1, "")
+        assert err == "error: sweep fields must be finite\n"
+
 
 class TestCostMin:
     def test_values(self, capsys):
@@ -283,6 +324,14 @@ class TestMc:
         code, _, err = run_cli(capsys, "mc", "--R", "0.5", "--runs", "0", "--seed", "1")
         assert code == 1
 
+    def test_run_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "monte_carlo", _no_work)
+        for runs in (cli.MC_MAX_RUNS + 1, 10**12):
+            code, out, err = run_cli(capsys, "mc", "--R", "0.5", "--runs", str(runs), "--seed", "1")
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and str(cli.MC_MAX_RUNS) in err
+
 
 class TestParser:
     def test_help_lists_every_subcommand(self, capsys):
@@ -304,3 +353,34 @@ class TestParser:
             cli.parse_sweep("0.1:0.3")
         with pytest.raises(ValueError):
             cli.parse_sweep("a:b:c")
+
+    def test_sweep_point_limit(self):
+        top = cli.SWEEP_MAX_POINTS
+        assert len(cli.parse_sweep(f"0:{top - 1}:1")) == top
+        with pytest.raises(ValueError, match="at most"):
+            cli.parse_sweep(f"0:{top}:1")
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import cfqsim.cli",
+        "from cfqsim import cli; cli.main(['cost', '--R', '0.5'])",
+        "from cfqsim import cli; cli.main(['czqe', '--L', '20'])",
+        "from cfqsim import cli; cli.main(['cost', '--R', '2'])",
+    ],
+)
+def test_numpy_not_imported(code):
+    """Only the SVD entropy and the Monte Carlo sampler load numpy."""
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    check = f"{code}\nimport sys\nassert 'numpy' not in sys.modules, 'numpy imported'"
+    proc = subprocess.run(
+        [sys.executable, "-c", check],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+

@@ -1,0 +1,137 @@
+"""Golden CLI transcript: every subcommand, format, sweep and error exit.
+
+``tests/data/golden_cli.txt`` holds, per command, the exit code, stdout
+and stderr of ``cfqsim.cli.main``.  A refactor of the engines must leave
+it byte-identical.  Regenerate it only for a deliberate output change:
+
+    PYTHONPATH=src python tests/test_golden_cli.py > tests/data/golden_cli.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import difflib
+import io
+import os
+import sys
+from pathlib import Path
+from unittest import mock
+
+GOLDEN = Path(__file__).parent / "data" / "golden_cli.txt"
+
+COMMANDS = (
+    # table
+    "table --R 0.3",
+    "table --R 0.5 --format json",
+    "table --R 0.999",
+    # round: defaults, explicit and complex amplitudes, a negative 're,im'
+    # literal, a slightly-off norm (warning on stderr), CSV
+    "round --R 0.5",
+    "round --R 0.37 --alice 0.6 0.8 --bob 0.8 0,0.6",
+    "round --R 0.4 --alice 0.8 -0.6,0.0 --bob -0.6,0.8 0",
+    "round --R 0.5 --alice 0.600000001 0.8",
+    "round --R 0.3 --format csv",
+    # scqkd
+    "scqkd --R 0.5",
+    "scqkd --R 0.25 --alice 1 0 --bob 0.6 0.8 --format csv",
+    # star: defaults, explicit parties, zero yield, tiny yield, largest star
+    "star --R 0.5",
+    "star --R 0.3 --alice 0.6 0.8 --alice 0.8 0,0.6 --alice 0,1 0 --bob 0.6 0.8 --format csv",
+    "star --R 0.5 --alice 1 0 --bob 1 0",
+    "star --R 0.5 --alice 1 0 --bob 1 0 --format csv",
+    "star --R 0.0001 --N 8",
+    "star --R 0.5 --N 600",
+    # czqe: single runs and both readouts, then sweeps
+    "czqe --L 50",
+    "czqe --L 20 --N 2 --readout after_final_obstacle --format csv",
+    "czqe --L 10 --theta 0.2 --bob 0.6 0.8",
+    "czqe --sweep 10:40:10",
+    "czqe --sweep 5:15:5 --N 2 --readout after_final_obstacle --bob 0.8 0.6",
+    # qst
+    "qst --payload 0.6 0.8",
+    "qst --R 0.3 --payload 0.6 0,0.8 --format csv",
+    # cost, cost-min
+    "cost --R 0.5",
+    "cost --R 0.3 --format csv",
+    "cost --sweep 0.05:0.95:0.05",
+    "cost --sweep 0.1:0.2:0.03",
+    "cost-min",
+    "cost-min --format csv",
+    # mc: one batch, then two batches of the 250k-run substreams
+    "mc --R 0.5 --runs 1000 --seed 1",
+    "mc --R 0.3 --runs 300000 --seed 7 --format csv",
+    # precondition violations: exit 1 with an 'error:' line
+    "table --R 0",
+    "round --R 1.5",
+    "round --R 0.5 --alice 0.9 0.9",
+    "round --R 0.5 --alice zzz 1",
+    "round --R 0.5 --alice nan 1",
+    "round --R 0.5 --bob 1e400 0",
+    "scqkd --R 1.0",
+    "star --R 0.5 --N 0",
+    "star --R 0.5 --N 601",
+    "star --R 0.5 --N 3 --alice 1 0",
+    "star --R 0.5 --alice inf 1",
+    "czqe",
+    "czqe --L 0",
+    "czqe --L 10 --theta 2",
+    "czqe --sweep 1.5:3:1",
+    "czqe --sweep 10:20",
+    "qst --R 0 --payload 1 0",
+    "cost",
+    "cost --R -0.2",
+    "cost --sweep 0.9:0.1:0.05",
+    "cost --sweep a:b:c",
+    "mc --R 0.5 --runs 0 --seed 1",
+    "mc --R 1.2 --runs 10 --seed 1",
+    # usage errors: exit 2
+    "table",
+    "round --R x",
+)
+
+
+def run(command: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    from cfqsim import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    # argparse wraps usage lines to the terminal width
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(command.split())
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _stream(name: str, text: str) -> list[str]:
+    lines = [f"{name}:"]
+    lines += [f"| {line}" for line in text.splitlines()]
+    if text and not text.endswith("\n"):
+        lines.append("\\ no newline at end")
+    return lines
+
+
+def transcript() -> str:
+    lines = []
+    for command in COMMANDS:
+        code, out, err = run(command)
+        lines.append(f"$ cfqsim {command}")
+        lines.append(f"exit {code}")
+        lines += _stream("stdout", out)
+        lines += _stream("stderr", err)
+    return "\n".join(lines) + "\n"
+
+
+def test_transcript_is_golden():
+    expected, actual = GOLDEN.read_text(), transcript()
+    diff = difflib.unified_diff(
+        expected.splitlines(), actual.splitlines(), "golden", "now", lineterm=""
+    )
+    assert actual == expected, "\n".join(list(diff)[:40])
+
+
+if __name__ == "__main__":
+    sys.stdout.write(transcript())

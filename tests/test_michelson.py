@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_amplitude_pair
 from cfqsim.michelson import (
@@ -376,3 +378,28 @@ class TestRoundRecord:
         record = round_record(cfg)
         assert record["P_D1"] == 0.0
         assert record["entropy_D1"] == 0.0
+
+
+ANGLES = st.floats(min_value=0.0, max_value=2 * math.pi)
+
+
+@st.composite
+def unit_pairs(draw):
+    """Any normalized amplitude pair: (cos t e^{ia}, sin t e^{ib})."""
+    t, a, b = draw(ANGLES), draw(ANGLES), draw(ANGLES)
+    return math.cos(t) * complex(math.cos(a), math.sin(a)), math.sin(t) * complex(math.cos(b), math.sin(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    unit_pairs(),
+    unit_pairs(),
+    st.sampled_from(("N09", "ScQKD")),
+)
+def test_outcome_probabilities_sum_to_one(R, alice, bob, variant):
+    config = RoundConfig(BeamSplitter(R), Qubit(("V", "H"), *alice), Qubit(("P", "B"), *bob), variant)
+    outcomes = run_round(config)
+    assert [o.outcome for o in outcomes] == ["D1", "D2", "DB"]
+    assert abs(sum(o.probability for o in outcomes) - 1.0) <= 1e-12
+

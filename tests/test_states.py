@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_state, random_unitary
 from cfqsim.states import (
+    PRUNE_TOL,
     PureState,
     Qubit,
     Register,
@@ -328,3 +330,89 @@ class TestComplexLiterals:
     def test_malformed(self, text):
         with pytest.raises(ValueError):
             parse_complex(text)
+
+
+# Registers for the trusted-path properties: alphabets of size 2, 2, 2, 3.
+PROP_REGS = (A, B, DB, ARM_B)
+COEFFS = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def labeled_states(draw, registers=PROP_REGS):
+    """Any sparse state over ``registers``, built through the public constructor."""
+    labels = list(itertools.product(*(r.alphabet for r in registers)))
+    chosen = draw(st.lists(st.sampled_from(labels), unique=True, max_size=len(labels)))
+    amps = draw(st.lists(COEFFS, min_size=len(chosen), max_size=len(chosen)))
+    return PureState(registers, dict(zip(chosen, amps)))
+
+
+@st.composite
+def map_rules(draw):
+    """Registers to act on and sparse rules over their joint alphabet."""
+    on = tuple(draw(st.lists(st.sampled_from(PROP_REGS), unique=True, min_size=1, max_size=3)))
+    patterns = list(itertools.product(*(r.alphabet for r in on)))
+    inputs = draw(st.lists(st.sampled_from(patterns), unique=True, max_size=len(patterns)))
+    branch = st.tuples(st.sampled_from(patterns), COEFFS)
+    rules = {p: draw(st.lists(branch, max_size=3)) for p in inputs}
+    return on, rules
+
+
+def assert_publicly_valid(s: PureState) -> None:
+    """The public constructor accepts ``s`` as it stands and rebuilds it equal."""
+    rebuilt = PureState(s.registers, s.amps)
+    assert rebuilt.registers == s.registers
+    assert rebuilt.amps == s.amps
+    assert all(type(l) is tuple and isinstance(a, complex) for l, a in s.amps.items())
+    assert all(abs(a) >= PRUNE_TOL for a in s.amps.values())
+
+
+class TestTrustedPath:
+    """Every internally built state would pass the public constructor's checks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(labeled_states(), map_rules())
+    def test_apply_map(self, s, on_rules):
+        on, rules = on_rules
+        assert_publicly_valid(apply_map(s, on, rules))
+
+    @settings(max_examples=60, deadline=None)
+    @given(labeled_states(), st.sampled_from(PROP_REGS), st.data())
+    def test_sector_and_restrict(self, s, reg, data):
+        symbols = data.draw(st.lists(st.sampled_from(reg.alphabet), unique=True))
+        assert_publicly_valid(sector(s, reg, symbols))
+        # a register fixed to one symbol carries no information: drop it
+        fixed = sector(s, reg, symbols[:1])
+        keep = [r for r in PROP_REGS if r != reg]
+        keep = data.draw(st.permutations(keep))
+        assert_publicly_valid(fixed.restrict(keep))
+        assert_publicly_valid(s.restrict(data.draw(st.permutations(PROP_REGS))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(labeled_states(), labeled_states(), COEFFS)
+    def test_algebra(self, s, t, scalar):
+        assert_publicly_valid(s + t)
+        assert_publicly_valid(s - t)
+        assert_publicly_valid(s * scalar)
+        assert_publicly_valid(scalar * s)
+        if s.norm() >= PRUNE_TOL:
+            assert_publicly_valid(s.normalized())
+
+    @settings(max_examples=60, deadline=None)
+    @given(labeled_states((A, B)), labeled_states((DB, ARM_B, ARM_A)))
+    def test_tensor(self, s, t):
+        assert_publicly_valid(s.tensor(t))
+        assert_publicly_valid(t.tensor(s))
+
+    def test_public_constructor_still_checks(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            PureState((A, A), {})
+        with pytest.raises(ValueError, match="outside alphabet"):
+            PureState((A, B), {("V", "V"): 1.0})
+        with pytest.raises(ValueError, match="does not match"):
+            PureState((A, B), {("V",): 1.0})
+
+    def test_restrict_rejects_duplicate_registers(self):
+        s = PureState((A, B), {("V", "P"): 1.0})
+        with pytest.raises(ValueError, match="duplicate"):
+            s.restrict((A, A))
+
