@@ -122,20 +122,28 @@ def _round12(value):
     return value
 
 
+def _csv_cell(text: str) -> str:
+    """RFC 4180 quoting: a cell holding a comma, quote or line break is
+    wrapped in quotes with its quotes doubled; any other cell is as is."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def emit(records, fmt: str) -> str:
     """Records as sorted-key JSON or as CSV with a header line."""
     if fmt == "json":
         payload = records[0] if len(records) == 1 else records
         return json.dumps(_round12(payload), sort_keys=True) + "\n"
     keys = list(records[0].keys())
-    lines = [",".join(keys)]
+    lines = [",".join(_csv_cell(k) for k in keys)]
     for record in records:
         cells = []
         for key in keys:
             v = record[key]
             if v is None:
                 v = ""
-            cells.append(f"{v:.12g}" if isinstance(v, float) else str(v))
+            cells.append(_csv_cell(f"{v:.12g}" if isinstance(v, float) else str(v)))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -16,8 +16,9 @@ check every register and symbol they are given.  States derived from
 already-valid states (map results, sectors, sums, scalings, tensor
 products, restrictions) are built with the trusted internal constructor
 ``PureState._trusted``, which skips the label checks but prunes exactly
-as the public constructor does.  numpy is imported only by the two
-functions that compute with it, so the analytic paths start without it.
+as the public constructor does.  Nothing here imports numpy at run time
+(``unitary_rules`` only names its array type for type checkers), so the
+entropy and every other path start without it.
 """
 
 from __future__ import annotations
@@ -335,37 +336,90 @@ def fidelity_up_to_phase(s: PureState, t: PureState) -> float:
     return float(abs(overlap(s, t)) ** 2 / n)
 
 
+def _hermitian_eigenvalues(g: list[list[complex]]) -> list[float]:
+    """Eigenvalues of a small Hermitian matrix by cyclic complex Jacobi.
+
+    Each rotation on the pair (p, q) first rephases row and column q so
+    that ``g[p][q]`` is real and nonnegative, then applies the real Jacobi
+    rotation that zeroes it (Numerical Recipes' ``jacobi``).  A 1x1 matrix
+    needs no rotation and a 2x2 matrix exactly one.  Overwrites ``g``.
+    """
+    d = len(g)
+    # An off-diagonal entry below 1e-30 of the trace moves no eigenvalue by
+    # more than itself, so it is left alone; cyclic Jacobi converges
+    # quadratically, so a handful of sweeps reach that for small d.
+    tiny = 1e-30 * sum(abs(g[k][k].real) for k in range(d))
+    for _ in range(64):
+        rotated = False
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                b = abs(g[p][q])
+                if b <= tiny:
+                    continue
+                rotated = True
+                phase = g[p][q].conjugate() / b  # g[p][q] * phase == b
+                a, c = g[p][p].real, g[q][q].real
+                theta = (c - a) / (2.0 * b)
+                t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
+                cos = 1.0 / math.sqrt(t * t + 1.0)
+                sin = t * cos
+                g[p][p] = complex(a - t * b)
+                g[q][q] = complex(c + t * b)
+                g[p][q] = g[q][p] = 0j
+                for r in range(d):
+                    if r == p or r == q:
+                        continue
+                    x, y = g[r][p], g[r][q] * phase
+                    g[r][p] = cos * x - sin * y
+                    g[r][q] = sin * x + cos * y
+                    g[p][r] = g[r][p].conjugate()
+                    g[q][r] = g[r][q].conjugate()
+        if not rotated:
+            return [g[k][k].real for k in range(d)]
+    raise ArithmeticError("Jacobi eigenvalue iteration did not converge")
+
+
 def entanglement_entropy(state: PureState, partition: Sequence[Register]) -> float:
     """Base-2 von Neumann entropy of the reduced state on ``partition``.
 
-    Computed from the singular values of the bipartite amplitude matrix;
+    The amplitudes form a bipartite matrix M (rows: the partition's label,
+    columns: the rest).  The Schmidt weights are the eigenvalues of the
+    Gram matrix M M^dagger / norm**2, built on whichever side has fewer
+    distinct labels and diagonalized by ``_hermitian_eigenvalues``;
     symmetric under complementing the partition.
     """
-    import numpy as np
-
     part = set(partition)
     regs = set(state.registers)
     if not part or part == regs:
         raise ValueError("partition must be a nonempty proper subset of the registers")
     if not part <= regs:
         raise ValueError("partition contains registers absent from the state")
-    if state.norm2() < PRUNE_TOL:
+    n2 = state.norm2()
+    if n2 < PRUNE_TOL:
         raise ValueError("entropy of a zero state is undefined")
     row_idx = [i for i, r in enumerate(state.registers) if r in part]
     col_idx = [i for i, r in enumerate(state.registers) if r not in part]
-    rows = sorted({tuple(l[i] for i in row_idx) for l in state.amps})
-    cols = sorted({tuple(l[i] for i in col_idx) for l in state.amps})
-    ri = {r: k for k, r in enumerate(rows)}
-    ci = {c: k for k, c in enumerate(cols)}
-    m = np.zeros((len(rows), len(cols)), dtype=complex)
+    rows: dict[Label, dict[Label, complex]] = {}
+    cols: dict[Label, dict[Label, complex]] = {}
     for label, amp in state.amps.items():
-        m[ri[tuple(label[i] for i in row_idx)], ci[tuple(label[i] for i in col_idx)]] = amp
-    m /= state.norm()
-    sv = np.linalg.svd(m, compute_uv=False)
-    p = sv**2
-    p = p[p > PRUNE_TOL]
-    p = p / p.sum()
-    return float(-(p * np.log2(p)).sum()) + 0.0  # +0.0 folds -0.0 into 0.0
+        r = tuple(label[i] for i in row_idx)
+        c = tuple(label[i] for i in col_idx)
+        rows.setdefault(r, {})[c] = amp
+        cols.setdefault(c, {})[r] = amp
+    # The Gram matrix of the smaller side's vectors; M M^dagger and
+    # M^T conj(M) share their nonzero eigenvalues.
+    vecs = list((rows if len(rows) <= len(cols) else cols).values())
+    gram = [
+        [
+            sum(a * v.get(x, 0j).conjugate() for x, a in u.items()) / n2
+            for v in vecs
+        ]
+        for u in vecs
+    ]
+    p = [w for w in _hermitian_eigenvalues(gram) if w > PRUNE_TOL]
+    total = sum(p)
+    p = [w / total for w in p]
+    return -sum(w * math.log2(w) for w in p) + 0.0  # +0.0 folds -0.0 into 0.0
 
 
 def states_close(s: PureState, t: PureState, tol: float = 1e-12) -> bool:

@@ -1,3 +1,6 @@
+import ast
+import csv
+import io
 import json
 import math
 import os
@@ -333,6 +336,38 @@ class TestMc:
             assert err.startswith("error: ") and str(cli.MC_MAX_RUNS) in err
 
 
+class TestCsvQuoting:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("qst", "--R", "0.3", "--payload", "0.6", "0,0.8", "--format", "csv"),
+            ("mc", "--R", "0.3", "--runs", "3000", "--seed", "7", "--format", "csv"),
+            ("round", "--R", "0.37", "--bob", "0.8", "0,0.6", "--format", "csv"),
+        ],
+    )
+    def test_rows_parse_to_header_width(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) >= 2
+        for row in rows[1:]:
+            assert len(row) == len(rows[0])
+
+    def test_comma_cells_round_trip(self, capsys):
+        _, out, _ = run_cli(capsys, "qst", "--R", "0.3", "--payload", "0.6", "0,0.8", "--format", "csv")
+        assert {row["nu"] for row in csv.DictReader(io.StringIO(out))} == {"0,0.8"}
+        _, out, _ = run_cli(capsys, "mc", "--R", "0.3", "--runs", "3000", "--seed", "7", "--format", "csv")
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert sum(ast.literal_eval(row["counts"]).values()) == 3000
+
+    def test_cell_quoting(self):
+        assert cli._csv_cell("0.707106781187") == "0.707106781187"
+        assert cli._csv_cell("") == ""
+        assert cli._csv_cell("0,0.6") == '"0,0.6"'
+        assert cli._csv_cell('say "hi"') == '"say ""hi"""'
+        assert cli._csv_cell("a\nb") == '"a\nb"'
+
+
 class TestParser:
     def test_help_lists_every_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -368,10 +403,17 @@ class TestParser:
         "from cfqsim import cli; cli.main(['cost', '--R', '0.5'])",
         "from cfqsim import cli; cli.main(['czqe', '--L', '20'])",
         "from cfqsim import cli; cli.main(['cost', '--R', '2'])",
+        "from cfqsim import cli; cli.main(['round', '--R', '0.5'])",
+        "from cfqsim import cli; cli.main(['scqkd', '--R', '0.5'])",
+        "from cfqsim import cli; cli.main(['star', '--R', '0.5'])",
+        "from cfqsim import cli; cli.main(['star', '--R', '0.3', '--alice', '0.6', '0.8',"
+        " '--alice', '0.8', '0,0.6', '--bob', '0.6', '0.8'])",
+        "from cfqsim import cli; cli.main(['qst', '--payload', '0.6', '0.8'])",
+        "from cfqsim import cli; cli.main(['table', '--R', '0.3'])",
     ],
 )
 def test_numpy_not_imported(code):
-    """Only the SVD entropy and the Monte Carlo sampler load numpy."""
+    """Only the Monte Carlo sampler (``mc``) loads numpy."""
     src = Path(cli.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
     check = f"{code}\nimport sys\nassert 'numpy' not in sys.modules, 'numpy imported'"

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state, random_unitary
@@ -273,6 +273,140 @@ class TestEntanglementEntropy:
             entanglement_entropy(s, [A, B])
         with pytest.raises(ValueError):
             entanglement_entropy(s, [DB])
+
+
+# Registers with the 3-symbol arm and 5-symbol detector alphabets, so
+# multi-register partitions give Gram matrices of dimension 3 to 15.
+ARM_A1 = Register("arm_a", 1)
+DET0 = Register("alice_detector", 0)
+DET1 = Register("alice_detector", 1)
+WIDE_REGS = (ARM_A, DET0, ARM_A1, DET1)
+WIDE_PARTITIONS = (
+    (ARM_A,),  # d = 3
+    (DET0,),  # d = 5
+    (ARM_A, ARM_A1),  # d = 9
+    (ARM_A, DET0),  # d = 15
+    (DET0, ARM_A1),  # d = 15
+    (ARM_A, DET1),  # d = 15
+)
+
+
+def svd_entropy(state: PureState, partition) -> float:
+    """Test oracle: the entropy from numpy's singular values."""
+    part = set(partition)
+    row_idx = [i for i, r in enumerate(state.registers) if r in part]
+    col_idx = [i for i, r in enumerate(state.registers) if r not in part]
+    rows = sorted({tuple(l[i] for i in row_idx) for l in state.amps})
+    cols = sorted({tuple(l[i] for i in col_idx) for l in state.amps})
+    m = np.zeros((len(rows), len(cols)), dtype=complex)
+    for label, amp in state.amps.items():
+        r = rows.index(tuple(label[i] for i in row_idx))
+        m[r, cols.index(tuple(label[i] for i in col_idx))] = amp
+    m /= state.norm()
+    p = np.linalg.svd(m, compute_uv=False) ** 2
+    p = p[p > PRUNE_TOL]
+    p = p / p.sum()
+    return float(-(p * np.log2(p)).sum()) + 0.0
+
+
+def schmidt_dimension(state: PureState, partition) -> int:
+    part = set(partition)
+    rows = {tuple(s for s, r in zip(l, state.registers) if r in part) for l in state.amps}
+    cols = {tuple(s for s, r in zip(l, state.registers) if r not in part) for l in state.amps}
+    return min(len(rows), len(cols))
+
+
+def locally_rotated(state: PureState, rng) -> PureState:
+    """The state after an independent random unitary on every register."""
+    for reg in state.registers:
+        state = apply_map(state, (reg,), unitary_rules(reg, random_unitary(len(reg.alphabet), rng)))
+    return state
+
+
+def schmidt_pair(weights) -> PureState:
+    """sum_k sqrt(w_k) |k>|k> over arm_a x arm_a (up to 3 weights) or
+    detector x detector (up to 5): Schmidt weights exactly ``weights``."""
+    left, right = (ARM_A, ARM_A1) if len(weights) <= 3 else (DET0, DET1)
+    amps = {
+        (left.alphabet[k], right.alphabet[k]): math.sqrt(w) for k, w in enumerate(weights)
+    }
+    return PureState((left, right), amps)
+
+
+def schmidt_state(weights, rng) -> PureState:
+    """``schmidt_pair`` after random local unitaries: same Schmidt weights."""
+    return locally_rotated(schmidt_pair(weights), rng)
+
+
+class TestEntropyAgainstSvd:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(WIDE_PARTITIONS),
+        st.floats(0.0, 0.6),
+    )
+    def test_random_states_match_svd(self, seed, partition, sparsity):
+        rng = np.random.default_rng(seed)
+        s = random_state(WIDE_REGS, rng)
+        keep = {l: a for l, a in s.amps.items() if rng.random() >= sparsity}
+        s = PureState(WIDE_REGS, keep)
+        assume(s.norm2() > 1e-6 and schmidt_dimension(s, partition) > 2)
+        assert entanglement_entropy(s, partition) == pytest.approx(
+            svd_entropy(s, partition), abs=1e-12
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(WIDE_PARTITIONS))
+    def test_complement_symmetry_above_two(self, seed, partition):
+        s = random_state(WIDE_REGS, np.random.default_rng(seed))
+        rest = [r for r in WIDE_REGS if r not in partition]
+        assert schmidt_dimension(s, partition) > 2
+        assert entanglement_entropy(s, partition) == pytest.approx(
+            entanglement_entropy(s, rest), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_equal_schmidt_weights(self, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(10):
+            s = schmidt_state([1.0 / d] * d, rng)
+            assert entanglement_entropy(s, s.registers[:1]) == pytest.approx(
+                math.log2(d), abs=1e-12
+            )
+            assert entanglement_entropy(s, s.registers[:1]) == pytest.approx(
+                svd_entropy(s, s.registers[:1]), abs=1e-12
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(WIDE_PARTITIONS))
+    def test_product_states(self, seed, partition):
+        rng = np.random.default_rng(seed)
+        factors = [random_state((reg,), rng) for reg in WIDE_REGS]
+        s = factors[0]
+        for f in factors[1:]:
+            s = s.tensor(f)
+        assert entanglement_entropy(s, partition) == pytest.approx(0.0, abs=1e-12)
+        assert entanglement_entropy(s, partition) == pytest.approx(
+            svd_entropy(s, partition), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_weight_near_prune_tol(self, d):
+        above, below = 1.5 * PRUNE_TOL, PRUNE_TOL / 1.5
+        rest = [1.0 / (d - 1)] * (d - 1)
+        for tiny in (above, below):
+            weights = [w * (1.0 - tiny) for w in rest] + [tiny]
+            s = schmidt_pair(weights)
+            kept = [w for w in weights if w > PRUNE_TOL]
+            expected = -sum(w / sum(kept) * math.log2(w / sum(kept)) for w in kept)
+            got = entanglement_entropy(s, s.registers[:1])
+            # the tiny weight adds about 5e-14 bits: kept above PRUNE_TOL only
+            assert got == pytest.approx(expected, abs=1e-14)
+            assert got == pytest.approx(svd_entropy(s, s.registers[:1]), abs=1e-12)
+            rotated = schmidt_state(weights, np.random.default_rng(9))
+            assert entanglement_entropy(rotated, rotated.registers[:1]) == pytest.approx(
+                svd_entropy(rotated, rotated.registers[:1]), abs=1e-12
+            )
 
 
 class TestStateUtilities:
