@@ -9,61 +9,41 @@ star        cat-state distribution over a star of independent links
 transfer    deterministic state transfer over the shared device pair
 costs       quantum/classical resource costs and a seeded Monte Carlo
 cli         deterministic command-line front end
+
+Every name in ``__all__`` is exported here but loads on first use (PEP 562):
+``import cfqsim`` imports no submodule, and ``cfqsim.run_star`` imports
+``star`` and its dependencies only.  The lookup is not cached in this
+package, so the home module's binding is always the one returned.
 """
 
-from .costs import (
-    CostProfile,
-    McReport,
-    binary_entropy,
-    cost_profile,
-    golden_section_min,
-    minimize_classical_cost,
-    minimize_quantum_cost,
-    monte_carlo,
-    total_qst_cost,
-)
-from .michelson import (
-    BeamSplitter,
-    ClosedFormProbs,
-    RoundConfig,
-    RoundOutcome,
-    closed_form_probs,
-    d1_state_closed_form,
-    forward_beamsplitter,
-    return_beamsplitter,
-    round_record,
-    run_round,
-    run_scqkd_round,
-    switch_interaction,
-)
-from .star import CatResult, StarConfig, cat_fidelity, ideal_cat, partial_propagator, run_star
-from .states import (
-    PureState,
-    Qubit,
-    Register,
-    apply_map,
-    entanglement_entropy,
-    fidelity_up_to_phase,
-    postselect,
-    product_state,
-    sector,
-    states_close,
-)
-from .transfer import (
-    TransferTranscript,
-    transfer_alice_to_bob,
-    transfer_bob_to_alice,
-    transfer_without_correction,
-)
-from .zeno import (
-    ChainConfig,
-    ChainResult,
-    asymptotic_limit,
-    chain_closed_form,
-    chain_step,
-    convergence_scan,
-    obstacle_step,
-    run_chain,
-)
+import importlib
 
+_EXPORTS = {
+    "costs": "CostProfile McReport binary_entropy cost_profile golden_section_min "
+    "minimize_classical_cost minimize_quantum_cost monte_carlo total_qst_cost",
+    "michelson": "BeamSplitter ClosedFormProbs RoundConfig RoundOutcome closed_form_probs "
+    "d1_state_closed_form forward_beamsplitter return_beamsplitter round_record run_round "
+    "run_scqkd_round switch_interaction",
+    "star": "CatResult StarConfig cat_fidelity ideal_cat partial_propagator run_star",
+    "states": "PureState Qubit Register apply_map entanglement_entropy fidelity_up_to_phase "
+    "postselect product_state sector states_close",
+    "transfer": "TransferTranscript transfer_alice_to_bob transfer_bob_to_alice "
+    "transfer_without_correction",
+    "zeno": "ChainConfig ChainResult asymptotic_limit chain_closed_form chain_step "
+    "convergence_scan obstacle_step run_chain",
+}
+# exported name -> home submodule
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

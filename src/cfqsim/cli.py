@@ -3,7 +3,8 @@
 Every subcommand emits byte-deterministic JSON (single results) or CSV
 (sweeps) with numbers at 12 significant digits.  Exit codes: 0 on
 success, 1 on a precondition violation (one-line diagnostic on stderr),
-2 on a usage error.
+2 on a usage error.  Each handler imports its engine when it runs, so
+a call loads only the modules its subcommand uses.
 """
 
 from __future__ import annotations
@@ -14,21 +15,10 @@ import json
 import math
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from .costs import (
-    cost_profile,
-    minimize_classical_cost,
-    minimize_quantum_cost,
-    monte_carlo,
-    sweep_profiles,
-    sweep_to_csv,
-    total_qst_cost,
-)
-from .michelson import BeamSplitter, RoundConfig, round_record, run_round
-from .star import StarConfig, alice_register, cat_fidelity, run_star
-from .states import Qubit, entanglement_entropy, fidelity_up_to_phase, parse_complex
-from .transfer import transcript_record, transfer_alice_to_bob
-from .zeno import ChainConfig, asymptotic_limit, convergence_scan, run_chain, scan_to_csv
+if TYPE_CHECKING:
+    from .states import Qubit
 
 # Amplitude pairs within this of unit norm pass through untouched.
 NORM_ACCEPT = 1e-12
@@ -68,6 +58,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_qubit(basis: tuple[str, str], pair: list[str], label: str) -> Qubit:
+    from .states import Qubit, parse_complex
+
     a0, a1 = (parse_complex(t) for t in pair)
     if not (cmath.isfinite(a0) and cmath.isfinite(a1)):
         raise ValueError(f"{label} amplitudes must be finite")
@@ -149,10 +141,15 @@ def emit(records, fmt: str) -> str:
 
 
 def _balanced(basis: tuple[str, str]) -> Qubit:
+    from .states import Qubit
+
     return Qubit.balanced(basis)
 
 
 def cmd_table(args) -> str:
+    from .michelson import BeamSplitter, RoundConfig, run_round
+    from .states import Qubit
+
     bs = BeamSplitter(args.R)
     probs = {}
     for a_sym, b_sym in (("V", "P"), ("H", "B"), ("V", "B"), ("H", "P")):
@@ -174,20 +171,21 @@ def cmd_table(args) -> str:
 
 
 def cmd_round(args) -> str:
+    """``round`` (N09) and ``scqkd``: the subcommand names the variant."""
+    from .michelson import BeamSplitter, RoundConfig, round_record
+
     alice = parse_qubit(("V", "H"), args.alice, "--alice")
     bob = parse_qubit(("P", "B"), args.bob, "--bob")
-    record = round_record(RoundConfig(BeamSplitter(args.R), alice, bob))
-    return emit([record], args.format)
-
-
-def cmd_scqkd(args) -> str:
-    alice = parse_qubit(("V", "H"), args.alice, "--alice")
-    bob = parse_qubit(("P", "B"), args.bob, "--bob")
-    record = round_record(RoundConfig(BeamSplitter(args.R), alice, bob, variant="ScQKD"))
+    variant = "ScQKD" if args.command == "scqkd" else "N09"
+    record = round_record(RoundConfig(BeamSplitter(args.R), alice, bob, variant=variant))
     return emit([record], args.format)
 
 
 def cmd_star(args) -> str:
+    from .michelson import BeamSplitter
+    from .star import StarConfig, alice_register, cat_fidelity, run_star
+    from .states import entanglement_entropy
+
     parties = len(args.alice) if args.alice else args.N
     if parties is not None and parties > STAR_MAX_PARTIES:
         raise ValueError(f"star has {parties} spoke parties; at most {STAR_MAX_PARTIES} are supported")
@@ -217,6 +215,11 @@ def cmd_star(args) -> str:
 
 
 def cmd_czqe(args) -> str:
+    from .states import fidelity_up_to_phase
+    from .zeno import ChainConfig, asymptotic_limit, convergence_scan, run_chain, scan_to_csv
+
+    if args.sweep and (args.L is not None or args.theta is not None):
+        raise ValueError("czqe --sweep sets L and the default angle; it takes no --L or --theta")
     obstacle = parse_qubit(("pass", "block"), args.bob, "--bob") if args.bob else _balanced(("pass", "block"))
     layers = args.N if args.N is not None else 1
     if args.sweep:
@@ -253,19 +256,24 @@ def cmd_czqe(args) -> str:
 
 
 def cmd_qst(args) -> str:
+    from .michelson import BeamSplitter
+    from .transfer import transcript_record, transfer_alice_to_bob
+
     payload = parse_qubit(("V", "H"), args.payload, "--payload")
     bs = BeamSplitter(args.R)
     records = [
         transcript_record(transfer_alice_to_bob(payload, bs, branch), payload)
         for branch in ("V", "H")
     ]
-    if args.format == "json":
-        return json.dumps(_round12(records), sort_keys=True) + "\n"
-    return emit(records, "csv")
+    return emit(records, args.format)
 
 
 def cmd_cost(args) -> str:
+    from .costs import cost_profile, sweep_profiles, sweep_to_csv, total_qst_cost
+
     if args.sweep:
+        if args.R is not None:
+            raise ValueError("cost takes --R or --sweep, not both")
         return sweep_to_csv(sweep_profiles(parse_sweep(args.sweep)))
     if args.R is None:
         raise ValueError("cost needs --R (or --sweep)")
@@ -285,6 +293,8 @@ def cmd_cost(args) -> str:
 
 
 def cmd_cost_min(args) -> str:
+    from .costs import minimize_classical_cost, minimize_quantum_cost
+
     rq, cq = minimize_quantum_cost()
     rc, cc = minimize_classical_cost()
     record = {
@@ -298,6 +308,8 @@ def cmd_cost_min(args) -> str:
 
 
 def cmd_mc(args) -> str:
+    from .costs import monte_carlo
+
     if args.runs > MC_MAX_RUNS:
         raise ValueError(f"mc asks for {args.runs} runs; at most {MC_MAX_RUNS} are supported")
     report = monte_carlo(args.R, args.runs, args.seed)
@@ -343,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alice", nargs=2, metavar=("PASS", "BLOCK"), default=["0.7071067811865476", "0.7071067811865476"])
     p.add_argument("--bob", nargs=2, metavar=("PASS", "BLOCK"), default=["0.7071067811865476", "0.7071067811865476"])
     _add_format(p)
-    p.set_defaults(handler=cmd_scqkd)
+    p.set_defaults(handler=cmd_round)
 
     p = sub.add_parser("star", help="cat-state distribution over a star of links")
     p.add_argument("--R", type=float, required=True)

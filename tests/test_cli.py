@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cfqsim import cli
+from cfqsim import cli, costs, zeno
 
 
 def _no_work(*args, **kwargs):
@@ -241,10 +241,10 @@ class TestCzqe:
 
     def test_work_limit(self, capsys, monkeypatch):
         cap = cli.CZQE_MAX_WORK
-        monkeypatch.setattr(cli, "run_chain", _no_work)
+        monkeypatch.setattr(zeno, "run_chain", _no_work)
         with pytest.raises(AssertionError, match="work started"):  # at the cap the engine runs
             cli.main(["czqe", "--L", str(cap // 3)])
-        monkeypatch.setattr(cli, "convergence_scan", _no_work)
+        monkeypatch.setattr(zeno, "convergence_scan", _no_work)
         too_much = [
             ["--L", str(cap // 3 + 1)],
             ["--L", "100000000"],
@@ -257,6 +257,13 @@ class TestCzqe:
             assert code == 1
             assert out == ""
             assert err.startswith("error: czqe work") and str(cap) in err
+
+    @pytest.mark.parametrize("extra", [["--theta", "0.2"], ["--L", "10"]])
+    def test_sweep_rejects_single_run_flags(self, capsys, monkeypatch, extra):
+        monkeypatch.setattr(zeno, "convergence_scan", _no_work)
+        code, out, err = run_cli(capsys, "czqe", "--sweep", "10:20:10", *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: czqe --sweep") and extra[0] in err
 
 
 class TestQst:
@@ -291,12 +298,18 @@ class TestCost:
         assert code == 1
 
     def test_sweep_limit(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "sweep_profiles", _no_work)
+        monkeypatch.setattr(costs, "sweep_profiles", _no_work)
         for sweep in ("0.1:0.2:1e-300", "-1e308:1e308:1e-300", "0:1:1e-5"):
             code, out, err = run_cli(capsys, "cost", "--sweep", sweep)
             assert code == 1
             assert out == ""
             assert err.startswith("error: sweep has") and str(cli.SWEEP_MAX_POINTS) in err
+
+    def test_sweep_rejects_reflectance(self, capsys, monkeypatch):
+        monkeypatch.setattr(costs, "sweep_profiles", _no_work)
+        code, out, err = run_cli(capsys, "cost", "--R", "0.3", "--sweep", "0.1:0.2:0.1")
+        assert (code, out) == (1, "")
+        assert err == "error: cost takes --R or --sweep, not both\n"
 
     @pytest.mark.parametrize("sweep", ["0.1:inf:0.1", "nan:1:0.1", "0.1:0.2:nan", "-inf:0.5:0.1"])
     def test_non_finite_sweep(self, capsys, sweep):
@@ -328,7 +341,7 @@ class TestMc:
         assert code == 1
 
     def test_run_limit(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "monte_carlo", _no_work)
+        monkeypatch.setattr(costs, "monte_carlo", _no_work)
         for runs in (cli.MC_MAX_RUNS + 1, 10**12):
             code, out, err = run_cli(capsys, "mc", "--R", "0.5", "--runs", str(runs), "--seed", "1")
             assert code == 1
@@ -396,33 +409,49 @@ class TestParser:
             cli.parse_sweep(f"0:{top}:1")
 
 
-@pytest.mark.parametrize(
-    "code",
-    [
-        "import cfqsim.cli",
-        "from cfqsim import cli; cli.main(['cost', '--R', '0.5'])",
-        "from cfqsim import cli; cli.main(['czqe', '--L', '20'])",
-        "from cfqsim import cli; cli.main(['cost', '--R', '2'])",
-        "from cfqsim import cli; cli.main(['round', '--R', '0.5'])",
-        "from cfqsim import cli; cli.main(['scqkd', '--R', '0.5'])",
-        "from cfqsim import cli; cli.main(['star', '--R', '0.5'])",
-        "from cfqsim import cli; cli.main(['star', '--R', '0.3', '--alice', '0.6', '0.8',"
-        " '--alice', '0.8', '0,0.6', '--bob', '0.6', '0.8'])",
-        "from cfqsim import cli; cli.main(['qst', '--payload', '0.6', '0.8'])",
-        "from cfqsim import cli; cli.main(['table', '--R', '0.3'])",
-    ],
-)
+# Code run in a fresh interpreter -> the modules it may load: cfqsim
+# submodules by short name, plus numpy.  Each subcommand imports only its
+# engine, and only the Monte Carlo sampler (``mc``) loads numpy.
+IMPORT_BUDGET = {
+    "import cfqsim": "",
+    "import cfqsim.cli": "cli",
+    # ``import *`` resolves every name in __all__ through ``from cfqsim import``
+    "from cfqsim import *; import cfqsim, importlib; assert all(globals()[n] is getattr("
+    "importlib.import_module(globals()[n].__module__), n) for n in cfqsim.__all__); "
+    "assert not set(cfqsim.__all__) & set(vars(cfqsim)), 'lookup cached'": "costs michelson star states transfer zeno",
+    "from cfqsim import cli; cli.main(['cost', '--R', '0.5'])": "cli costs",
+    "from cfqsim import cli; cli.main(['cost', '--sweep', '0.1:0.3:0.1'])": "cli costs",
+    "from cfqsim import cli; cli.main(['cost-min'])": "cli costs",
+    "from cfqsim import cli; cli.main(['mc', '--R', '0.5', '--runs', '100', '--seed', '1'])":
+        "cli costs numpy",
+    "from cfqsim import cli; cli.main(['czqe', '--L', '20'])": "cli states zeno",
+    "from cfqsim import cli; cli.main(['cost', '--R', '2'])": "cli costs",
+    "from cfqsim import cli; cli.main(['round', '--R', '0.5'])": "cli michelson states",
+    "from cfqsim import cli; cli.main(['scqkd', '--R', '0.5'])": "cli michelson states",
+    "from cfqsim import cli; cli.main(['star', '--R', '0.5'])": "cli michelson star states",
+    "from cfqsim import cli; cli.main(['star', '--R', '0.3', '--alice', '0.6', '0.8',"
+    " '--alice', '0.8', '0,0.6', '--bob', '0.6', '0.8'])": "cli michelson star states",
+    "from cfqsim import cli; cli.main(['qst', '--payload', '0.6', '0.8'])":
+        "cli michelson states transfer",
+    "from cfqsim import cli; cli.main(['table', '--R', '0.3'])": "cli michelson states",
+}
+
+
+@pytest.mark.parametrize("code", list(IMPORT_BUDGET))
 def test_numpy_not_imported(code):
-    """Only the Monte Carlo sampler (``mc``) loads numpy."""
+    """A call loads no cfqsim module and no numpy beyond its budget."""
     src = Path(cli.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
-    check = f"{code}\nimport sys\nassert 'numpy' not in sys.modules, 'numpy imported'"
+    report = "import sys\nprint('\\nloaded', *sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", check],
+        [sys.executable, "-c", f"{code}\n{report}"],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-
+    modules = proc.stdout.splitlines()[-1].split()[1:]
+    loaded = {m.removeprefix("cfqsim.") for m in modules if m.startswith("cfqsim.")}
+    loaded |= {"numpy"} & set(modules)
+    assert loaded <= set(IMPORT_BUDGET[code].split()), f"loaded {sorted(loaded)}"

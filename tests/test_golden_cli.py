@@ -87,6 +87,10 @@ COMMANDS = (
     # usage errors: exit 2
     "table",
     "round --R x",
+    # conflicting flags: exit 1 with an 'error:' line
+    "czqe --sweep 10:20:10 --theta 0.2",
+    "czqe --sweep 10:20:10 --L 10",
+    "cost --R 0.3 --sweep 0.1:0.2:0.1",
 )
 
 
