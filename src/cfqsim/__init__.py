@@ -10,6 +10,9 @@ transfer    deterministic state transfer over the shared device pair
 costs       quantum/classical resource costs and a seeded Monte Carlo
 cli         deterministic command-line front end
 
+The physics is noiseless, single-photon and pure-state by design: density
+matrices, channel noise and eavesdropper models are out of scope.
+
 Every name in ``__all__`` is exported here but loads on first use (PEP 562):
 ``import cfqsim`` imports no submodule, and ``cfqsim.run_star`` imports
 ``star`` and its dependencies only.  The lookup is not cached in this

@@ -183,13 +183,3 @@ def monte_carlo(R: float, n: int, seed: int) -> McReport:
 
 def sweep_profiles(r_values) -> list[CostProfile]:
     return [cost_profile(r) for r in r_values]
-
-
-def sweep_to_csv(profiles) -> str:
-    lines = ["R,P_D1,P_D2,P_DB,C_q,C,p1_prime"]
-    for p in profiles:
-        lines.append(
-            f"{p.R:.12g},{p.P_D1:.12g},{p.P_D2:.12g},{p.P_DB:.12g},"
-            f"{p.C_q:.12g},{p.C:.12g},{p.p1_prime:.12g}"
-        )
-    return "\n".join(lines) + "\n"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .states import (
     PureState,
@@ -180,18 +181,13 @@ def return_beamsplitter(
     return apply_map(state, (arm_a, arm_b, bob_detector, detector), rules)
 
 
-def _outcome(
-    state: PureState,
-    name: str,
-    detector_symbols: tuple[str, ...],
-    keep: tuple[Register, ...],
-    detector: Register = DETECTOR,
-) -> RoundOutcome:
-    sec = sector(state, detector, detector_symbols)
-    p = sec.norm2()
-    if p < 1e-300:
+def _outcome(name: str, sector_state: PureState, keep: tuple[Register, ...]) -> RoundOutcome:
+    """One detector outcome: the sector's norm**2 and its normalized
+    posterior on ``keep``.  Every kept amplitude is at least ``PRUNE_TOL``,
+    so only a sector without labels has probability zero."""
+    if not sector_state.amps:
         return RoundOutcome(name, 0.0, PureState(keep, {}))
-    return RoundOutcome(name, p, sec.normalized().restrict(keep))
+    return RoundOutcome(name, sector_state.norm2(), sector_state.normalized().restrict(keep))
 
 
 def run_round(
@@ -214,46 +210,23 @@ def run_round(
     state = switch_interaction(state)
     state = return_beamsplitter(state, config.bs)
 
-    keep_tagged = (ALICE_DEVICE, BOB_DEVICE, DETECTOR)
-    outcomes: list[RoundOutcome] = []
     if split_detector_polarization:
-        for sym in ("D1V", "D1H", "D2V", "D2H"):
-            outcomes.append(_outcome(state, sym, (sym,), keep_tagged))
+        clicks = [(sym, (sym,)) for sym in ("D1V", "D1H", "D2V", "D2H")]
     else:
-        outcomes.append(_outcome(state, "D1", ("D1V", "D1H"), keep_tagged))
-        outcomes.append(_outcome(state, "D2", ("D2V", "D2H"), keep_tagged))
+        clicks = [("D1", ("D1V", "D1H")), ("D2", ("D2V", "D2H"))]
+    tagged = (ALICE_DEVICE, BOB_DEVICE, DETECTOR)
+    outcomes = [_outcome(name, sector(state, DETECTOR, syms), tagged) for name, syms in clicks]
     blocked = sector(state, BOB_DETECTOR, ("Y",))
-    p = blocked.norm2()
-    if p < 1e-300:
-        outcomes.append(RoundOutcome("DB", 0.0, PureState((ALICE_DEVICE, BOB_DEVICE), {})))
-    else:
-        outcomes.append(
-            RoundOutcome(
-                "DB", p, blocked.normalized().restrict((ALICE_DEVICE, BOB_DEVICE))
-            )
-        )
+    outcomes.append(_outcome("DB", blocked, (ALICE_DEVICE, BOB_DEVICE)))
     return outcomes
 
 
-class ClosedFormProbs(tuple):
-    """(P_DB, P_D1, P_D2) triple."""
+class ClosedFormProbs(NamedTuple):
+    """Detector probabilities of one round, computed without simulating it."""
 
-    __slots__ = ()
-
-    def __new__(cls, p_db: float, p_d1: float, p_d2: float):
-        return super().__new__(cls, (p_db, p_d1, p_d2))
-
-    @property
-    def P_DB(self) -> float:
-        return self[0]
-
-    @property
-    def P_D1(self) -> float:
-        return self[1]
-
-    @property
-    def P_D2(self) -> float:
-        return self[2]
+    P_DB: float
+    P_D1: float
+    P_D2: float
 
 
 def closed_form_probs(config: RoundConfig) -> ClosedFormProbs:
@@ -341,27 +314,21 @@ def run_scqkd_round(
     )
 
     switches = (SWITCH_ALICE, SWITCH_BOB)
-    outcomes = [
-        _outcome(state, "D1", ("D1",), switches, detector=PLAIN_DETECTOR),
-        _outcome(state, "D2", ("D2",), switches, detector=PLAIN_DETECTOR),
+    # DB: absorbed by either party, Alice's absorber first, then Bob's.
+    absorbed = sector(state, ABSORBER_ALICE, ("Y",))
+    absorbed += sector(sector(state, ABSORBER_ALICE, ("0",)), ABSORBER_BOB, ("Y",))
+    return [
+        _outcome("D1", sector(state, PLAIN_DETECTOR, ("D1",)), switches),
+        _outcome("D2", sector(state, PLAIN_DETECTOR, ("D2",)), switches),
+        _outcome("DB", absorbed, (*switches, ABSORBER_ALICE, ABSORBER_BOB)),
     ]
-    alice_absorbed = sector(state, ABSORBER_ALICE, ("Y",))
-    bob_only = sector(sector(state, ABSORBER_ALICE, ("0",)), ABSORBER_BOB, ("Y",))
-    absorbed = alice_absorbed + bob_only
-    p = absorbed.norm2()
-    keep = (SWITCH_ALICE, SWITCH_BOB, ABSORBER_ALICE, ABSORBER_BOB)
-    if p < 1e-300:
-        outcomes.append(RoundOutcome("DB", 0.0, PureState(keep, {})))
-    else:
-        outcomes.append(RoundOutcome("DB", p, absorbed.normalized().restrict(keep)))
-    return outcomes
 
 
 def round_record(config: RoundConfig) -> dict:
     """Flat serializable record of one round's statistics."""
     outcomes = run_round(config)
     d1 = outcomes[0]
-    if d1.probability > 1e-12:
+    if d1.posterior.amps:
         part = SWITCH_ALICE if config.variant == "ScQKD" else ALICE_DEVICE
         entropy = entanglement_entropy(d1.posterior, [part])
     else:

@@ -57,22 +57,36 @@ Label = tuple[str, ...]
 MapRules = Mapping[Label, Sequence[tuple[Label, complex]]]
 
 
-@dataclass(frozen=True, order=True)
-class Register:
-    """One labeled subsystem: an ALPHABETS kind plus a party/layer index."""
+class Register(tuple):
+    """One labeled subsystem: an ALPHABETS kind plus a party/layer index.
 
-    kind: str
-    index: int = 0
+    A ``(kind, index)`` tuple underneath, so the register lookups of
+    ``tuple.index``, sets and dicts compare and hash at C speed.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in ALPHABETS:
-            raise ValueError(f"unknown register kind {self.kind!r}")
-        if self.index < 0:
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index: int = 0) -> "Register":
+        if kind not in ALPHABETS:
+            raise ValueError(f"unknown register kind {kind!r}")
+        if index < 0:
             raise ValueError("register index must be nonnegative")
+        return super().__new__(cls, (kind, index))
+
+    def __getnewargs__(self) -> tuple[str, int]:  # copy/pickle: __new__(cls, kind, index)
+        return tuple(self)
+
+    @property
+    def kind(self) -> str:
+        return self[0]
+
+    @property
+    def index(self) -> int:
+        return self[1]
 
     @property
     def alphabet(self) -> tuple[str, ...]:
-        return ALPHABETS[self.kind]
+        return ALPHABETS[self[0]]
 
     def __repr__(self) -> str:
         return f"{self.kind}[{self.index}]"
@@ -104,15 +118,23 @@ class Qubit:
         return {self.basis[0]: complex(self.amp0), self.basis[1]: complex(self.amp1)}
 
 
+def _checked_registers(registers) -> tuple[Register, ...]:
+    """The registers as a tuple, once each is known to be a distinct Register."""
+    registers = tuple(registers)
+    if not all(isinstance(r, Register) for r in registers):
+        raise ValueError("registers must be Register instances")
+    if len(set(registers)) != len(registers):
+        raise ValueError("duplicate registers in state")
+    return registers
+
+
 class PureState:
     """Sub-normalized sparse state over an ordered register tuple."""
 
     __slots__ = ("registers", "amps")
 
     def __init__(self, registers: Sequence[Register], amps: Mapping[Label, complex]):
-        registers = tuple(registers)
-        if len(set(registers)) != len(registers):
-            raise ValueError("duplicate registers in state")
+        registers = _checked_registers(registers)
         clean: dict[Label, complex] = {}
         for label, amp in amps.items():
             label = tuple(label)
@@ -166,9 +188,7 @@ class PureState:
         trace; it raises if a dropped register carries independent
         information.
         """
-        keep = tuple(keep)
-        if len(set(keep)) != len(keep):
-            raise ValueError("duplicate registers in state")
+        keep = _checked_registers(keep)
         keep_idx = [self.registers.index(r) for r in keep]
         drop_idx = [i for i in range(len(self.registers)) if i not in keep_idx]
         seen: dict[Label, Label] = {}
@@ -213,9 +233,7 @@ class PureState:
 
 def product_state(parts: Sequence[tuple[Register, Union[Qubit, str]]]) -> PureState:
     """Tensor product of per-register qubits and fixed symbols."""
-    registers = tuple(r for r, _ in parts)
-    if len(set(registers)) != len(registers):
-        raise ValueError("duplicate register in product")
+    registers = _checked_registers(r for r, _ in parts)
     amps: dict[Label, complex] = {(): 1.0 + 0j}
     for reg, value in parts:
         if isinstance(value, Qubit):
@@ -248,7 +266,7 @@ def apply_map(state: PureState, on: Sequence[Register], rules: MapRules) -> Pure
         idx = tuple(state.registers.index(r) for r in on)
     except ValueError:
         raise ValueError("map touches a register absent from the state") from None
-    alphabets = [r.alphabet for r in on]
+    alphabets = [state.registers[i].alphabet for i in idx]
     for pattern, branches in rules.items():
         if len(pattern) != len(on) or any(s not in a for s, a in zip(pattern, alphabets)):
             raise ValueError(f"input pattern {pattern} outside register alphabets")

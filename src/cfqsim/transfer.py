@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .michelson import ALICE_DEVICE, BOB_DEVICE, BeamSplitter, RoundConfig, run_round
-from .states import PureState, Qubit, apply_map, postselect
+from .states import PureState, Qubit, Register, apply_map, format_complex, postselect
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -27,22 +27,61 @@ class TransferTranscript:
     branch_probability: float
 
 
-def _shared_pair(alice: Qubit, bob: Qubit, bs: BeamSplitter) -> PureState:
-    outcomes = run_round(RoundConfig(bs, alice, bob))
-    d1 = outcomes[0]
+def _steer(
+    payload: Qubit, bs: BeamSplitter, sender: Register, branches: tuple[str, ...]
+) -> tuple[PureState, Register, list[tuple[float, list[complex]]]]:
+    """Shared pair -> sender's Hadamard -> post-selection -> receiver's qubit.
+
+    ``sender`` is the device holding the payload; the receiver's device
+    starts balanced.  The shared pair is a|H, P> + b|V, B>, and the
+    Hadamard puts its minus sign on the sender's symbol of the |V, B> term.
+    Returns the pair, the receiver's device and, per sender outcome in
+    ``branches``, its probability and the receiver's uncorrected
+    amplitudes in the receiver's alphabet order.
+    """
+    basis = sender.alphabet
+    if tuple(payload.basis) != basis:
+        raise ValueError(f"payload must be declared over ({', '.join(basis)})")
+    if any(branch not in basis for branch in branches):
+        raise ValueError(f"sender branch must be {basis[0]!r} or {basis[1]!r}")
+    if sender == ALICE_DEVICE:
+        receiver, minus, plus = BOB_DEVICE, "V", "H"
+        alice, bob = payload, Qubit.balanced(("P", "B"))
+    else:
+        receiver, minus, plus = ALICE_DEVICE, "B", "P"
+        alice, bob = Qubit.balanced(("V", "H")), payload
+    d1 = run_round(RoundConfig(bs, alice, bob))[0]
     if d1.probability <= 0.0:
         raise ValueError("configuration admits no counterfactual branch")
-    return d1.posterior.restrict((ALICE_DEVICE, BOB_DEVICE))
-
-
-def _hadamard_rules(basis: tuple[str, str]):
-    # Minus sign on the first basis symbol's image, so the correction table
-    # below comes out as: first-symbol outcome -> phase flip.
-    plus, minus = basis[1], basis[0]
-    return {
+    shared = d1.posterior.restrict((ALICE_DEVICE, BOB_DEVICE))
+    hadamard = {
         (plus,): [((plus,), _SQRT_HALF), ((minus,), _SQRT_HALF)],
         (minus,): [((plus,), _SQRT_HALF), ((minus,), -_SQRT_HALF)],
     }
+    rotated = apply_map(shared, (sender,), hadamard)
+    results = []
+    for branch in branches:
+        prob, post = postselect(rotated, sender, branch)
+        received = post.restrict((receiver,))
+        results.append((prob, [received.amps.get((sym,), 0j) for sym in receiver.alphabet]))
+    return shared, receiver, results
+
+
+def _fidelity(payload: Qubit, amps: list[complex]) -> float:
+    """Fidelity of receiver amplitudes to the payload.  The receiver's
+    alphabet lists the images of the payload's second and first symbols
+    (H -> P and V -> B, or B -> V and P -> H)."""
+    return abs(payload.amp1.conjugate() * amps[0] + payload.amp0.conjugate() * amps[1]) ** 2
+
+
+def _transfer(payload: Qubit, bs: BeamSplitter, sender: Register, branch: str) -> TransferTranscript:
+    shared, receiver, [(prob, amps)] = _steer(payload, bs, sender, (branch,))
+    # After the sender's V or B outcome the receiver phase-flips its own
+    # symbol of the |V, B> term.
+    bit = int(branch in ("V", "B"))
+    amps = [-a if bit and sym in ("V", "B") else a for sym, a in zip(receiver.alphabet, amps)]
+    receiver_state = Qubit(receiver.alphabet, *amps)
+    return TransferTranscript(shared, branch, bit, receiver_state, _fidelity(payload, amps), prob)
 
 
 def transfer_alice_to_bob(
@@ -54,48 +93,14 @@ def transfer_alice_to_bob(
     yield the payload exactly (fidelity 1) after the dictated correction,
     each with probability 1/2.
     """
-    if tuple(payload.basis) != ("V", "H"):
-        raise ValueError("payload must be declared over (V, H)")
-    if sender_branch not in ("V", "H"):
-        raise ValueError("sender branch must be 'V' or 'H'")
-    shared = _shared_pair(payload, Qubit.balanced(("P", "B")), bs)
-    rotated = apply_map(shared, (ALICE_DEVICE,), _hadamard_rules(("V", "H")))
-    prob, post = postselect(rotated, ALICE_DEVICE, sender_branch)
-    received = post.restrict((BOB_DEVICE,))
-    amp_p = received.amps.get(("P",), 0j)
-    amp_b = received.amps.get(("B",), 0j)
-    bit = 0
-    if sender_branch == "V":
-        amp_b = -amp_b  # phase flip in the (P, B) basis
-        bit = 1
-    receiver = Qubit(("P", "B"), amp_p, amp_b)
-    target_p, target_b = payload.amp1, payload.amp0  # V maps to B, H maps to P
-    fid = abs(target_p.conjugate() * amp_p + target_b.conjugate() * amp_b) ** 2
-    return TransferTranscript(shared, sender_branch, bit, receiver, float(fid), prob)
+    return _transfer(payload, bs, ALICE_DEVICE, sender_branch)
 
 
 def transfer_bob_to_alice(
     payload: Qubit, bs: BeamSplitter, sender_branch: str
 ) -> TransferTranscript:
     """Mirrored direction: a (P, B) payload lands on the (V, H) device."""
-    if tuple(payload.basis) != ("P", "B"):
-        raise ValueError("payload must be declared over (P, B)")
-    if sender_branch not in ("P", "B"):
-        raise ValueError("sender branch must be 'P' or 'B'")
-    shared = _shared_pair(Qubit.balanced(("V", "H")), payload, bs)
-    rotated = apply_map(shared, (BOB_DEVICE,), _hadamard_rules(("B", "P")))
-    prob, post = postselect(rotated, BOB_DEVICE, sender_branch)
-    received = post.restrict((ALICE_DEVICE,))
-    amp_v = received.amps.get(("V",), 0j)
-    amp_h = received.amps.get(("H",), 0j)
-    bit = 0
-    if sender_branch == "B":
-        amp_v = -amp_v  # phase flip in the (V, H) basis, H as the +1 axis
-        bit = 1
-    receiver = Qubit(("V", "H"), amp_v, amp_h)
-    target_v, target_h = payload.amp1, payload.amp0  # P maps to H, B maps to V
-    fid = abs(target_v.conjugate() * amp_v + target_h.conjugate() * amp_h) ** 2
-    return TransferTranscript(shared, sender_branch, bit, receiver, float(fid), prob)
+    return _transfer(payload, bs, BOB_DEVICE, sender_branch)
 
 
 def transfer_without_correction(payload: Qubit) -> float:
@@ -106,28 +111,12 @@ def transfer_without_correction(payload: Qubit) -> float:
     Bloch sphere.  Independent of the beam splitter, which only rescales
     the shared pair's yield.
     """
-    if tuple(payload.basis) != ("V", "H"):
-        raise ValueError("payload must be declared over (V, H)")
-    bs = BeamSplitter(0.5)
-    shared = _shared_pair(payload, Qubit.balanced(("P", "B")), bs)
-    rotated = apply_map(shared, (ALICE_DEVICE,), _hadamard_rules(("V", "H")))
-    target_p, target_b = payload.amp1, payload.amp0
-    average = 0.0
-    for branch in ("V", "H"):
-        prob, post = postselect(rotated, ALICE_DEVICE, branch)
-        if prob == 0.0:
-            continue
-        received = post.restrict((BOB_DEVICE,))
-        amp_p = received.amps.get(("P",), 0j)
-        amp_b = received.amps.get(("B",), 0j)
-        average += prob * abs(target_p.conjugate() * amp_p + target_b.conjugate() * amp_b) ** 2
-    return float(average)
+    _, _, branches = _steer(payload, BeamSplitter(0.5), ALICE_DEVICE, ("V", "H"))
+    return sum(prob * _fidelity(payload, amps) for prob, amps in branches)
 
 
 def transcript_record(transcript: TransferTranscript, payload: Qubit) -> dict:
     """Flat serializable record of one transfer branch."""
-    from .states import format_complex
-
     return {
         "mu": format_complex(payload.amp0),
         "nu": format_complex(payload.amp1),

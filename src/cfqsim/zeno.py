@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .states import PureState, Qubit, Register, apply_map, fidelity_up_to_phase, product_state, sector
 
@@ -216,10 +216,3 @@ def convergence_scan(
             ScanRow(int(L), fidelity_up_to_phase(result.final, target), result.survival)
         )
     return rows
-
-
-def scan_to_csv(rows: Iterable[ScanRow]) -> str:
-    lines = ["L,fidelity,survival"]
-    for row in rows:
-        lines.append(f"{row.L},{row.fidelity:.12g},{row.survival:.12g}")
-    return "\n".join(lines) + "\n"

@@ -233,6 +233,7 @@ class TestCzqe:
         lines = out.strip().split("\n")
         assert lines[0] == "L,fidelity,survival"
         assert len(lines) == 4
+        assert lines[1].startswith("10,")
 
     def test_missing_length(self, capsys):
         code, _, err = run_cli(capsys, "czqe")
@@ -288,6 +289,7 @@ class TestCost:
         lines = out.strip().split("\n")
         assert lines[0] == "R,P_D1,P_D2,P_DB,C_q,C,p1_prime"
         assert len(lines) == 20  # header + 19 grid points
+        assert lines[10].startswith("0.5,0.125,0.625,0.25,8,")
 
     def test_missing_reflectance(self, capsys):
         code, _, err = run_cli(capsys, "cost")
@@ -379,6 +381,30 @@ class TestCsvQuoting:
         assert cli._csv_cell("0,0.6") == '"0,0.6"'
         assert cli._csv_cell('say "hi"') == '"say ""hi"""'
         assert cli._csv_cell("a\nb") == '"a\nb"'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("czqe", "--sweep", "10:10:1", "--N", "2"),
+        ("czqe", "--sweep", "10:30:10", "--readout", "after_final_obstacle"),
+        ("cost", "--sweep", "0.3:0.3:0.1"),
+        ("cost", "--sweep", "0.1:0.5:0.2"),
+    ],
+)
+def test_json_sweep_is_a_list_of_the_csv_rows(capsys, argv):
+    """A sweep is a JSON list even at one grid point, with the CSV's columns and values."""
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    records = json.loads(out)
+    assert isinstance(records, list)
+    _, csv_out, _ = run_cli(capsys, *argv)
+    rows = list(csv.DictReader(io.StringIO(csv_out)))
+    assert len(records) == len(rows) >= 1
+    for record, row in zip(records, rows):
+        assert set(record) == set(row)
+        for key, cell in row.items():
+            assert record[key] == float(cell)
 
 
 class TestParser:

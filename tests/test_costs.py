@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cfqsim import cli
 from cfqsim.costs import (
     binary_entropy,
     cost_profile,
@@ -12,8 +13,6 @@ from cfqsim.costs import (
     minimize_classical_cost,
     minimize_quantum_cost,
     monte_carlo,
-    sweep_profiles,
-    sweep_to_csv,
     total_qst_cost,
 )
 
@@ -177,9 +176,9 @@ class TestMonteCarlo:
 
 
 class TestSweep:
-    def test_csv_shape_and_header(self):
-        text = sweep_to_csv(sweep_profiles([0.25, 0.5, 0.75]))
-        lines = text.strip().split("\n")
+    def test_csv_shape_and_header(self, capsys):
+        assert cli.main(["cost", "--sweep", "0.25:0.75:0.25"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "R,P_D1,P_D2,P_DB,C_q,C,p1_prime"
         assert len(lines) == 4
         assert lines[2].startswith("0.5,0.125,0.625,0.25,8,")

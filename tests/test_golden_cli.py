@@ -91,6 +91,9 @@ COMMANDS = (
     "czqe --sweep 10:20:10 --theta 0.2",
     "czqe --sweep 10:20:10 --L 10",
     "cost --R 0.3 --sweep 0.1:0.2:0.1",
+    # sweeps as JSON lists
+    "czqe --sweep 10:20:10 --format json",
+    "cost --sweep 0.1:0.2:0.1 --format json",
 )
 
 

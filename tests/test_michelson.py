@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_amplitude_pair
@@ -378,6 +379,19 @@ class TestRoundRecord:
         record = round_record(cfg)
         assert record["P_D1"] == 0.0
         assert record["entropy_D1"] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=-28.0, max_value=math.log10(0.5)), st.sampled_from(("N09", "ScQKD")))
+@example(-28.0, "N09")  # the smallest R in scope
+@example(-28.0, "ScQKD")
+@example(-13.0, "N09")  # P_D1 below 1e-12, once read as zero yield
+@example(math.log10(0.5), "ScQKD")
+def test_balanced_entropy_is_one_at_any_reflectance(log10_R, variant):
+    """The D1 pair of balanced devices holds one ebit for every R, however small the yield."""
+    record = round_record(dataclasses.replace(balanced_config(10.0**log10_R), variant=variant))
+    assert record["P_D1"] > 0.0
+    assert abs(record["entropy_D1"] - 1.0) <= 1e-12
 
 
 ANGLES = st.floats(min_value=0.0, max_value=2 * math.pi)

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -54,6 +56,36 @@ class TestRegister:
     def test_negative_index(self):
         with pytest.raises(ValueError):
             Register("device_a", -1)
+
+    def test_fields_and_tuple_identity(self):
+        reg = Register("arm_a", 2)
+        assert (reg.kind, reg.index, reg.alphabet) == ("arm_a", 2, ("vac", "V", "H"))
+        assert reg == ("arm_a", 2) and hash(reg) == hash(("arm_a", 2))
+        assert repr(reg) == "arm_a[2]"
+        assert copy.deepcopy(reg) == reg and type(copy.deepcopy(reg)) is Register
+        assert pickle.loads(pickle.dumps(reg)) == reg
+        with pytest.raises(AttributeError):
+            reg.extra = 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda r: PureState((r,), {}),
+            lambda r: PureState((r,), {("V",): 1.0}),
+            lambda r: product_state([(r, "V")]),
+            lambda r: product_state([(r, Qubit.balanced(("V", "H")))]),
+            lambda r: product_state([(A, "V")]).restrict((r,)),
+        ],
+    )
+    def test_bare_tuple_is_not_a_register(self, build):
+        with pytest.raises(ValueError, match="Register"):
+            build(("device_a", 0))
+
+    def test_bare_tuple_looks_up_its_equal_register(self):
+        state = product_state([(A, Qubit.balanced(("V", "H"))), (B, "P")])
+        flipped = apply_map(state, [("device_a", 0)], {("V",): [(("H",), 1.0)]})
+        assert flipped.amps == {("H", "P"): pytest.approx(2 * SQ2)}
+        assert sector(state, ("device_a", 0), ("V",)).amps == {("V", "P"): pytest.approx(SQ2)}
 
 
 class TestQubit:

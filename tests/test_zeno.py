@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cfqsim import cli
 from cfqsim.states import PureState, Qubit, entanglement_entropy, states_close
 from cfqsim.zeno import (
     OBSTACLE,
@@ -14,7 +15,6 @@ from cfqsim.zeno import (
     mode_register,
     obstacle_step,
     run_chain,
-    scan_to_csv,
     unabsorbed_sector,
 )
 
@@ -183,10 +183,9 @@ class TestConvergenceScan:
         ratio = (1.0 - rows[0].fidelity) / (1.0 - rows[1].fidelity)
         assert 5.0 < ratio < 20.0
 
-    def test_csv_shape(self):
-        rows = convergence_scan(Qubit.balanced(("pass", "block")), 1, [2, 4])
-        text = scan_to_csv(rows)
-        lines = text.strip().split("\n")
+    def test_csv_shape(self, capsys):
+        assert cli.main(["czqe", "--sweep", "2:4:2", "--bob", "0.7071067811865476", "0.7071067811865476"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "L,fidelity,survival"
         assert len(lines) == 3
         assert lines[1].startswith("2,")
