@@ -32,15 +32,14 @@ NORM_REJECT = 1e-6
 # Python 3.11.
 # Largest star, counting --N or the --alice pairs.  run_star is linear in
 # spokes, but every label is N registers wide, so its time grows faster
-# than N: N = 600 takes about 0.3 s end to end.  The cap is still 600, below
-# the time budget, because the golden transcript pins the `--N 601` error.
-STAR_MAX_PARTIES = 600
+# than N: N = 2000 takes about 1.4-1.8 s in process.
+STAR_MAX_PARTIES = 2000
 # Most points in a --sweep grid: 100k cost-profile rows take about 0.8 s.
 SWEEP_MAX_POINTS = 100_000
 # Most mc --runs: 5e9 runs (20k batches) take about 1.2 s.
 MC_MAX_RUNS = 5_000_000_000
-# Most czqe work, L * 3^layers summed over the sweep points (3^layers
-# bounds the labels per step): L = 50000 at one layer takes about 1.4 s.
+# Most czqe work, L * 3^layers summed over the sweep points (a step holds
+# at most 2^(layers+1) labels): L = 50000 at one layer takes about 1.4 s.
 CZQE_MAX_WORK = 150_000
 
 # A token such as '-0.6,0.2' or '-inf' is an amplitude literal, not an

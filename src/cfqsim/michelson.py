@@ -183,8 +183,8 @@ def return_beamsplitter(
 
 def _outcome(name: str, sector_state: PureState, keep: tuple[Register, ...]) -> RoundOutcome:
     """One detector outcome: the sector's norm**2 and its normalized
-    posterior on ``keep``.  Every kept amplitude is at least ``PRUNE_TOL``,
-    so only a sector without labels has probability zero."""
+    posterior on ``keep``.  Every kept amplitude is nonzero, so a sector
+    with labels has a posterior even where its probability underflows."""
     if not sector_state.amps:
         return RoundOutcome(name, 0.0, PureState(keep, {}))
     return RoundOutcome(name, sector_state.norm2(), sector_state.normalized().restrict(keep))

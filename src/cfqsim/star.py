@@ -11,8 +11,8 @@ spoke is tensored in and propagated at once, so the incompatible branches
 die before the next spoke arrives.  Every propagator call sees at most 4
 labels and the state never holds more than 2, so the cost is linear in
 the number of spokes (times the O(N) label width).  The state is
-renormalized after every spoke, which keeps the amplitudes far above the
-pruning threshold however small the yield; the yield is carried as the
+renormalized after every spoke, which keeps the amplitudes far from
+underflow however small the yield; the yield is carried as the
 product of the per-spoke norm**2 and, for yields below the double range,
 as its base-10 logarithm.
 """

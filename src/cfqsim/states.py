@@ -15,8 +15,10 @@ constructor, ``product_state`` and the rule patterns of ``apply_map``
 check every register and symbol they are given.  States derived from
 already-valid states (map results, sectors, sums, scalings, tensor
 products, restrictions) are built with the trusted internal constructor
-``PureState._trusted``, which skips the label checks but prunes exactly
-as the public constructor does.  Nothing here imports numpy at run time
+``PureState._trusted``, which skips the label checks.  Both keep every
+nonzero amplitude, however small.  Only a sum makes cancellation dust:
+``apply_map`` and ``+`` drop a label that received two or more terms if
+it ends at most ``PRUNE_TOL`` times the input norm.  Nothing imports numpy
 (``unitary_rules`` only names its array type for type checkers), so the
 entropy and every other path start without it.
 """
@@ -26,13 +28,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 
 if TYPE_CHECKING:
     import numpy as np
 
-# Amplitudes below this magnitude are numerical dust and are dropped after
-# every map application.
+# A summed amplitude at most this times the input norm is cancellation
+# dust; Schmidt weights below it are dropped from the entropy.
 PRUNE_TOL = 1e-15
 
 # Unit-norm tolerance for qubits and freshly built product states.
@@ -144,7 +146,7 @@ class PureState:
                 if sym not in reg.alphabet:
                     raise ValueError(f"symbol {sym!r} outside alphabet of {reg!r}")
             a = complex(amp)
-            if abs(a) >= PRUNE_TOL:
+            if a:
                 clean[label] = a
         self.registers = registers
         self.amps = clean
@@ -152,10 +154,10 @@ class PureState:
     @classmethod
     def _trusted(cls, registers: tuple[Register, ...], amps: Mapping[Label, complex]) -> "PureState":
         """Build from distinct registers and complex amplitudes on labels
-        already known to fit them; prunes like ``__init__``."""
+        already known to fit them; drops exact zeros like ``__init__``."""
         state = cls.__new__(cls)
         state.registers = registers
-        state.amps = {l: a for l, a in amps.items() if abs(a) >= PRUNE_TOL}
+        state.amps = {l: a for l, a in amps.items() if a}
         return state
 
     def norm2(self) -> float:
@@ -165,9 +167,11 @@ class PureState:
         return math.sqrt(self.norm2())
 
     def normalized(self) -> "PureState":
-        n = self.norm()
-        if n < PRUNE_TOL:
+        if not self.amps:
             raise ValueError("cannot normalize a zero state")
+        n = self.norm()
+        if n == 0.0:  # norm**2 underflows: scale up by an exact power of two first
+            return (self * 2.0**600).normalized()
         return PureState._trusted(self.registers, {l: a / n for l, a in self.amps.items()})
 
     def tensor(self, other: "PureState") -> "PureState":
@@ -213,8 +217,10 @@ class PureState:
         if self.registers != other.registers:
             raise ValueError("states live over different registers")
         amps = dict(self.amps)
+        summed = [l for l in other.amps if l in amps]
         for label, amp in other.amps.items():
             amps[label] = amps.get(label, 0j) + amp
+        amps = _drop_dust(amps, summed, lambda: max(self.norm(), other.norm()))
         return PureState._trusted(self.registers, amps)
 
     def __sub__(self, other: "PureState") -> "PureState":
@@ -229,6 +235,16 @@ class PureState:
 
     def __repr__(self) -> str:
         return f"PureState({len(self.amps)} labels over {list(self.registers)})"
+
+
+def _drop_dust(amps: dict[Label, complex], summed: list[Label], norm: Callable[[], float]) -> dict[Label, complex]:
+    """``amps`` less the ``summed`` labels at most ``PRUNE_TOL * norm()`` in size."""
+    if summed:
+        tol = PRUNE_TOL * norm()
+        for label in summed:
+            if label in amps and abs(amps[label]) <= tol:
+                del amps[label]
+    return amps
 
 
 def product_state(parts: Sequence[tuple[Register, Union[Qubit, str]]]) -> PureState:
@@ -276,19 +292,28 @@ def apply_map(state: PureState, on: Sequence[Register], rules: MapRules) -> Pure
             ):
                 raise ValueError(f"output pattern {out_pat} outside register alphabets")
     out: dict[Label, complex] = {}
+    summed: list[Label] = []  # labels that received a second term
     for label, amp in state.amps.items():
         key = tuple(label[i] for i in idx)
         branches = rules.get(key)
         if branches is None:
-            out[label] = out.get(label, 0j) + amp
+            if label in out:
+                out[label] += amp
+                summed.append(label)
+            else:
+                out[label] = amp
             continue
         for out_pat, coeff in branches:
             new = list(label)
             for i, sym in zip(idx, out_pat):
                 new[i] = sym
             t = tuple(new)
-            out[t] = out.get(t, 0j) + amp * coeff
-    return PureState._trusted(state.registers, out)
+            if t in out:
+                out[t] += amp * coeff
+                summed.append(t)
+            else:
+                out[t] = amp * coeff
+    return PureState._trusted(state.registers, _drop_dust(out, summed, state.norm))
 
 
 def unitary_rules(register: Register, matrix: np.ndarray) -> MapRules:
@@ -302,7 +327,7 @@ def unitary_rules(register: Register, matrix: np.ndarray) -> MapRules:
         rules[(symbols[j],)] = [
             ((symbols[i],), complex(matrix[i, j]))
             for i in range(n)
-            if abs(matrix[i, j]) >= PRUNE_TOL
+            if matrix[i, j] != 0
         ]
     return rules
 
@@ -348,10 +373,8 @@ def overlap(s: PureState, t: PureState) -> complex:
 
 def fidelity_up_to_phase(s: PureState, t: PureState) -> float:
     """|<s|t>|**2 on the normalized states; invariant under global phases."""
-    n = s.norm2() * t.norm2()
-    if n < PRUNE_TOL:
-        return 0.0
-    return float(abs(overlap(s, t)) ** 2 / n)
+    ns, nt = s.norm2(), t.norm2()
+    return float(abs(overlap(s, t)) ** 2 / ns / nt) if ns and nt else 0.0
 
 
 def _hermitian_eigenvalues(g: list[list[complex]]) -> list[float]:
@@ -413,7 +436,7 @@ def entanglement_entropy(state: PureState, partition: Sequence[Register]) -> flo
     if not part <= regs:
         raise ValueError("partition contains registers absent from the state")
     n2 = state.norm2()
-    if n2 < PRUNE_TOL:
+    if n2 == 0.0:
         raise ValueError("entropy of a zero state is undefined")
     row_idx = [i for i, r in enumerate(state.registers) if r in part]
     col_idx = [i for i, r in enumerate(state.registers) if r not in part]

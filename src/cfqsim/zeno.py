@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import NamedTuple, Sequence
 
-from .states import PureState, Qubit, Register, apply_map, fidelity_up_to_phase, product_state, sector
+from .states import PureState, Qubit, Register, apply_map, fidelity_up_to_phase, product_state
 
 OBSTACLE = Register("pb_device", 0)
 
@@ -51,7 +51,7 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class ChainResult:
-    final: PureState  # full state, absorbed labels included
+    final: PureState  # unabsorbed labels plus ("block", "absorbed", ...) at sqrt(absorbed mass)
     survival: float  # norm**2 of the unabsorbed sector
 
 
@@ -77,48 +77,23 @@ def chain_step(state: PureState, theta: float) -> PureState:
     return state
 
 
-def obstacle_step(state: PureState) -> PureState:
+def obstacle_step(state: PureState) -> tuple[PureState, float]:
     """Absorb the upper arm of every layer on the block branch.
 
-    Absorption events are distinguishable records (each carries its own
-    cycle/layer history), so an amplitude freshly absorbed into a label
-    combines in quadrature with whatever mass that label already holds
-    rather than interfering with it.  The unabsorbed sector evolves as the
-    plain linear re-routing map.
+    Returns the state without the block-branch labels that have a mode in
+    |1>, and the mass (sum of |amplitude|**2) they carried.  Absorbed
+    amplitudes never interfere again, so the chain keeps only their total.
     """
     obst_i = state.registers.index(OBSTACLE)
     mode_idx = [state.registers.index(m) for m in _mode_registers(state)]
-    surviving: dict[tuple[str, ...], complex] = {}
-    fresh_amp: dict[tuple[str, ...], complex] = {}
-    fresh_mass: dict[tuple[str, ...], float] = {}
-    fresh_events: dict[tuple[str, ...], int] = {}
+    kept: dict[tuple[str, ...], complex] = {}
+    lost = 0.0
     for label, amp in state.amps.items():
         if label[obst_i] == "block" and any(label[i] == "1" for i in mode_idx):
-            out = list(label)
-            for i in mode_idx:
-                if out[i] == "1":
-                    out[i] = "absorbed"
-            t = tuple(out)
-            fresh_amp[t] = amp
-            fresh_mass[t] = fresh_mass.get(t, 0.0) + abs(amp) ** 2
-            fresh_events[t] = fresh_events.get(t, 0) + 1
+            lost += abs(amp) ** 2
         else:
-            surviving[label] = amp
-    merged = dict(surviving)
-    for label, mass in fresh_mass.items():
-        prior = merged.get(label)
-        if prior is None and fresh_events[label] == 1:
-            merged[label] = fresh_amp[label]  # lone event keeps its phase
-        else:
-            total = mass + (abs(prior) ** 2 if prior is not None else 0.0)
-            merged[label] = complex(math.sqrt(total))
-    return PureState._trusted(state.registers, merged)
-
-
-def unabsorbed_sector(state: PureState) -> PureState:
-    for mode in _mode_registers(state):
-        state = sector(state, mode, ("0", "1"))
-    return state
+            kept[label] = amp
+    return PureState._trusted(state.registers, kept), lost
 
 
 def run_chain(config: ChainConfig, readout: str = "after_final_bs") -> ChainResult:
@@ -135,13 +110,15 @@ def run_chain(config: ChainConfig, readout: str = "after_final_bs") -> ChainResu
     parts = [(OBSTACLE, config.obstacle)]
     parts += [(mode_register(j), "0") for j in range(config.layers)]
     state = product_state(parts)
-    for _ in range(config.L - 1):
+    absorbed = 0.0
+    for k in range(config.L):
         state = chain_step(state, theta)
-        state = obstacle_step(state)
-    state = chain_step(state, theta)
-    if readout == "after_final_obstacle":
-        state = obstacle_step(state)
-    return ChainResult(state, unabsorbed_sector(state).norm2())
+        if k < config.L - 1 or readout == "after_final_obstacle":
+            state, lost = obstacle_step(state)
+            absorbed += lost
+    # _trusted drops the absorbed label when nothing was absorbed
+    final = {**state.amps, ("block", *("absorbed",) * config.layers): complex(math.sqrt(absorbed))}
+    return ChainResult(PureState._trusted(state.registers, final), state.norm2())
 
 
 def chain_closed_form(

@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import strategies as st
 
 from cfqsim.michelson import (
     BOB_DEVICE,
@@ -8,6 +9,12 @@ from cfqsim.michelson import (
 )
 from cfqsim.star import StarConfig, alice_register, detector_register
 from cfqsim.states import PureState, Register, product_state, sector
+
+# Reflectances in [1e-300, 1), log-uniform and uniform.
+REFLECTANCES = st.one_of(
+    st.floats(min_value=-300.0, max_value=0.0, exclude_max=True).map(lambda x: 10.0**x),
+    st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
+).filter(lambda R: R < 1.0)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

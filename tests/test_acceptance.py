@@ -21,7 +21,7 @@ from cfqsim.michelson import (
     run_round,
 )
 from cfqsim.star import StarConfig, cat_fidelity, run_star
-from cfqsim.states import PureState, Qubit, entanglement_entropy, fidelity_up_to_phase
+from cfqsim.states import PureState, Qubit, entanglement_entropy, fidelity_up_to_phase, sector
 from cfqsim.transfer import transfer_alice_to_bob, transfer_bob_to_alice
 from cfqsim.zeno import (
     OBSTACLE,
@@ -29,7 +29,6 @@ from cfqsim.zeno import (
     convergence_scan,
     mode_register,
     run_chain,
-    unabsorbed_sector,
 )
 
 
@@ -181,7 +180,7 @@ def test_criterion_6_chained_zeno():
                 result = run_chain(
                     ChainConfig(L=L, theta=theta, obstacle=obstacle, layers=layers), readout
                 )
-                got = unabsorbed_sector(result.final)
+                got = sector(result.final, mode_register(0), ("0", "1"))
                 want = _inline_chain_oracle(obstacle, L, theta, layers, readout)
                 for label in got.amps.keys() | want.amps.keys():
                     assert abs(got.amps.get(label, 0j) - want.amps.get(label, 0j)) <= 1e-12

@@ -206,7 +206,8 @@ class TestStar:
         top = cli.STAR_MAX_PARTIES
         record = run_json(capsys, "star", "--R", "0.5", "--N", str(top))
         assert record["yield"] == 0.0  # below the double range
-        assert record["log10_yield"] == pytest.approx(top * math.log10(0.125), abs=1e-9)
+        # 12 printed significant digits
+        assert record["log10_yield"] == pytest.approx(top * math.log10(0.125), rel=1e-11)
         assert record["cat_fidelity"] == pytest.approx(1.0, abs=1e-12)
         assert record["entropy_any_bipartition"] == pytest.approx(1.0, abs=1e-12)
         too_many = [
@@ -219,6 +220,34 @@ class TestStar:
             assert code == 1
             assert out == ""
             assert err.startswith("error: ") and str(top) in err
+
+
+class TestAmplitudesBelowDoubleEpsilon:
+    """Single amplitudes far below 1e-15 are small probabilities, not dust."""
+
+    @pytest.mark.parametrize("command", ["round", "scqkd"])
+    def test_round(self, capsys, command):
+        record = run_json(capsys, command, "--R", "1e-31")
+        assert record["P_D1"] == 5e-32
+        assert record["entropy_D1"] == 1.0
+
+    def test_star(self, capsys):
+        record = run_json(capsys, "star", "--R", "1e-31", "--N", "2")
+        assert record["yield"] == 2.5e-63
+        assert record["log10_yield"] == -62.6020599913
+        assert record["cat_fidelity"] == 1.0
+        assert record["entropy_any_bipartition"] == 1.0
+
+    @pytest.mark.parametrize(
+        "readout, survival",
+        [("after_final_bs", 5.11960926969e-88), ("after_final_obstacle", 6.72220784097e-89)],
+    )
+    def test_czqe_pure_blocker(self, capsys, readout, survival):
+        record = run_json(
+            capsys, "czqe", "--L", "100", "--theta", "1.2", "--bob", "0", "1", "--readout", readout
+        )
+        assert record["survival"] == survival
+        assert record["fidelity_asymptote"] == 6.72220784097e-89
 
 
 class TestCzqe:

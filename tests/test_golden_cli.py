@@ -69,7 +69,7 @@ COMMANDS = (
     "round --R 0.5 --bob 1e400 0",
     "scqkd --R 1.0",
     "star --R 0.5 --N 0",
-    "star --R 0.5 --N 601",
+    "star --R 0.5 --N 2001",
     "star --R 0.5 --N 3 --alice 1 0",
     "star --R 0.5 --alice inf 1",
     "czqe",
@@ -94,6 +94,12 @@ COMMANDS = (
     # sweeps as JSON lists
     "czqe --sweep 10:20:10 --format json",
     "cost --sweep 0.1:0.2:0.1 --format json",
+    # single amplitudes far below 1e-15: small probabilities, not dust
+    "round --R 1e-31",
+    "scqkd --R 1e-31",
+    "star --R 1e-31 --N 2",
+    "czqe --L 100 --theta 1.2 --bob 0 1",
+    "czqe --L 100 --theta 1.2 --bob 0 1 --readout after_final_obstacle",
 )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_amplitude_pair
+from conftest import REFLECTANCES, random_amplitude_pair
 from cfqsim.michelson import (
     ALICE_DEVICE,
     ARM_ALICE,
@@ -381,17 +381,21 @@ class TestRoundRecord:
         assert record["entropy_D1"] == 0.0
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=-28.0, max_value=math.log10(0.5)), st.sampled_from(("N09", "ScQKD")))
-@example(-28.0, "N09")  # the smallest R in scope
-@example(-28.0, "ScQKD")
-@example(-13.0, "N09")  # P_D1 below 1e-12, once read as zero yield
-@example(math.log10(0.5), "ScQKD")
-def test_balanced_entropy_is_one_at_any_reflectance(log10_R, variant):
+@settings(max_examples=100, deadline=None)
+@given(REFLECTANCES, st.sampled_from(("N09", "ScQKD")))
+@example(1e-300, "N09")  # the smallest R in scope
+@example(1e-300, "ScQKD")
+@example(1e-13, "N09")  # P_D1 below 1e-12, once read as zero yield
+@example(1e-31, "N09")  # D1 amplitude below 1e-15, once pruned as dust
+@example(0.5, "ScQKD")
+@example(1.0 - 2.0**-53, "N09")
+def test_balanced_entropy_is_one_at_any_reflectance(R, variant):
     """The D1 pair of balanced devices holds one ebit for every R, however small the yield."""
-    record = round_record(dataclasses.replace(balanced_config(10.0**log10_R), variant=variant))
+    config = dataclasses.replace(balanced_config(R), variant=variant)
+    record = round_record(config)
     assert record["P_D1"] > 0.0
     assert abs(record["entropy_D1"] - 1.0) <= 1e-12
+    assert abs(sum(o.probability for o in run_round(config)) - 1.0) <= 1e-12
 
 
 ANGLES = st.floats(min_value=0.0, max_value=2 * math.pi)
@@ -411,6 +415,8 @@ def unit_pairs(draw):
     unit_pairs(),
     st.sampled_from(("N09", "ScQKD")),
 )
+@example(0.5, (1.0, 0.0), (1.0, 2.2e-308), "N09")  # a posterior whose norm**2 underflows
+@example(0.5, (1.0, 0.0), (1.0, 2.2e-308), "ScQKD")
 def test_outcome_probabilities_sum_to_one(R, alice, bob, variant):
     config = RoundConfig(BeamSplitter(R), Qubit(("V", "H"), *alice), Qubit(("P", "B"), *bob), variant)
     outcomes = run_round(config)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_amplitude_pair, two_link_bruteforce
+from conftest import REFLECTANCES, random_amplitude_pair, two_link_bruteforce
 from cfqsim.michelson import BOB_DEVICE, BeamSplitter, RoundConfig, d1_state_closed_form
 from cfqsim.star import (
     StarConfig,
@@ -139,6 +141,16 @@ class TestRunStar:
                 current = run_star(balanced_star(n, R)).yield_probability
                 assert current / previous == pytest.approx(rt / 2, abs=1e-12)
                 previous = current
+
+    @settings(max_examples=60, deadline=None)
+    @given(REFLECTANCES, st.integers(1, 12))
+    @example(1e-300, 12)
+    @example(1e-31, 2)
+    def test_balanced_log10_yield_at_any_reflectance(self, R, n):
+        # balanced devices: (RT/2)^N, with both cat terms kept
+        result = run_star(balanced_star(n, R))
+        assert result.log10_yield == pytest.approx(n * math.log10(R * (1.0 - R) / 2.0), rel=1e-12)
+        assert cat_fidelity(result) == pytest.approx(1.0, abs=1e-12)
 
     def test_three_link_balanced(self):
         result = run_star(balanced_star(3))

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from cfqsim import cli
-from cfqsim.states import PureState, Qubit, entanglement_entropy, states_close
+from cfqsim.states import (
+    PureState,
+    Qubit,
+    entanglement_entropy,
+    product_state,
+    sector,
+    states_close,
+)
 from cfqsim.zeno import (
     OBSTACLE,
     ChainConfig,
@@ -15,7 +22,6 @@ from cfqsim.zeno import (
     mode_register,
     obstacle_step,
     run_chain,
-    unabsorbed_sector,
 )
 
 MODE = mode_register(0)
@@ -53,12 +59,15 @@ class TestChainStep:
 class TestObstacleStep:
     def test_lower_arm_untouched(self):
         s = PureState((OBSTACLE, MODE), {("block", "0"): 1.0})
-        assert states_close(obstacle_step(s), s)
+        out, lost = obstacle_step(s)
+        assert states_close(out, s)
+        assert lost == 0.0
 
     def test_upper_arm_absorbed(self):
         s = PureState((OBSTACLE, MODE), {("block", "1"): 1.0})
-        out = obstacle_step(s)
-        assert out.amps == {("block", "absorbed"): 1.0 + 0j}
+        out, lost = obstacle_step(s)
+        assert out.amps == {}
+        assert lost == 1.0
 
     def test_superposed_obstacle(self):
         theta = 0.61
@@ -73,12 +82,12 @@ class TestObstacleStep:
                 ("block", "1"): r * s_,
             },
         )
-        out = obstacle_step(state)
+        out, lost = obstacle_step(state)
+        assert set(out.amps) == {("pass", "0"), ("pass", "1"), ("block", "0")}
         assert out.amps[("pass", "0")] == pytest.approx(r * c)
         assert out.amps[("pass", "1")] == pytest.approx(r * s_)
         assert out.amps[("block", "0")] == pytest.approx(r * c)
-        assert out.amps[("block", "absorbed")] == pytest.approx(r * s_)
-        assert abs(out.amps[("block", "absorbed")]) ** 2 == pytest.approx(s_**2 / 2)
+        assert lost == pytest.approx(s_**2 / 2)
 
 
 class TestRunChain:
@@ -109,7 +118,7 @@ class TestRunChain:
                     ChainConfig(L=L, theta=theta, obstacle=obstacle, layers=layers), readout
                 )
                 oracle = chain_closed_form(obstacle, L, theta, layers, readout)
-                assert states_close(unabsorbed_sector(result.final), oracle, 1e-12)
+                assert states_close(sector(result.final, MODE, ("0", "1")), oracle, 1e-12)
 
     def test_stacked_block_survival(self):
         L, layers, theta = 9, 3, 0.21
@@ -119,18 +128,19 @@ class TestRunChain:
     def test_mass_conserved_at_every_step(self):
         config = ChainConfig(L=12, obstacle=Qubit.balanced(("pass", "block")), layers=2)
         theta = config.resolved_theta
-        from cfqsim.states import product_state
-
         state = product_state(
             [(OBSTACLE, config.obstacle), (mode_register(0), "0"), (mode_register(1), "0")]
         )
+        absorbed = 0.0
         for _ in range(config.L):
             state = chain_step(state, theta)
-            assert state.norm2() == pytest.approx(1.0, abs=1e-12)
-            state = obstacle_step(state)
-            assert state.norm2() == pytest.approx(1.0, abs=1e-12)
-            absorbed = state.norm2() - unabsorbed_sector(state).norm2()
-            assert unabsorbed_sector(state).norm2() + absorbed == pytest.approx(1.0, abs=1e-12)
+            assert state.norm2() + absorbed == pytest.approx(1.0, abs=1e-12)
+            state, lost = obstacle_step(state)
+            absorbed += lost
+            assert state.norm2() + absorbed == pytest.approx(1.0, abs=1e-12)
+        result = run_chain(config, "after_final_obstacle")
+        assert result.survival + absorbed == pytest.approx(1.0, abs=1e-12)
+        assert result.final.norm2() == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
