@@ -38,9 +38,10 @@ STAR_MAX_PARTIES = 2000
 SWEEP_MAX_POINTS = 100_000
 # Most mc --runs: 5e9 runs (20k batches) take about 1.2 s.
 MC_MAX_RUNS = 5_000_000_000
-# Most czqe work, L * 3^layers summed over the sweep points (a step holds
-# at most 2^(layers+1) labels): L = 50000 at one layer takes about 1.4 s.
-CZQE_MAX_WORK = 150_000
+# Most czqe work, summed over the sweep points: L one-layer steps plus the
+# 2^(layers+1) labels of the layered output.  L = 59996 at one layer takes
+# 1.2-1.6 s end to end, --N 14 (2^15 labels) at L = 1 about 0.15 s.
+CZQE_MAX_WORK = 60_000
 
 # A token such as '-0.6,0.2' or '-inf' is an amplitude literal, not an
 # option: no option of this parser starts with '-' and a digit or letter.
@@ -234,10 +235,11 @@ def cmd_czqe(args) -> str:
         raise ValueError("czqe needs --L (or --sweep)")
     else:
         l_values = [args.L]
-    # 3**layers is computed only once layers is known to be small
-    if layers > math.log(CZQE_MAX_WORK, 3) or sum(l_values) * 3**layers > CZQE_MAX_WORK:
+    # 2**(layers+1) is computed only once layers is known to be small
+    labels = len(l_values) * 2 ** (layers + 1) if layers < math.log2(CZQE_MAX_WORK) else math.inf
+    if sum(l_values) + labels > CZQE_MAX_WORK:
         raise ValueError(
-            f"czqe work (L times 3^layers, summed over the sweep) exceeds {CZQE_MAX_WORK}"
+            f"czqe work (L plus 2^(layers+1) labels, summed over the sweep) exceeds {CZQE_MAX_WORK}"
         )
     if args.sweep:
         rows = convergence_scan(obstacle, layers, l_values, args.readout)

@@ -88,25 +88,15 @@ class RoundOutcome:
     posterior: PureState
 
 
-def initial_round_state(
-    alice: Qubit,
-    bob: Qubit,
-    *,
-    device: Register = ALICE_DEVICE,
-    switch: Register = BOB_DEVICE,
-    bob_detector: Register = BOB_DETECTOR,
-    arm_a: Register = ARM_ALICE,
-    arm_b: Register = ARM_BOB,
-    detector: Register = DETECTOR,
-) -> PureState:
+def initial_round_state(alice: Qubit, bob: Qubit) -> PureState:
     return product_state(
         [
-            (device, alice),
-            (bob_detector, "0"),
-            (switch, bob),
-            (arm_a, "vac"),
-            (arm_b, "vac"),
-            (detector, "none"),
+            (ALICE_DEVICE, alice),
+            (BOB_DETECTOR, "0"),
+            (BOB_DEVICE, bob),
+            (ARM_ALICE, "vac"),
+            (ARM_BOB, "vac"),
+            (DETECTOR, "none"),
         ]
     )
 
@@ -202,6 +192,8 @@ def run_round(
     if not 0.0 < config.bs.R < 1.0:
         raise ValueError("degenerate beam splitter: R must lie strictly inside (0, 1)")
     if config.variant == "ScQKD":
+        if split_detector_polarization:
+            raise ValueError("the pass/block variant has no polarization-resolved detectors")
         alice = Qubit(("pass", "block"), config.alice.amp0, config.alice.amp1)
         bob = Qubit(("pass", "block"), config.bob.amp0, config.bob.amp1)
         return run_scqkd_round(alice, bob, config.bs)

@@ -113,8 +113,7 @@ def ideal_cat(n_links: int) -> PureState:
 
 
 def cat_fidelity(result: CatResult) -> float:
-    """Overlap-squared of the post-selected state with the balanced cat."""
-    if not result.state.amps:
-        return 0.0
+    """Overlap-squared of the post-selected state with the balanced cat;
+    0 at zero yield."""
     n = sum(1 for r in result.state.registers if r.kind == "device_a")
     return fidelity_up_to_phase(result.state, ideal_cat(n))

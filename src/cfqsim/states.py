@@ -167,12 +167,11 @@ class PureState:
         return math.sqrt(self.norm2())
 
     def normalized(self) -> "PureState":
-        if not self.amps:
+        state, n2 = _rescued(self)
+        if n2 == 0.0:
             raise ValueError("cannot normalize a zero state")
-        n = self.norm()
-        if n == 0.0:  # norm**2 underflows: scale up by an exact power of two first
-            return (self * 2.0**600).normalized()
-        return PureState._trusted(self.registers, {l: a / n for l, a in self.amps.items()})
+        n = math.sqrt(n2)
+        return PureState._trusted(state.registers, {l: a / n for l, a in state.amps.items()})
 
     def tensor(self, other: "PureState") -> "PureState":
         if set(self.registers) & set(other.registers):
@@ -235,6 +234,14 @@ class PureState:
 
     def __repr__(self) -> str:
         return f"PureState({len(self.amps)} labels over {list(self.registers)})"
+
+
+def _rescued(state: PureState) -> tuple[PureState, float]:
+    """The state and its norm**2, first scaled by 2**600 (exact) if that underflows to 0."""
+    n2 = state.norm2()
+    if n2 == 0.0 and state.amps:
+        return _rescued(state * 2.0**600)
+    return state, n2
 
 
 def _drop_dust(amps: dict[Label, complex], summed: list[Label], norm: Callable[[], float]) -> dict[Label, complex]:
@@ -348,16 +355,13 @@ def postselect(
 
     Returns the outcome probability (relative to the state's own norm**2)
     and the normalized posterior; an empty match yields probability 0 and
-    an empty state.
+    an empty state, a match with labels a posterior even where p underflows.
     """
-    total = state.norm2()
-    if total == 0.0:
-        return 0.0, PureState(state.registers, {})
+    state, total = _rescued(state)
     matched = sector(state, register, (symbol,))
-    p = matched.norm2() / total
-    if p == 0.0:
+    if not matched.amps:
         return 0.0, matched
-    return p, matched.normalized()
+    return matched.norm2() / total, matched.normalized()
 
 
 def overlap(s: PureState, t: PureState) -> complex:
@@ -373,7 +377,7 @@ def overlap(s: PureState, t: PureState) -> complex:
 
 def fidelity_up_to_phase(s: PureState, t: PureState) -> float:
     """|<s|t>|**2 on the normalized states; invariant under global phases."""
-    ns, nt = s.norm2(), t.norm2()
+    (s, ns), (t, nt) = _rescued(s), _rescued(t)
     return float(abs(overlap(s, t)) ** 2 / ns / nt) if ns and nt else 0.0
 
 
@@ -435,7 +439,7 @@ def entanglement_entropy(state: PureState, partition: Sequence[Register]) -> flo
         raise ValueError("partition must be a nonempty proper subset of the registers")
     if not part <= regs:
         raise ValueError("partition contains registers absent from the state")
-    n2 = state.norm2()
+    state, n2 = _rescued(state)
     if n2 == 0.0:
         raise ValueError("entropy of a zero state is undefined")
     row_idx = [i for i, r in enumerate(state.registers) if r in part]

@@ -51,7 +51,7 @@ def _steer(
         receiver, minus, plus = ALICE_DEVICE, "B", "P"
         alice, bob = Qubit.balanced(("V", "H")), payload
     d1 = run_round(RoundConfig(bs, alice, bob))[0]
-    if d1.probability <= 0.0:
+    if not d1.posterior.amps:
         raise ValueError("configuration admits no counterfactual branch")
     shared = d1.posterior.restrict((ALICE_DEVICE, BOB_DEVICE))
     hadamard = {

@@ -5,7 +5,9 @@ obstacle sitting in the upper output absorbs that arm's amplitude whenever
 it is in block mode.  With the obstacle in a pass/block superposition the
 chain entangles obstacle and mode, and stacking N mode layers under one
 jointly-applied obstacle grows the entangled pair into an (N+1)-party cat
-state in the long-chain limit.
+state in the long-chain limit.  On each obstacle branch the layers evolve
+independently, so ``run_chain`` steps one layer (at most 4 labels) and
+builds the layered state once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import NamedTuple, Sequence
 
-from .states import PureState, Qubit, Register, apply_map, fidelity_up_to_phase, product_state
+from .states import PureState, Qubit, Register, apply_map, fidelity_up_to_phase
 
 OBSTACLE = Register("pb_device", 0)
 
@@ -61,38 +63,26 @@ class ScanRow(NamedTuple):
     survival: float
 
 
-def _mode_registers(state: PureState) -> list[Register]:
-    return [r for r in state.registers if r.kind == "zeno_mode"]
+def _check_one_layer(state: PureState) -> None:
+    if state.registers != (OBSTACLE, mode_register(0)):
+        raise ValueError("chain steps act on one layer: registers (pb_device[0], zeno_mode[0])")
 
 
 def chain_step(state: PureState, theta: float) -> PureState:
-    """One beam splitter passage: rotate every unabsorbed mode by theta."""
+    """One beam splitter passage: rotate the mode by theta on both branches."""
+    _check_one_layer(state)
     c, s = math.cos(theta), math.sin(theta)
-    rules = {
-        ("0",): [(("0",), c), (("1",), s)],
-        ("1",): [(("0",), -s), (("1",), c)],
-    }
-    for mode in _mode_registers(state):
-        state = apply_map(state, (mode,), rules)
-    return state
+    rules = {("0",): [(("0",), c), (("1",), s)], ("1",): [(("0",), -s), (("1",), c)]}
+    return apply_map(state, state.registers[1:], rules)
 
 
 def obstacle_step(state: PureState) -> tuple[PureState, float]:
-    """Absorb the upper arm of every layer on the block branch.
-
-    Returns the state without the block-branch labels that have a mode in
-    |1>, and the mass (sum of |amplitude|**2) they carried.  Absorbed
-    amplitudes never interfere again, so the chain keeps only their total.
-    """
-    obst_i = state.registers.index(OBSTACLE)
-    mode_idx = [state.registers.index(m) for m in _mode_registers(state)]
-    kept: dict[tuple[str, ...], complex] = {}
-    lost = 0.0
-    for label, amp in state.amps.items():
-        if label[obst_i] == "block" and any(label[i] == "1" for i in mode_idx):
-            lost += abs(amp) ** 2
-        else:
-            kept[label] = amp
+    """Absorb the upper arm on the block branch: returns the state without
+    its ("block", "1") label and the mass that label carried.  Absorbed
+    amplitudes never interfere again, so the chain keeps only their total."""
+    _check_one_layer(state)
+    kept = dict(state.amps)
+    lost = abs(kept.pop(("block", "1"), 0j)) ** 2
     return PureState._trusted(state.registers, kept), lost
 
 
@@ -107,18 +97,29 @@ def run_chain(config: ChainConfig, readout: str = "after_final_bs") -> ChainResu
     if readout not in READOUTS:
         raise ValueError(f"unknown readout {readout!r}")
     theta = config.resolved_theta
-    parts = [(OBSTACLE, config.obstacle)]
-    parts += [(mode_register(j), "0") for j in range(config.layers)]
-    state = product_state(parts)
-    absorbed = 0.0
+    # one layer, both branches at unit weight
+    state = PureState._trusted(
+        (OBSTACLE, mode_register(0)), {("pass", "0"): 1 + 0j, ("block", "0"): 1 + 0j}
+    )
+    loss = 0.0  # mass one layer of the block branch loses to the obstacle
     for k in range(config.L):
         state = chain_step(state, theta)
         if k < config.L - 1 or readout == "after_final_obstacle":
             state, lost = obstacle_step(state)
-            absorbed += lost
+            loss += lost
+    # a layered label's amplitude is its branch's obstacle amplitude times
+    # the one-layer amplitude of each layer's symbol on that branch
+    one = {b: [(x, a) for (c, x), a in state.amps.items() if c == b] for b in ("pass", "block")}
+    amps = {(b,): w for b, w in config.obstacle.amplitudes().items() if w}
+    for _ in range(config.layers):
+        amps = {l + (x,): amp * a for l, amp in amps.items() for x, a in one[l[0]]}
+    survival = float(sum(abs(a) ** 2 for a in amps.values()))
+    # each layer keeps 1 - loss of the block branch: 1 - (1 - loss)**layers is absorbed
+    lost = 1.0 if loss >= 1.0 else -math.expm1(config.layers * math.log1p(-loss))
     # _trusted drops the absorbed label when nothing was absorbed
-    final = {**state.amps, ("block", *("absorbed",) * config.layers): complex(math.sqrt(absorbed))}
-    return ChainResult(PureState._trusted(state.registers, final), state.norm2())
+    amps[("block", *("absorbed",) * config.layers)] = abs(config.obstacle.amp1) * math.sqrt(lost) + 0j
+    regs = (OBSTACLE, *(mode_register(j) for j in range(config.layers)))
+    return ChainResult(PureState._trusted(regs, amps), survival)
 
 
 def chain_closed_form(

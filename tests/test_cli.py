@@ -270,23 +270,36 @@ class TestCzqe:
         assert "--L" in err
 
     def test_work_limit(self, capsys, monkeypatch):
+        # work = L summed over the sweep, plus 2^(layers+1) labels per point
         cap = cli.CZQE_MAX_WORK
         monkeypatch.setattr(zeno, "run_chain", _no_work)
-        with pytest.raises(AssertionError, match="work started"):  # at the cap the engine runs
-            cli.main(["czqe", "--L", str(cap // 3)])
+        for at_cap in (["--L", str(cap - 4)], ["--L", "1", "--N", "14"]):
+            with pytest.raises(AssertionError, match="work started"):  # at the cap the engine runs
+                cli.main(["czqe", *at_cap])
         monkeypatch.setattr(zeno, "convergence_scan", _no_work)
         too_much = [
-            ["--L", str(cap // 3 + 1)],
+            ["--L", str(cap - 3)],
             ["--L", "100000000"],
             ["--L", "10", "--N", "1000000000"],
-            ["--L", "3", "--N", "10"],  # 3 * 3^10 > cap
-            ["--sweep", f"1:{cap // 3}:1"],  # few points, large summed L
+            ["--L", "1", "--N", "16"],  # 1 + 2^17 > cap
+            ["--sweep", f"{cap // 2}:{cap}:{cap // 2}"],  # few points, large summed L
+            ["--sweep", "1:40:1", "--N", "10"],  # small L, 40 * 2^11 labels
         ]
         for extra in too_much:
             code, out, err = run_cli(capsys, "czqe", *extra)
             assert code == 1
             assert out == ""
             assert err.startswith("error: czqe work") and str(cap) in err
+
+    def test_many_layers_match_closed_form(self, capsys):
+        from cfqsim.states import Qubit, overlap
+
+        record = run_json(capsys, "czqe", "--L", "1000", "--N", "8")
+        obstacle = Qubit.balanced(("pass", "block"))
+        oracle = zeno.chain_closed_form(obstacle, 1000, math.pi / 2000, 8)
+        target = zeno.asymptotic_limit(obstacle, 8)
+        assert record["survival"] == pytest.approx(oracle.norm2(), rel=1e-11)
+        assert record["fidelity_asymptote"] == pytest.approx(abs(overlap(oracle, target)) ** 2, rel=1e-11)
 
     @pytest.mark.parametrize("extra", [["--theta", "0.2"], ["--L", "10"]])
     def test_sweep_rejects_single_run_flags(self, capsys, monkeypatch, extra):
@@ -304,6 +317,11 @@ class TestQst:
             assert record["fidelity"] == pytest.approx(1.0, abs=1e-12)
         assert {r["branch"] for r in records} == {"V", "H"}
         assert {r["bit"] for r in records} == {0, 1}
+
+    def test_smallest_reflectance(self, capsys):
+        # the D1 probability underflows, but the D1 posterior has labels
+        records = run_json(capsys, "qst", "--R", "5e-324", "--payload", "0.6", "0.8")
+        assert [r["fidelity"] for r in records] == [1.0, 1.0]
 
 
 class TestCost:

@@ -100,6 +100,9 @@ COMMANDS = (
     "star --R 1e-31 --N 2",
     "czqe --L 100 --theta 1.2 --bob 0 1",
     "czqe --L 100 --theta 1.2 --bob 0 1 --readout after_final_obstacle",
+    # many stacked layers; a D1 probability that underflows to 0
+    "czqe --L 1000 --N 8",
+    "qst --R 5e-324 --payload 0.6 0.8",
 )
 
 

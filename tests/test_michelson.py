@@ -290,6 +290,12 @@ class TestClosedForms:
 
 
 class TestScqkdRound:
+    def test_no_polarization_resolved_detectors(self):
+        config = RoundConfig(BeamSplitter(0.5), Qubit.balanced(("V", "H")), Qubit.balanced(("P", "B")), "ScQKD")
+        with pytest.raises(ValueError, match="polarization"):
+            run_round(config, split_detector_polarization=True)
+        assert [o.outcome for o in run_round(config)] == ["D1", "D2", "DB"]
+
     def test_both_pass_interferes_into_second_detector(self):
         alice = Qubit(("pass", "block"), 1.0, 0.0)
         outcomes = run_scqkd_round(alice, alice, BeamSplitter(0.5))

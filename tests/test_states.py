@@ -512,6 +512,38 @@ class TestStateUtilities:
             PureState((A,), {}).normalized()
 
 
+class TestUnderflowingNorm:
+    """A state with labels whose norm**2 underflows to 0 is not zero."""
+
+    s = PureState((A, B), {("V", "P"): 3e-170, ("H", "B"): 4e-170})
+
+    def test_norm_underflows(self):
+        assert self.s.norm2() == 0.0
+
+    def test_fidelity(self):
+        assert fidelity_up_to_phase(self.s, self.s) == pytest.approx(1.0, abs=1e-15)
+        t = PureState((A, B), {("V", "P"): 0.6, ("H", "B"): 0.8})
+        assert fidelity_up_to_phase(self.s, t) == pytest.approx(1.0, abs=1e-15)
+        assert fidelity_up_to_phase(t, self.s) == pytest.approx(1.0, abs=1e-15)
+
+    def test_entropy(self):
+        want = -(0.36 * math.log2(0.36) + 0.64 * math.log2(0.64))
+        assert entanglement_entropy(self.s, [A]) == pytest.approx(want, abs=1e-12)
+
+    def test_postselect(self):
+        p, post = postselect(self.s, A, "V")
+        assert p == pytest.approx(0.36, abs=1e-15)
+        assert post.amps == {("V", "P"): pytest.approx(1.0 + 0j, abs=1e-15)}
+
+    def test_empty_state_still_zero(self):
+        empty = PureState((A, B), {})
+        assert fidelity_up_to_phase(empty, self.s) == 0.0
+        p, post = postselect(empty, A, "V")
+        assert (p, post.amps) == (0.0, {})
+        with pytest.raises(ValueError, match="zero state"):
+            entanglement_entropy(empty, [A])
+
+
 class TestComplexLiterals:
     @pytest.mark.parametrize("z", [0.5 + 0j, -0.25 + 0.75j, 1j, 0j])
     def test_round_trip(self, z):

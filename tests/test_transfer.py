@@ -55,6 +55,14 @@ class TestForwardTransfer:
         assert t_v.classical_bit == 1
         assert t_h.classical_bit == 0
 
+    def test_smallest_reflectance(self):
+        # P_D1 underflows to 0, yet the D1 posterior carries the shared pair
+        payload = Qubit(("V", "H"), 0.6, 0.8)
+        for branch in ("V", "H"):
+            t = transfer_alice_to_bob(payload, BeamSplitter(5e-324), branch)
+            assert t.fidelity == pytest.approx(1.0, abs=1e-12)
+            assert t.branch_probability == pytest.approx(0.5, abs=1e-12)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             transfer_alice_to_bob(Qubit.balanced(("P", "B")), BeamSplitter(0.5), "V")

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cfqsim import cli
+from cfqsim import cli, zeno
 from cfqsim.states import (
     PureState,
     Qubit,
@@ -126,11 +128,11 @@ class TestRunChain:
         assert result.survival == pytest.approx(math.cos(theta) ** (2 * L * layers), abs=1e-12)
 
     def test_mass_conserved_at_every_step(self):
+        # The engine steps one layer; two layers lose 1 - (1 - loss)**2 of
+        # the block branch, where one layer loses `loss`.
         config = ChainConfig(L=12, obstacle=Qubit.balanced(("pass", "block")), layers=2)
         theta = config.resolved_theta
-        state = product_state(
-            [(OBSTACLE, config.obstacle), (mode_register(0), "0"), (mode_register(1), "0")]
-        )
+        state = product_state([(OBSTACLE, config.obstacle), (MODE, "0")])
         absorbed = 0.0
         for _ in range(config.L):
             state = chain_step(state, theta)
@@ -138,9 +140,73 @@ class TestRunChain:
             state, lost = obstacle_step(state)
             absorbed += lost
             assert state.norm2() + absorbed == pytest.approx(1.0, abs=1e-12)
+        loss = absorbed / abs(config.obstacle.amp1) ** 2
+        absorbed = abs(config.obstacle.amp1) ** 2 * (1.0 - (1.0 - loss) ** 2)
         result = run_chain(config, "after_final_obstacle")
         assert result.survival + absorbed == pytest.approx(1.0, abs=1e-12)
         assert result.final.norm2() == pytest.approx(1.0, abs=1e-12)
+        assert result.final.amps[("block", "absorbed", "absorbed")] == pytest.approx(math.sqrt(absorbed))
+
+    def test_weak_branch_survives(self):
+        # the block branch sets the norm, but the pass branch is a real
+        # amplitude, not cancellation dust
+        obstacle = obstacle_qubit(1e-100, 1.0)
+        for readout in ("after_final_bs", "after_final_obstacle"):
+            final = run_chain(ChainConfig(L=10, obstacle=obstacle), readout).final
+            oracle = chain_closed_form(obstacle, 10, math.pi / 20, 1, readout)
+            assert oracle.amps[("pass", "1")] == pytest.approx(1e-100, rel=1e-12)
+            assert final.amps[("pass", "1")] == pytest.approx(oracle.amps[("pass", "1")], rel=1e-12)
+
+    def test_total_absorption_over_many_layers(self):
+        # one layer loses all its block-branch mass: nothing raises and
+        # the absorbed label carries the whole block weight
+        result = run_chain(
+            ChainConfig(L=1, theta=math.pi / 2, obstacle=Qubit.balanced(("pass", "block")), layers=12),
+            "after_final_obstacle",
+        )
+        label = ("block", *("absorbed",) * 12)
+        assert abs(result.final.amps[label]) ** 2 == pytest.approx(0.5, abs=1e-15)
+        assert result.final.norm2() == pytest.approx(1.0, abs=1e-12)
+
+    def test_tiny_loss_over_many_layers(self):
+        # 1 - (1 - loss)**layers keeps its digits when loss is far below
+        # the double epsilon
+        L, layers, theta = 3, 10, 1e-10
+        result = run_chain(ChainConfig(L=L, theta=theta, obstacle=BLOCK, layers=layers), "after_final_obstacle")
+        absorbed = abs(result.final.amps[("block", *("absorbed",) * layers)]) ** 2
+        assert absorbed == pytest.approx(-math.expm1(2 * L * layers * math.log(math.cos(theta))), rel=1e-9)
+
+    def test_underflowing_survival_is_a_float(self):
+        # every block-branch amplitude underflows to 0 and the state is empty
+        result = run_chain(ChainConfig(L=1000, theta=1.5, obstacle=BLOCK))
+        assert set(result.final.amps) == {("block", "absorbed")}
+        assert result.survival == 0.0 and isinstance(result.survival, float)
+
+    def test_steps_see_at_most_four_labels(self, monkeypatch):
+        seen = []
+
+        def counting(step):
+            def wrapped(state, *args):
+                seen.append(len(state.amps))
+                return step(state, *args)
+
+            return wrapped
+
+        monkeypatch.setattr(zeno, "chain_step", counting(chain_step))
+        monkeypatch.setattr(zeno, "obstacle_step", counting(obstacle_step))
+        for readout in ("after_final_bs", "after_final_obstacle"):
+            result = run_chain(ChainConfig(L=30, theta=0.3, layers=6), readout)
+            assert len(result.final.amps) > 64
+        assert len(seen) == 30 + 29 + 30 + 30
+        assert max(seen) <= 4
+
+    def test_steps_reject_other_registers(self):
+        for regs in ((MODE, OBSTACLE), (OBSTACLE, MODE, mode_register(1)), (OBSTACLE, mode_register(1))):
+            state = PureState(regs, {})
+            with pytest.raises(ValueError, match="one layer"):
+                chain_step(state, 0.3)
+            with pytest.raises(ValueError, match="one layer"):
+                obstacle_step(state)
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
@@ -151,6 +217,26 @@ class TestRunChain:
             ChainConfig(L=4, layers=0)
         with pytest.raises(ValueError):
             run_chain(ChainConfig(L=4), "mid_chain")
+
+
+# derandomized: the iterated rotations of a long chain drift up to about
+# 5e-13 from the closed form, so a fresh draw could land near the bound
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.floats(min_value=0.0, max_value=math.pi / 2),
+    st.integers(1, 1000),
+    st.one_of(st.none(), st.floats(min_value=1e-6, max_value=math.pi / 2)),
+    st.integers(1, 10),
+    st.sampled_from(("after_final_bs", "after_final_obstacle")),
+)
+def test_run_chain_matches_closed_form(angle, L, theta, layers, readout):
+    obstacle = obstacle_qubit(math.cos(angle), math.sin(angle))
+    config = ChainConfig(L=L, theta=theta, obstacle=obstacle, layers=layers)
+    result = run_chain(config, readout)
+    oracle = chain_closed_form(obstacle, L, config.resolved_theta, layers, readout)
+    assert states_close(sector(result.final, MODE, ("0", "1")), oracle, 1e-12)
+    assert result.survival == pytest.approx(oracle.norm2(), abs=1e-12)
+    assert result.final.norm2() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAsymptote:
