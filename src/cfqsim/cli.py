@@ -23,9 +23,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .states import Qubit
 
-# Amplitude pairs within this of unit norm pass through untouched.
-NORM_ACCEPT = 1e-12
-# Beyond this deviation the pair is rejected as a probable typo.
+# Amplitude pairs within states.NORM_TOL of unit norm pass through
+# untouched; beyond this deviation the pair is rejected as a probable typo.
 NORM_REJECT = 1e-6
 # Work caps, checked before any work starts; each is sized so that the
 # largest allowed input takes about 1-2 s on a 2-vCPU Xeon host under
@@ -62,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_qubit(basis: tuple[str, str], pair: list[str], label: str) -> Qubit:
-    from .states import Qubit, parse_complex
+    from .states import NORM_TOL, Qubit, parse_complex
 
     a0, a1 = (parse_complex(t) for t in pair)
     if not (cmath.isfinite(a0) and cmath.isfinite(a1)):
@@ -73,7 +72,7 @@ def parse_qubit(basis: tuple[str, str], pair: list[str], label: str) -> Qubit:
         raise ValueError(
             f"{label} amplitudes deviate from unit norm by {deviation:.3g}; refusing to guess"
         )
-    if deviation > NORM_ACCEPT:
+    if deviation > NORM_TOL:
         print(
             f"warning: renormalizing {label} amplitudes (norm^2 off by {deviation:.3g})",
             file=sys.stderr,

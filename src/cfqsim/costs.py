@@ -16,8 +16,11 @@ from typing import Callable
 # Inverse golden ratio, the bracket shrink factor of the section search.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Search bracket for cost minimizations.
+# Search bracket for cost minimizations, the bracket width at which the
+# section search stops, and its iteration cap.
 _BRACKET = (1e-6, 1.0 - 1e-6)
+_SECTION_TOL = 1e-6
+_SECTION_MAX_ITER = 200
 
 # Monte Carlo runs are drawn in fixed-size batches, one PCG64 substream
 # per batch, so merged counts are order-independent and deterministic.
@@ -79,16 +82,10 @@ def cost_profile(R: float) -> CostProfile:
     return CostProfile(R, p_d1, p_d2, p_db, p1, 1.0 - p1, c_q, c)
 
 
-def golden_section_min(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-) -> float:
+def golden_section_min(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Derivative-free minimizer for a unimodal function on [lo, hi].
 
-    Golden-section narrowing down to ``tol``, then one parabolic fit
+    Golden-section narrowing down to ``_SECTION_TOL``, then one parabolic fit
     through the bracket; the fit recovers the extra digits that direct
     function comparisons lose to double-precision flatness near the
     minimum.
@@ -97,8 +94,8 @@ def golden_section_min(
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
+    for _ in range(_SECTION_MAX_ITER):
+        if b - a <= _SECTION_TOL:
             break
         if fc < fd:
             b, d, fd = d, c, fc

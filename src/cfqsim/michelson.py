@@ -4,8 +4,11 @@ One round: a sender device chooses (possibly in superposition) the photon
 polarization, the photon splits over an internal arm and a channel arm,
 the receiver's switch passes or absorbs it depending on polarization, and
 the returning amplitudes interfere back onto two output detectors.  The
-three maps are exposed separately so multi-link setups can compose them
-on shared joint states.
+three maps take a ``link`` operand and act on that link's registers
+``Register(kind, link)``; every link shares the hub switch ``BOB_DEVICE``,
+so a multi-link setup composes them on one joint state.  DB is the silent
+output detector (``none``) in both variants: an absorbed photon leaves
+both arms empty, which the return beam splitter leaves alone.
 
 Beam splitter phase convention: reflection picks up a factor i on the way
 out, transmission stays real; on the return pass the roles swap so that a
@@ -101,14 +104,7 @@ def initial_round_state(alice: Qubit, bob: Qubit) -> PureState:
     )
 
 
-def forward_beamsplitter(
-    state: PureState,
-    bs: BeamSplitter,
-    *,
-    device: Register = ALICE_DEVICE,
-    arm_a: Register = ARM_ALICE,
-    arm_b: Register = ARM_BOB,
-) -> PureState:
+def forward_beamsplitter(state: PureState, bs: BeamSplitter, link: int = 0) -> PureState:
     """Emit the photon with the device's polarization and split it over the arms."""
     r, t = math.sqrt(bs.R), math.sqrt(bs.T)
     rules = {}
@@ -117,67 +113,66 @@ def forward_beamsplitter(
             ((x, x, "vac"), 1j * r),
             ((x, "vac", x), t),
         ]
-    return apply_map(state, (device, arm_a, arm_b), rules)
+    on = (Register("device_a", link), Register("arm_a", link), Register("arm_b", link))
+    return apply_map(state, on, rules)
 
 
-def switch_interaction(
-    state: PureState,
-    *,
-    switch: Register = BOB_DEVICE,
-    arm_b: Register = ARM_BOB,
-    detector: Register = BOB_DETECTOR,
-) -> PureState:
+def switch_interaction(state: PureState, link: int = 0) -> PureState:
     """Polarization-dependent pass/absorb at the receiver.
 
     Setting P passes V and absorbs H, setting B the reverse.  Absorption
     re-routes the amplitude into the detector's Y sector with the arm
     reset to vacuum, so the map stays norm-preserving and probabilities
-    can be read off as sector norms.
+    can be read off as sector norms.  Passed photons match no rule and
+    are left alone.
     """
     rules = {
-        ("P", "V", "0"): [(("P", "V", "0"), 1.0)],
         ("P", "H", "0"): [(("P", "vac", "Y"), 1.0)],
         ("B", "V", "0"): [(("B", "vac", "Y"), 1.0)],
-        ("B", "H", "0"): [(("B", "H", "0"), 1.0)],
     }
-    return apply_map(state, (switch, arm_b, detector), rules)
+    return apply_map(state, (BOB_DEVICE, Register("arm_b", link), Register("bob_detector", link)), rules)
 
 
-def return_beamsplitter(
-    state: PureState,
-    bs: BeamSplitter,
-    *,
-    arm_a: Register = ARM_ALICE,
-    arm_b: Register = ARM_BOB,
-    bob_detector: Register = BOB_DETECTOR,
-    detector: Register = DETECTOR,
-) -> PureState:
+def return_beamsplitter(state: PureState, bs: BeamSplitter, link: int = 0) -> PureState:
     """Recombine the returning arms onto the two output detectors.
 
-    Acts only where the receiver's detector is still silent; the absorbed
-    sector is left untouched.
+    Acts only where a photon is in an arm; the absorbed sector has both
+    arms empty and is left untouched.
     """
     r, t = math.sqrt(bs.R), math.sqrt(bs.T)
     rules = {}
     for x in ("V", "H"):
-        rules[("vac", x, "0", "none")] = [
-            (("vac", "vac", "0", f"D1{x}"), r),
-            (("vac", "vac", "0", f"D2{x}"), 1j * t),
+        rules[("vac", x, "none")] = [
+            (("vac", "vac", f"D1{x}"), r),
+            (("vac", "vac", f"D2{x}"), 1j * t),
         ]
-        rules[(x, "vac", "0", "none")] = [
-            (("vac", "vac", "0", f"D1{x}"), 1j * t),
-            (("vac", "vac", "0", f"D2{x}"), r),
+        rules[(x, "vac", "none")] = [
+            (("vac", "vac", f"D1{x}"), 1j * t),
+            (("vac", "vac", f"D2{x}"), r),
         ]
-    return apply_map(state, (arm_a, arm_b, bob_detector, detector), rules)
+    on = (Register("arm_a", link), Register("arm_b", link), Register("alice_detector", link))
+    return apply_map(state, on, rules)
 
 
-def _outcome(name: str, sector_state: PureState, keep: tuple[Register, ...]) -> RoundOutcome:
-    """One detector outcome: the sector's norm**2 and its normalized
-    posterior on ``keep``.  Every kept amplitude is nonzero, so a sector
-    with labels has a posterior even where its probability underflows."""
-    if not sector_state.amps:
-        return RoundOutcome(name, 0.0, PureState(keep, {}))
-    return RoundOutcome(name, sector_state.norm2(), sector_state.normalized().restrict(keep))
+def _outcomes(
+    state: PureState,
+    detector: Register,
+    clicks: list[tuple[str, tuple[str, ...]]],
+    tagged: tuple[Register, ...],
+    blocked_keep: tuple[Register, ...],
+) -> list[RoundOutcome]:
+    """One outcome per ``clicks`` entry (a name and its detector tags,
+    posterior on ``tagged``), then DB, the silent detector (posterior on
+    ``blocked_keep``).  Each is the sector's norm**2 and its normalized
+    posterior; every kept amplitude is nonzero, so a sector with labels
+    has a posterior even where its probability underflows."""
+    outcomes = []
+    for name, syms in [*clicks, ("DB", ("none",))]:
+        part = sector(state, detector, syms)
+        keep = blocked_keep if name == "DB" else tagged
+        posterior = part.normalized().restrict(keep) if part.amps else PureState(keep, {})
+        outcomes.append(RoundOutcome(name, part.norm2(), posterior))
+    return outcomes
 
 
 def run_round(
@@ -206,11 +201,8 @@ def run_round(
         clicks = [(sym, (sym,)) for sym in ("D1V", "D1H", "D2V", "D2H")]
     else:
         clicks = [("D1", ("D1V", "D1H")), ("D2", ("D2V", "D2H"))]
-    tagged = (ALICE_DEVICE, BOB_DEVICE, DETECTOR)
-    outcomes = [_outcome(name, sector(state, DETECTOR, syms), tagged) for name, syms in clicks]
-    blocked = sector(state, BOB_DETECTOR, ("Y",))
-    outcomes.append(_outcome("DB", blocked, (ALICE_DEVICE, BOB_DEVICE)))
-    return outcomes
+    devices = (ALICE_DEVICE, BOB_DEVICE)
+    return _outcomes(state, DETECTOR, clicks, (*devices, DETECTOR), devices)
 
 
 class ClosedFormProbs(NamedTuple):
@@ -306,14 +298,8 @@ def run_scqkd_round(
     )
 
     switches = (SWITCH_ALICE, SWITCH_BOB)
-    # DB: absorbed by either party, Alice's absorber first, then Bob's.
-    absorbed = sector(state, ABSORBER_ALICE, ("Y",))
-    absorbed += sector(sector(state, ABSORBER_ALICE, ("0",)), ABSORBER_BOB, ("Y",))
-    return [
-        _outcome("D1", sector(state, PLAIN_DETECTOR, ("D1",)), switches),
-        _outcome("D2", sector(state, PLAIN_DETECTOR, ("D2",)), switches),
-        _outcome("DB", absorbed, (*switches, ABSORBER_ALICE, ABSORBER_BOB)),
-    ]
+    clicks = [("D1", ("D1",)), ("D2", ("D2",))]
+    return _outcomes(state, PLAIN_DETECTOR, clicks, switches, (*switches, ABSORBER_ALICE, ABSORBER_BOB))
 
 
 def round_record(config: RoundConfig) -> dict:

@@ -48,42 +48,21 @@ def two_link_bruteforce(config: StarConfig):
     the counterfactual tags.
     """
     assert config.n_links == 2
-    link_regs = []
-    parts = []
+    parts = [(BOB_DEVICE, config.bob)]
     for j in range(2):
-        regs = {
-            "device": alice_register(j),
-            "arm_a": Register("arm_a", j),
-            "arm_b": Register("arm_b", j),
-            "bob_detector": Register("bob_detector", j),
-            "detector": detector_register(j),
-        }
-        link_regs.append(regs)
         parts += [
-            (regs["device"], config.alices[j]),
-            (regs["arm_a"], "vac"),
-            (regs["arm_b"], "vac"),
-            (regs["bob_detector"], "0"),
-            (regs["detector"], "none"),
+            (alice_register(j), config.alices[j]),
+            (Register("arm_a", j), "vac"),
+            (Register("arm_b", j), "vac"),
+            (Register("bob_detector", j), "0"),
+            (detector_register(j), "none"),
         ]
-    parts.append((BOB_DEVICE, config.bob))
     state = product_state(parts)
-    for regs in link_regs:
-        state = forward_beamsplitter(
-            state, config.bs, device=regs["device"], arm_a=regs["arm_a"], arm_b=regs["arm_b"]
-        )
-        state = switch_interaction(
-            state, switch=BOB_DEVICE, arm_b=regs["arm_b"], detector=regs["bob_detector"]
-        )
-        state = return_beamsplitter(
-            state,
-            config.bs,
-            arm_a=regs["arm_a"],
-            arm_b=regs["arm_b"],
-            bob_detector=regs["bob_detector"],
-            detector=regs["detector"],
-        )
-        state = sector(state, regs["detector"], ("D1V", "D1H"))
+    for j in range(2):
+        state = forward_beamsplitter(state, config.bs, j)
+        state = switch_interaction(state, j)
+        state = return_beamsplitter(state, config.bs, j)
+        state = sector(state, detector_register(j), ("D1V", "D1H"))
     yield_probability = state.norm2()
     if yield_probability == 0.0:
         return 0.0, None

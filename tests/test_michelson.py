@@ -31,10 +31,12 @@ from cfqsim.michelson import (
 from cfqsim.states import (
     PureState,
     Qubit,
+    Register,
     entanglement_entropy,
     fidelity_up_to_phase,
     postselect,
     product_state,
+    sector,
     states_close,
 )
 
@@ -429,3 +431,47 @@ def test_outcome_probabilities_sum_to_one(R, alice, bob, variant):
     assert [o.outcome for o in outcomes] == ["D1", "D2", "DB"]
     assert abs(sum(o.probability for o in outcomes) - 1.0) <= 1e-12
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(REFLECTANCES, unit_pairs(), unit_pairs())
+@example(0.5, (1.0, 0.0), (0.0, 1.0))  # V meets B: the channel photon is absorbed
+def test_silent_detector_is_the_absorbed_sector(R, alice, bob):
+    # DB is read as the silent output detector; that is the absorbed sector.
+    config = RoundConfig(BeamSplitter(R), Qubit(("V", "H"), *alice), Qubit(("P", "B"), *bob))
+    state = initial_round_state(config.alice, config.bob)
+    state = forward_beamsplitter(state, config.bs)
+    state = switch_interaction(state)
+    state = return_beamsplitter(state, config.bs)
+    assert sector(state, DETECTOR, ("none",)).amps == sector(state, BOB_DETECTOR, ("Y",)).amps
+
+
+def test_maps_at_link_one_leave_link_zero_alone():
+    bs = BeamSplitter(0.3)
+    kinds = ("device_a", "arm_a", "arm_b", "bob_detector", "alice_detector")
+    link0, link1 = ([Register(kind, j) for kind in kinds] for j in (0, 1))
+    parts = [(BOB_DEVICE, Qubit(("P", "B"), 0.6, 0.8))]
+    for regs in (link0, link1):
+        parts += [(regs[0], Qubit(("V", "H"), 0.8, 0.6j)), (regs[1], "vac"), (regs[2], "vac")]
+        parts += [(regs[3], "0"), (regs[4], "none")]
+    # Link 0 mid-round: its photon sits in its arms, where any link-0 map would move it.
+    before = forward_beamsplitter(product_state(parts), bs, 0)
+    after = return_beamsplitter(switch_interaction(forward_beamsplitter(before, bs, 1), 1), bs, 1)
+
+    def link0_weights(state):
+        idx = [state.registers.index(r) for r in (BOB_DEVICE, *link0)]
+        weights = {}
+        for label, amp in state.amps.items():
+            key = tuple(label[i] for i in idx)
+            weights[key] = weights.get(key, 0.0) + abs(amp) ** 2
+        return weights
+
+    want = link0_weights(before)
+    got = link0_weights(after)
+    assert got.keys() == want.keys()
+    for key, w in want.items():
+        assert got[key] == pytest.approx(w, abs=1e-12)
+    # Link 1 ran its whole round: both arms empty, a click or an absorption.
+    assert all(label[after.registers.index(r)] == "vac" for label in after.amps for r in link1[1:3])
+    assert sector(after, link1[4], ("none",)).amps == sector(after, link1[3], ("Y",)).amps
+    assert sector(after, link1[3], ("Y",)).amps
