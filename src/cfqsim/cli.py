@@ -66,7 +66,7 @@ def parse_qubit(basis: tuple[str, str], pair: list[str], label: str) -> Qubit:
     a0, a1 = (parse_complex(t) for t in pair)
     if not (cmath.isfinite(a0) and cmath.isfinite(a1)):
         raise ValueError(f"{label} amplitudes must be finite")
-    n2 = abs(a0) ** 2 + abs(a1) ** 2
+    n2 = abs(a0) * abs(a0) + abs(a1) * abs(a1)  # overflows to inf, not OverflowError
     deviation = abs(n2 - 1.0)
     if deviation > NORM_REJECT:
         raise ValueError(
@@ -106,10 +106,11 @@ def parse_sweep(text: str) -> list[float]:
 
 
 def _round12(value):
+    """Floats at 12 significant digits; a non-finite float becomes None."""
     if isinstance(value, bool):
         return value
     if isinstance(value, float):
-        return float(f"{value:.12g}")
+        return float(f"{value:.12g}") if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _round12(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -127,9 +128,11 @@ def _csv_cell(text: str) -> str:
 
 def emit(result, fmt: str) -> str:
     """One record (a dict) or a list of records, as sorted-key JSON or as
-    CSV with a header line."""
+    CSV with a header line.  A missing or non-finite number is JSON null
+    and an empty CSV cell."""
+    result = _round12(result)
     if fmt == "json":
-        return json.dumps(_round12(result), sort_keys=True) + "\n"
+        return json.dumps(result, sort_keys=True, allow_nan=False) + "\n"
     records = [result] if isinstance(result, dict) else result
     keys = list(records[0].keys())
     lines = [",".join(_csv_cell(k) for k in keys)]
@@ -137,9 +140,7 @@ def emit(result, fmt: str) -> str:
         cells = []
         for key in keys:
             v = record[key]
-            if v is None:
-                v = ""
-            cells.append(_csv_cell(f"{v:.12g}" if isinstance(v, float) else str(v)))
+            cells.append(_csv_cell("" if v is None else f"{v:.12g}" if isinstance(v, float) else str(v)))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -200,16 +201,12 @@ def cmd_star(args) -> str:
         alices = tuple(_balanced(("V", "H")) for _ in range(n))
     bob = parse_qubit(("P", "B"), args.bob, "--bob") if args.bob else _balanced(("P", "B"))
     result = run_star(StarConfig(BeamSplitter(args.R), alices, bob))
-    if result.state.amps:
-        entropy = entanglement_entropy(result.state, [alice_register(0)])
-        log10_yield = result.log10_yield
-    else:
-        entropy, log10_yield = 0.0, None
+    entropy = entanglement_entropy(result.state, [alice_register(0)]) if result.state.amps else 0.0
     record = {
         "N": len(alices),
         "R": args.R,
         "yield": result.yield_probability,
-        "log10_yield": log10_yield,
+        "log10_yield": result.log10_yield,
         "cat_fidelity": cat_fidelity(result),
         "entropy_any_bipartition": entropy,
     }

@@ -6,9 +6,15 @@ the receiver's switch passes or absorbs it depending on polarization, and
 the returning amplitudes interfere back onto two output detectors.  The
 three maps take a ``link`` operand and act on that link's registers
 ``Register(kind, link)``; every link shares the hub switch ``BOB_DEVICE``,
-so a multi-link setup composes them on one joint state.  DB is the silent
-output detector (``none``) in both variants: an absorbed photon leaves
-both arms empty, which the return beam splitter leaves alone.
+so a multi-link setup composes them on one joint state.
+
+The pass/block variant runs on the same link with a fixed-polarization
+source: the sender device is held at V, and the receiver's polarization
+switch gives way to two pass/block switches, each absorbing its own
+arm's photon into its ``pb_absorber``; the two beam-splitter maps are
+shared.  DB is the ``none`` sector of ``alice_detector`` in both
+variants: an absorbed photon leaves both arms empty, which the return
+beam splitter leaves alone.
 
 Beam splitter phase convention: reflection picks up a factor i on the way
 out, transmission stays real; on the return pass the roles swap so that a
@@ -41,14 +47,11 @@ ARM_ALICE = Register("arm_a")
 ARM_BOB = Register("arm_b")
 DETECTOR = Register("alice_detector")
 
-# Registers of the pass/block (semi-counterfactual) variant.
+# The pass/block (semi-counterfactual) variant's switches and absorbers.
 SWITCH_ALICE = Register("pb_device", 0)
 SWITCH_BOB = Register("pb_device", 1)
-PLAIN_ARM_ALICE = Register("plain_arm", 0)
-PLAIN_ARM_BOB = Register("plain_arm", 1)
 ABSORBER_ALICE = Register("pb_absorber", 0)
 ABSORBER_BOB = Register("pb_absorber", 1)
-PLAIN_DETECTOR = Register("plain_detector", 0)
 
 VARIANTS = ("N09", "ScQKD")
 
@@ -154,21 +157,24 @@ def return_beamsplitter(state: PureState, bs: BeamSplitter, link: int = 0) -> Pu
     return apply_map(state, on, rules)
 
 
+# Polarization-summed clicks: one outcome per output detector.
+_CLICKS = [("D1", ("D1V", "D1H")), ("D2", ("D2V", "D2H"))]
+
+
 def _outcomes(
     state: PureState,
-    detector: Register,
     clicks: list[tuple[str, tuple[str, ...]]],
     tagged: tuple[Register, ...],
     blocked_keep: tuple[Register, ...],
 ) -> list[RoundOutcome]:
-    """One outcome per ``clicks`` entry (a name and its detector tags,
+    """One outcome per ``clicks`` entry (a name and its ``DETECTOR`` tags,
     posterior on ``tagged``), then DB, the silent detector (posterior on
     ``blocked_keep``).  Each is the sector's norm**2 and its normalized
     posterior; every kept amplitude is nonzero, so a sector with labels
     has a posterior even where its probability underflows."""
     outcomes = []
     for name, syms in [*clicks, ("DB", ("none",))]:
-        part = sector(state, detector, syms)
+        part = sector(state, DETECTOR, syms)
         keep = blocked_keep if name == "DB" else tagged
         posterior = part.normalized().restrict(keep) if part.amps else PureState(keep, {})
         outcomes.append(RoundOutcome(name, part.norm2(), posterior))
@@ -200,9 +206,9 @@ def run_round(
     if split_detector_polarization:
         clicks = [(sym, (sym,)) for sym in ("D1V", "D1H", "D2V", "D2H")]
     else:
-        clicks = [("D1", ("D1V", "D1H")), ("D2", ("D2V", "D2H"))]
+        clicks = _CLICKS
     devices = (ALICE_DEVICE, BOB_DEVICE)
-    return _outcomes(state, DETECTOR, clicks, (*devices, DETECTOR), devices)
+    return _outcomes(state, clicks, (*devices, DETECTOR), devices)
 
 
 class ClosedFormProbs(NamedTuple):
@@ -246,60 +252,40 @@ def run_scqkd_round(
 ) -> list[RoundOutcome]:
     """One round of the pass/block variant with both parties superposed.
 
-    The fixed mirror at the top of the sender's station is replaced by a
-    polarization-independent pass/block module, so the photon is a single
-    unpolarized mode and each party's block action routes its own arm's
-    amplitude into that party's absorption register.  Outcomes follow the
-    same D1/D2/DB accounting, with DB meaning "absorbed by either party".
+    The N09 link with a fixed-polarization source: the sender device is
+    held at V, the photon passes through ``forward_beamsplitter`` and
+    ``return_beamsplitter``, and in between each party's pass/block switch
+    absorbs the photon in its own arm (the sender's internal arm, the
+    receiver's channel arm) into that party's ``pb_absorber``.  Outcomes
+    follow the same D1/D2/DB accounting, with DB, the silent detector,
+    meaning "absorbed by either party".
     """
     if tuple(alice.basis) != ("pass", "block") or tuple(bob.basis) != ("pass", "block"):
         raise ValueError("pass/block round needs qubits declared over (pass, block)")
     if not 0.0 < bs.R < 1.0:
         raise ValueError("degenerate beam splitter: R must lie strictly inside (0, 1)")
-    r, t = math.sqrt(bs.R), math.sqrt(bs.T)
     state = product_state(
         [
+            (ALICE_DEVICE, "V"),
             (SWITCH_ALICE, alice),
             (SWITCH_BOB, bob),
-            (PLAIN_ARM_ALICE, "vac"),
-            (PLAIN_ARM_BOB, "vac"),
+            (ARM_ALICE, "vac"),
+            (ARM_BOB, "vac"),
             (ABSORBER_ALICE, "0"),
             (ABSORBER_BOB, "0"),
-            (PLAIN_DETECTOR, "none"),
+            (DETECTOR, "none"),
         ]
     )
-    state = apply_map(
-        state,
-        (PLAIN_ARM_ALICE, PLAIN_ARM_BOB),
-        {("vac", "vac"): [(("phot", "vac"), 1j * r), (("vac", "phot"), t)]},
-    )
+    state = forward_beamsplitter(state, bs)
     for switch, arm, absorber in (
-        (SWITCH_ALICE, PLAIN_ARM_ALICE, ABSORBER_ALICE),
-        (SWITCH_BOB, PLAIN_ARM_BOB, ABSORBER_BOB),
+        (SWITCH_ALICE, ARM_ALICE, ABSORBER_ALICE),
+        (SWITCH_BOB, ARM_BOB, ABSORBER_BOB),
     ):
-        state = apply_map(
-            state,
-            (switch, arm, absorber),
-            {("block", "phot", "0"): [(("block", "vac", "Y"), 1.0)]},
-        )
-    state = apply_map(
-        state,
-        (PLAIN_ARM_ALICE, PLAIN_ARM_BOB, PLAIN_DETECTOR),
-        {
-            ("phot", "vac", "none"): [
-                (("vac", "vac", "D1"), 1j * t),
-                (("vac", "vac", "D2"), r),
-            ],
-            ("vac", "phot", "none"): [
-                (("vac", "vac", "D1"), r),
-                (("vac", "vac", "D2"), 1j * t),
-            ],
-        },
-    )
+        state = apply_map(state, (switch, arm, absorber), {("block", "V", "0"): [(("block", "vac", "Y"), 1.0)]})
+    state = return_beamsplitter(state, bs)
 
     switches = (SWITCH_ALICE, SWITCH_BOB)
-    clicks = [("D1", ("D1",)), ("D2", ("D2",))]
-    return _outcomes(state, PLAIN_DETECTOR, clicks, switches, (*switches, ABSORBER_ALICE, ABSORBER_BOB))
+    return _outcomes(state, _CLICKS, switches, (*switches, ABSORBER_ALICE, ABSORBER_BOB))
 
 
 def round_record(config: RoundConfig) -> dict:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import contains
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 
 if TYPE_CHECKING:
@@ -40,7 +41,9 @@ PRUNE_TOL = 1e-15
 # Unit-norm tolerance for qubits and freshly built product states.
 NORM_TOL = 1e-12
 
-# Symbol alphabets per register kind.
+# Symbol alphabets per register kind.  Both round variants use the same
+# arms and output detectors; the pass/block round holds device_a at V and
+# swaps the receiver's polarization switch for two pass/block absorbers.
 ALPHABETS: dict[str, tuple[str, ...]] = {
     "device_a": ("V", "H"),  # sender-side polarization chooser
     "device_b": ("P", "B"),  # receiver-side switch setting
@@ -49,10 +52,8 @@ ALPHABETS: dict[str, tuple[str, ...]] = {
     "arm_b": ("vac", "V", "H"),  # transmission channel arm
     "alice_detector": ("none", "D1V", "D1H", "D2V", "D2H"),  # output detectors
     "zeno_mode": ("0", "1", "absorbed"),  # chained-interferometer mode
-    "pb_device": ("pass", "block"),  # polarization-independent obstacle
-    "pb_absorber": ("0", "Y"),  # per-party absorption record
-    "plain_arm": ("vac", "phot"),  # unpolarized channel arm
-    "plain_detector": ("none", "D1", "D2"),  # unpolarized output detectors
+    "pb_device": ("pass", "block"),  # polarization-independent switch or obstacle
+    "pb_absorber": ("0", "Y"),  # a pass/block party's absorption record
 }
 
 Label = tuple[str, ...]
@@ -107,7 +108,7 @@ class Qubit:
             raise ValueError("qubit basis must be two distinct symbols")
         if not (cmath.isfinite(self.amp0) and cmath.isfinite(self.amp1)):
             raise ValueError("qubit amplitudes must be finite")
-        n2 = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
+        n2 = abs(self.amp0) * abs(self.amp0) + abs(self.amp1) * abs(self.amp1)  # inf, not OverflowError
         if abs(n2 - 1.0) > NORM_TOL:
             raise ValueError(f"qubit amplitudes not normalized (norm^2 = {n2!r})")
 
@@ -291,12 +292,10 @@ def apply_map(state: PureState, on: Sequence[Register], rules: MapRules) -> Pure
         raise ValueError("map touches a register absent from the state") from None
     alphabets = [state.registers[i].alphabet for i in idx]
     for pattern, branches in rules.items():
-        if len(pattern) != len(on) or any(s not in a for s, a in zip(pattern, alphabets)):
+        if len(pattern) != len(on) or not all(map(contains, alphabets, pattern)):
             raise ValueError(f"input pattern {pattern} outside register alphabets")
         for out_pat, _ in branches:
-            if len(out_pat) != len(on) or any(
-                s not in a for s, a in zip(out_pat, alphabets)
-            ):
+            if len(out_pat) != len(on) or not all(map(contains, alphabets, out_pat)):
                 raise ValueError(f"output pattern {out_pat} outside register alphabets")
     out: dict[Label, complex] = {}
     summed: list[Label] = []  # labels that received a second term

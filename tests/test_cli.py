@@ -135,6 +135,22 @@ class TestRound:
         assert err.startswith("error: ") and "finite" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["round", "--R", "0.5", "--alice", "1e200", "0"],
+            ["round", "--R", "0.5", "--bob", "0", "1e155,1e155"],
+            ["scqkd", "--R", "0.5", "--alice", "1e200", "0"],
+            ["star", "--R", "0.5", "--alice", "1e200", "0"],
+            ["qst", "--payload", "0", "1e200"],
+        ],
+    )
+    def test_overflowing_amplitude_rejected(self, capsys, argv):
+        # the norm**2 overflows to inf and is rejected like any other bad norm
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "unit norm by inf" in err
+
+    @pytest.mark.parametrize(
         "comma, plain",
         [
             (["0.8", "-0.6,0.0"], ["0.8", "-0.6"]),
@@ -396,6 +412,35 @@ class TestMc:
             assert code == 1
             assert out == ""
             assert err.startswith("error: ") and str(cli.MC_MAX_RUNS) in err
+
+
+class TestNonFiniteNumbers:
+    # A non-finite float is JSON null (never NaN or Infinity) and an empty CSV cell.
+
+    def test_single_run_monte_carlo_has_no_estimate(self, capsys):
+        code, out, _ = run_cli(capsys, "mc", "--R", "0.5", "--runs", "1", "--seed", "1")
+        assert code == 0
+        record = json.loads(out, parse_constant=_reject_constant)
+        assert record["empirical_C"] is None and record["std_error"] is None
+        code, out, _ = run_cli(capsys, "mc", "--R", "0.5", "--runs", "1", "--seed", "1", "--format", "csv")
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert row["empirical_C"] == row["std_error"] == ""
+
+    def test_overflowing_cost_is_null(self, capsys):
+        code, out, _ = run_cli(capsys, "cost", "--R", "1e-320")
+        assert code == 0
+        record = json.loads(out, parse_constant=_reject_constant)
+        assert record["C_q"] is None
+        assert math.isfinite(record["C"])
+
+    def test_emit(self):
+        record = {"a": math.nan, "b": math.inf, "c": -math.inf, "d": 0.25, "e": None}
+        assert cli.emit(record, "json") == '{"a": null, "b": null, "c": null, "d": 0.25, "e": null}\n'
+        assert cli.emit(record, "csv") == "a,b,c,d,e\n,,,0.25,\n"
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not JSON")
 
 
 class TestCsvQuoting:

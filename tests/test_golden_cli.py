@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import difflib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -103,6 +104,10 @@ COMMANDS = (
     # many stacked layers; a D1 probability that underflows to 0
     "czqe --L 1000 --N 8",
     "qst --R 5e-324 --payload 0.6 0.8",
+    # an amplitude whose norm**2 overflows; non-finite results print as null
+    "round --R 0.5 --alice 1e200 0",
+    "mc --R 0.5 --runs 1 --seed 1",
+    "cost --R 1e-320",
 )
 
 
@@ -147,6 +152,16 @@ def test_transcript_is_golden():
         expected.splitlines(), actual.splitlines(), "golden", "now", lineterm=""
     )
     assert actual == expected, "\n".join(list(diff)[:40])
+
+
+def test_json_outputs_hold_no_nan_or_infinity():
+    def reject(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    outputs = [line[2:] for line in GOLDEN.read_text().splitlines() if line.startswith(("| {", "| ["))]
+    assert outputs
+    for text in outputs:
+        json.loads(text, parse_constant=reject)
 
 
 if __name__ == "__main__":

@@ -432,6 +432,30 @@ def test_outcome_probabilities_sum_to_one(R, alice, bob, variant):
     assert abs(sum(o.probability for o in outcomes) - 1.0) <= 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(REFLECTANCES, unit_pairs(), unit_pairs())
+@example(1e-300, (SQ2, SQ2), (SQ2, SQ2))  # the smallest R in scope, both parties superposed
+@example(0.3, (0.6, 0.8j), (0.8, -0.6))
+def test_scqkd_matches_closed_form(R, alice, bob):
+    """Every pass/block outcome against its closed form, derived by hand.
+
+    A blocker absorbs its own arm's amplitude: the internal arm carries
+    i*sqrt(R), the channel arm sqrt(T).  An arm that passes returns to D1
+    with sqrt(R) from the channel arm and i*sqrt(T) from the internal arm.
+    """
+    (ap, ab), (bp, bb) = alice, bob
+    T = 1.0 - R
+    alice_only, bob_only = abs(ap * bb) ** 2, abs(ab * bp) ** 2  # the one party that passes
+    outcomes = run_scqkd_round(Qubit(("pass", "block"), ap, ab), Qubit(("pass", "block"), bp, bb), BeamSplitter(R))
+    p_d1 = R * T * (bob_only + alice_only)
+    assert abs(outcomes[0].probability - p_d1) <= 1e-12
+    assert abs(outcomes[1].probability - (abs(ap * bp) ** 2 + T**2 * bob_only + R**2 * alice_only)) <= 1e-12
+    assert abs(outcomes[2].probability - (R * bob_only + T * alice_only + abs(ab * bb) ** 2)) <= 1e-12
+    if p_d1 > 0.0:  # below that the D1 amplitudes leave the normal float range
+        expected = PureState((SWITCH_ALICE, SWITCH_BOB), {("pass", "block"): ap * bb, ("block", "pass"): -ab * bp})
+        assert abs(fidelity_up_to_phase(outcomes[0].posterior, expected) - 1.0) <= 1e-12
+
+
 
 @settings(max_examples=150, deadline=None)
 @given(REFLECTANCES, unit_pairs(), unit_pairs())

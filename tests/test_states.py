@@ -113,6 +113,11 @@ class TestQubit:
         with pytest.raises(ValueError, match="finite"):
             Qubit(("V", "H"), amp0, amp1)
 
+    @pytest.mark.parametrize("amp0, amp1", [(1e200, 0.0), (0.0, complex(1e155, 1e155))])
+    def test_overflowing_norm_rejected(self, amp0, amp1):
+        with pytest.raises(ValueError, match="normalized"):
+            Qubit(("V", "H"), amp0, amp1)
+
 
 class TestProductState:
     def test_basis_product(self):
