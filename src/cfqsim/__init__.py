@@ -29,7 +29,7 @@ _EXPORTS = {
     "run_scqkd_round switch_interaction",
     "star": "CatResult StarConfig cat_fidelity ideal_cat partial_propagator run_star",
     "states": "PureState Qubit Register apply_map entanglement_entropy fidelity_up_to_phase "
-    "postselect product_state sector states_close",
+    "postselect product_state sector",
     "transfer": "TransferTranscript transfer_alice_to_bob transfer_bob_to_alice "
     "transfer_without_correction",
     "zeno": "ChainConfig ChainResult asymptotic_limit chain_closed_form chain_step "

@@ -307,7 +307,12 @@ def cmd_mc(args) -> str:
 
     if args.runs > MC_MAX_RUNS:
         raise ValueError(f"mc asks for {args.runs} runs; at most {MC_MAX_RUNS} are supported")
-    report = monte_carlo(args.R, args.runs, args.seed)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
+    try:  # checks --runs and R before it imports numpy
+        report = monte_carlo(args.R, args.runs, args.seed)
+    except ImportError:
+        raise ValueError('mc needs numpy; install the mc extra: pip install -e ".[mc]"') from None
     record = {
         "R": args.R,
         "runs": report.runs,

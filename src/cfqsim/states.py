@@ -13,14 +13,12 @@ concurrently without coordination.
 Validation happens once, at the boundary: the public ``PureState``
 constructor, ``product_state`` and the rule patterns of ``apply_map``
 check every register and symbol they are given.  States derived from
-already-valid states (map results, sectors, sums, scalings, tensor
-products, restrictions) are built with the trusted internal constructor
+already-valid states (map results, sectors, scalings, tensor products,
+restrictions) are built with the trusted internal constructor
 ``PureState._trusted``, which skips the label checks.  Both keep every
 nonzero amplitude, however small.  Only a sum makes cancellation dust:
-``apply_map`` and ``+`` drop a label that received two or more terms if
-it ends at most ``PRUNE_TOL`` times the input norm.  Nothing imports numpy
-(``unitary_rules`` only names its array type for type checkers), so the
-entropy and every other path start without it.
+``apply_map`` drops a label that received two or more terms if it ends
+at most ``PRUNE_TOL`` times the input norm.
 """
 
 from __future__ import annotations
@@ -29,10 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from operator import contains
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable, Mapping, Sequence, Union
 
 # A summed amplitude at most this times the input norm is cancellation
 # dust; Schmidt weights below it are dropped from the entropy.
@@ -205,33 +200,10 @@ class PureState:
             out[k] = amp
         return PureState._trusted(keep, out)
 
-    def to_text(self) -> str:
-        """Deterministic debug form: one 'label : re + im i' line per amplitude."""
-        lines = []
-        for label in sorted(self.amps):
-            a = self.amps[label]
-            lines.append(f"{','.join(label)} : {a.real:.12g} + {a.imag:.12g}i")
-        return "\n".join(lines)
-
-    def __add__(self, other: "PureState") -> "PureState":
-        if self.registers != other.registers:
-            raise ValueError("states live over different registers")
-        amps = dict(self.amps)
-        summed = [l for l in other.amps if l in amps]
-        for label, amp in other.amps.items():
-            amps[label] = amps.get(label, 0j) + amp
-        amps = _drop_dust(amps, summed, lambda: max(self.norm(), other.norm()))
-        return PureState._trusted(self.registers, amps)
-
-    def __sub__(self, other: "PureState") -> "PureState":
-        return self + (-1.0) * other
-
     def __mul__(self, scalar: complex) -> "PureState":
         return PureState._trusted(
             self.registers, {l: complex(a * scalar) for l, a in self.amps.items()}
         )
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"PureState({len(self.amps)} labels over {list(self.registers)})"
@@ -320,22 +292,6 @@ def apply_map(state: PureState, on: Sequence[Register], rules: MapRules) -> Pure
             else:
                 out[t] = amp * coeff
     return PureState._trusted(state.registers, _drop_dust(out, summed, state.norm))
-
-
-def unitary_rules(register: Register, matrix: np.ndarray) -> MapRules:
-    """Rules for a dense single-register operator in the alphabet ordering."""
-    symbols = register.alphabet
-    n = len(symbols)
-    if matrix.shape != (n, n):
-        raise ValueError(f"matrix shape {matrix.shape} does not fit {register!r}")
-    rules: dict[Label, list[tuple[Label, complex]]] = {}
-    for j in range(n):
-        rules[(symbols[j],)] = [
-            ((symbols[i],), complex(matrix[i, j]))
-            for i in range(n)
-            if matrix[i, j] != 0
-        ]
-    return rules
 
 
 def sector(state: PureState, register: Register, symbols: Sequence[str]) -> PureState:
@@ -464,16 +420,6 @@ def entanglement_entropy(state: PureState, partition: Sequence[Register]) -> flo
     total = sum(p)
     p = [w / total for w in p]
     return -sum(w * math.log2(w) for w in p) + 0.0  # +0.0 folds -0.0 into 0.0
-
-
-def states_close(s: PureState, t: PureState, tol: float = 1e-12) -> bool:
-    """Label-wise amplitude comparison (no phase freedom)."""
-    if s.registers != t.registers:
-        return False
-    for label in s.amps.keys() | t.amps.keys():
-        if abs(s.amps.get(label, 0j) - t.amps.get(label, 0j)) > tol:
-            return False
-    return True
 
 
 def format_complex(z: complex) -> str:

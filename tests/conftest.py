@@ -8,7 +8,7 @@ from cfqsim.michelson import (
     switch_interaction,
 )
 from cfqsim.star import StarConfig, alice_register, detector_register
-from cfqsim.states import PureState, Register, product_state, sector
+from cfqsim.states import MapRules, PureState, Register, product_state, sector
 
 # Reflectances in [1e-300, 1), log-uniform and uniform.
 REFLECTANCES = st.one_of(
@@ -22,6 +22,34 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def unitary_rules(register: Register, matrix: np.ndarray) -> MapRules:
+    """``apply_map`` rules for a dense single-register operator in alphabet order."""
+    symbols = register.alphabet
+    n = len(symbols)
+    assert matrix.shape == (n, n)
+    return {
+        (symbols[j],): [((symbols[i],), complex(matrix[i, j])) for i in range(n) if matrix[i, j]]
+        for j in range(n)
+    }
+
+
+def state_sum(s: PureState, t: PureState) -> PureState:
+    """Label-wise sum of two states over the same registers, keeping every label."""
+    assert s.registers == t.registers
+    amps = dict(s.amps)
+    for label, amp in t.amps.items():
+        amps[label] = amps.get(label, 0j) + amp
+    return PureState(s.registers, amps)
+
+
+def states_close(s: PureState, t: PureState, tol: float = 1e-12) -> bool:
+    """Label-wise amplitude comparison (no phase freedom)."""
+    if s.registers != t.registers:
+        return False
+    labels = s.amps.keys() | t.amps.keys()
+    return all(abs(s.amps.get(l, 0j) - t.amps.get(l, 0j)) <= tol for l in labels)
 
 
 def random_state(registers: tuple[Register, ...], rng: np.random.Generator) -> PureState:
@@ -40,16 +68,18 @@ def random_amplitude_pair(rng: np.random.Generator) -> tuple[complex, complex]:
     return complex(v[0]), complex(v[1])
 
 
-def two_link_bruteforce(config: StarConfig):
-    """Full double-round simulation post-selected on both counterfactual clicks.
+def star_bruteforce(config: StarConfig):
+    """Full N-link rounds post-selected on every counterfactual click (N <= 3).
 
-    Independent oracle for the star engine: each link runs the complete
-    three-map round on the joint state, then its detector is projected onto
-    the counterfactual tags.
+    Independent oracle for the star engine: the joint state of the hub and
+    all N links runs the complete three-map round of each link in turn,
+    and after each round that link's detector is projected onto the
+    counterfactual tags.  Nothing is factorised per hub branch.
     """
-    assert config.n_links == 2
+    n = config.n_links
+    assert 1 <= n <= 3  # its labels grow as 2^(N+1)
     parts = [(BOB_DEVICE, config.bob)]
-    for j in range(2):
+    for j in range(n):
         parts += [
             (alice_register(j), config.alices[j]),
             (Register("arm_a", j), "vac"),
@@ -58,7 +88,7 @@ def two_link_bruteforce(config: StarConfig):
             (detector_register(j), "none"),
         ]
     state = product_state(parts)
-    for j in range(2):
+    for j in range(n):
         state = forward_beamsplitter(state, config.bs, j)
         state = switch_interaction(state, j)
         state = return_beamsplitter(state, config.bs, j)
@@ -66,5 +96,5 @@ def two_link_bruteforce(config: StarConfig):
     yield_probability = state.norm2()
     if yield_probability == 0.0:
         return 0.0, None
-    kept = (alice_register(0), alice_register(1), BOB_DEVICE)
+    kept = (*(alice_register(j) for j in range(n)), BOB_DEVICE)
     return yield_probability, state.normalized().restrict(kept)

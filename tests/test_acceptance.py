@@ -11,7 +11,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from conftest import random_amplitude_pair, two_link_bruteforce
+from conftest import random_amplitude_pair, star_bruteforce
 from cfqsim.costs import cost_profile, minimize_classical_cost, monte_carlo, total_qst_cost
 from cfqsim.michelson import (
     ALICE_DEVICE,
@@ -210,7 +210,7 @@ def test_criterion_7_multiparty_oracle():
                 Qubit(("P", "B"), alpha, beta),
             )
             result = run_star(cfg)
-            y_ref, state_ref = two_link_bruteforce(cfg)
+            y_ref, state_ref = star_bruteforce(cfg)
             assert abs(result.yield_probability - y_ref) <= 1e-10
             if state_ref is not None:
                 assert fidelity_up_to_phase(result.state, state_ref) >= 1.0 - 1e-10

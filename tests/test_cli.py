@@ -555,21 +555,47 @@ IMPORT_BUDGET = {
 }
 
 
-@pytest.mark.parametrize("code", list(IMPORT_BUDGET))
-def test_numpy_not_imported(code):
-    """A call loads no cfqsim module and no numpy beyond its budget."""
+def fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's cfqsim."""
     src = Path(cli.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
-    report = "import sys\nprint('\\nloaded', *sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{report}"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("code", list(IMPORT_BUDGET))
+def test_numpy_not_imported(code):
+    """A call loads no cfqsim module and no numpy beyond its budget."""
+    report = "import sys\nprint('\\nloaded', *sys.modules)"
+    proc = fresh_python(f"{code}\n{report}")
     assert proc.returncode == 0, proc.stderr
     modules = proc.stdout.splitlines()[-1].split()[1:]
     loaded = {m.removeprefix("cfqsim.") for m in modules if m.startswith("cfqsim.")}
     loaded |= {"numpy"} & set(modules)
     assert loaded <= set(IMPORT_BUDGET[code].split()), f"loaded {sorted(loaded)}"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ("--R 0.5 --runs 10 --seed 1", 'the mc extra: pip install -e ".[mc]"'),
+        ("--R 0.5 --runs 10 --seed -1", "--seed"),
+        ("--R 0.5 --runs 0 --seed 1", "at least one run"),
+        ("--R 1.2 --runs 10 --seed 1", "reflectance"),
+    ],
+)
+def test_mc_without_numpy(args, message):
+    """Without numpy, mc checks its arguments, then exits 1 naming the mc extra."""
+    argv = ["mc", *args.split()]
+    proc = fresh_python(
+        f"import sys; sys.modules['numpy'] = None\n"
+        f"from cfqsim import cli; sys.exit(cli.main({argv!r}))"
+    )
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr

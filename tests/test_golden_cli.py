@@ -108,6 +108,8 @@ COMMANDS = (
     "round --R 0.5 --alice 1e200 0",
     "mc --R 0.5 --runs 1 --seed 1",
     "cost --R 1e-320",
+    # mc names a negative --seed itself
+    "mc --R 0.5 --runs 10 --seed -1",
 )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REFLECTANCES, random_amplitude_pair
+from conftest import REFLECTANCES, random_amplitude_pair, states_close
 from cfqsim.michelson import (
     ALICE_DEVICE,
     ARM_ALICE,
@@ -37,7 +37,6 @@ from cfqsim.states import (
     postselect,
     product_state,
     sector,
-    states_close,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)

@@ -1,11 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REFLECTANCES, random_amplitude_pair, two_link_bruteforce
+from conftest import REFLECTANCES, random_amplitude_pair, star_bruteforce, states_close
 from cfqsim.michelson import BOB_DEVICE, BeamSplitter, RoundConfig, d1_state_closed_form
 from cfqsim.star import (
     StarConfig,
@@ -35,14 +36,14 @@ def balanced_star(n, R=0.5):
     )
 
 
-def random_star(rng, n=2) -> StarConfig:
+def random_star(rng, n=2, R=None) -> StarConfig:
     alices = []
     for _ in range(n):
         mu, nu = random_amplitude_pair(rng)
         alices.append(Qubit(("V", "H"), mu, nu))
     alpha, beta = random_amplitude_pair(rng)
     return StarConfig(
-        BeamSplitter(rng.uniform(0.05, 0.95)),
+        BeamSplitter(rng.uniform(0.05, 0.95) if R is None else R),
         tuple(alices),
         Qubit(("P", "B"), alpha, beta),
     )
@@ -111,10 +112,21 @@ class TestRunStar:
         for _ in range(200):
             cfg = random_star(rng, n=2)
             result = run_star(cfg)
-            y_ref, state_ref = two_link_bruteforce(cfg)
+            y_ref, state_ref = star_bruteforce(cfg)
             assert result.yield_probability == pytest.approx(y_ref, abs=1e-10)
             if state_ref is not None:
                 assert fidelity_up_to_phase(result.state, state_ref) >= 1.0 - 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), REFLECTANCES)
+    def test_three_link_bruteforce_oracle(self, seed, R):
+        cfg = random_star(np.random.default_rng(seed), n=3, R=R)
+        result = run_star(cfg)
+        y_ref, state_ref = star_bruteforce(cfg)
+        # below the normal range the oracle's own amplitudes lose digits
+        if y_ref >= sys.float_info.min:
+            assert result.yield_probability == pytest.approx(y_ref, rel=1e-9)
+            assert abs(fidelity_up_to_phase(result.state, state_ref) - 1.0) <= 1e-10
 
     def test_yield_formula(self):
         rng = np.random.default_rng(403)
@@ -173,8 +185,6 @@ class TestRunStar:
         backward = initial
         for j in (2, 1, 0):
             backward = partial_propagator(backward, j, cfg.bs)
-        from cfqsim.states import states_close
-
         assert states_close(forward, backward, 1e-12)
 
     @pytest.mark.parametrize("n", [16, 64, 256, 600])

@@ -1,3 +1,4 @@
+import cmath
 import copy
 import itertools
 import math
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_state, random_unitary
+from conftest import random_state, random_unitary, state_sum, states_close, unitary_rules
 from cfqsim.states import (
     PRUNE_TOL,
     PureState,
@@ -22,8 +23,6 @@ from cfqsim.states import (
     postselect,
     product_state,
     sector,
-    states_close,
-    unitary_rules,
 )
 
 A = Register("device_a")
@@ -194,8 +193,8 @@ class TestApplyMap:
             ("V", "P"): [(("H", "P"), 0.3j), (("V", "B"), 0.7)],
             ("H", "B"): [],
         }
-        lhs = apply_map(s + t, (A, B), rules)
-        rhs = apply_map(s, (A, B), rules) + apply_map(t, (A, B), rules)
+        lhs = apply_map(state_sum(s, t), (A, B), rules)
+        rhs = state_sum(apply_map(s, (A, B), rules), apply_map(t, (A, B), rules))
         assert states_close(lhs, rhs, 1e-12)
 
     def test_sequential_equals_composition(self):
@@ -255,7 +254,7 @@ class TestFidelity:
     def test_global_phase_invariance(self):
         rng = np.random.default_rng(4)
         s = random_state((A, B), rng)
-        t = np.exp(1j * math.pi / 7) * s
+        t = s * cmath.exp(1j * math.pi / 7)
         assert fidelity_up_to_phase(s, t) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
@@ -477,12 +476,6 @@ class TestStateUtilities:
         assert out.amps == {("H",): 0.8 + 0j}
         assert out.norm2() == pytest.approx(0.64)
 
-    def test_to_text_sorted_and_stable(self):
-        s = PureState((A, B), {("V", "P"): 0.5, ("H", "B"): -0.5j})
-        text = s.to_text()
-        assert text.splitlines() == ["H,B : -0 + -0.5i", "V,P : 0.5 + 0i"]
-        assert s.to_text() == text
-
     def test_pruning(self):
         s = PureState((A,), {("V",): 1.0, ("H",): 1e-16})
         assert s.amps[("H",)] == 1e-16
@@ -496,8 +489,10 @@ class TestStateUtilities:
         s = PureState((A,), {("V",): 1.0})
         out = apply_map(apply_map(s, (A,), quarter), (A,), quarter)
         assert set(out.amps) == {("H",)}
-        assert (s - 0.9999999999999999 * s).amps == {}
-        assert set((s + PureState((A,), {("H",): 1e-300})).amps) == {("V",), ("H",)}
+        almost_cancel = {("V",): [(("V",), 1.0), (("V",), -0.9999999999999999)]}
+        assert apply_map(s, (A,), almost_cancel).amps == {}
+        tiny_unsummed = {("V",): [(("V",), 1.0), (("H",), 1e-300)]}
+        assert set(apply_map(s, (A,), tiny_unsummed).amps) == {("V",), ("H",)}
 
     def test_single_tiny_term_kept(self):
         s = PureState((A, B), {("V", "P"): 1.0})
@@ -616,12 +611,9 @@ class TestTrustedPath:
         assert_publicly_valid(s.restrict(data.draw(st.permutations(PROP_REGS))))
 
     @settings(max_examples=60, deadline=None)
-    @given(labeled_states(), labeled_states(), COEFFS)
-    def test_algebra(self, s, t, scalar):
-        assert_publicly_valid(s + t)
-        assert_publicly_valid(s - t)
+    @given(labeled_states(), COEFFS)
+    def test_algebra(self, s, scalar):
         assert_publicly_valid(s * scalar)
-        assert_publicly_valid(scalar * s)
         if s.amps:
             assert_publicly_valid(s.normalized())
 

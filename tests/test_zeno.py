@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import states_close
 from cfqsim import cli, zeno
 from cfqsim.states import (
     PureState,
@@ -12,7 +13,6 @@ from cfqsim.states import (
     entanglement_entropy,
     product_state,
     sector,
-    states_close,
 )
 from cfqsim.zeno import (
     OBSTACLE,
