@@ -22,8 +22,8 @@ package, so the home module's binding is always the one returned.
 import importlib
 
 _EXPORTS = {
-    "costs": "CostProfile McReport binary_entropy cost_profile golden_section_min "
-    "minimize_classical_cost minimize_quantum_cost monte_carlo total_qst_cost",
+    "costs": "CostProfile McReport cost_profile golden_section_min minimize_classical_cost "
+    "minimize_quantum_cost monte_carlo total_qst_cost",
     "michelson": "BeamSplitter ClosedFormProbs RoundConfig RoundOutcome closed_form_probs "
     "d1_state_closed_form forward_beamsplitter return_beamsplitter round_record run_round "
     "run_scqkd_round switch_interaction",

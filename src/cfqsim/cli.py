@@ -271,14 +271,14 @@ def cmd_qst(args) -> str:
 def cmd_cost(args) -> str:
     from dataclasses import asdict
 
-    from .costs import cost_profile, sweep_profiles, total_qst_cost
+    from .costs import cost_profile, total_qst_cost
 
     if args.sweep:
         if args.R is not None:
             raise ValueError("cost takes --R or --sweep, not both")
         rows = [
             {k: getattr(p, k) for k in ("R", "P_D1", "P_D2", "P_DB", "C_q", "C", "p1_prime")}
-            for p in sweep_profiles(parse_sweep(args.sweep))
+            for p in map(cost_profile, parse_sweep(args.sweep))
         ]
         return emit(rows, args.format or "csv")
     if args.R is None:
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, default=None)
     p.set_defaults(handler=cmd_cost)
 
-    p = sub.add_parser("cost-min", help="minimize both resource costs")
+    p = sub.add_parser("cost-min", help="reflectances minimizing both resource costs")
     _add_format(p)
     p.set_defaults(handler=cmd_cost_min)
 

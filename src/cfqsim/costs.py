@@ -3,8 +3,10 @@
 With both devices balanced, the per-round outcome probabilities depend
 only on the beam splitter, so the average number of rounds per delivered
 pair and the average classical communication per pair reduce to closed
-forms in the reflectance R.  A seeded Monte Carlo sampler reproduces the
-same statistics empirically with bit-reproducible output.
+forms in the reflectance R, and so do their minima: 2/(R(1-R)) rounds
+per pair is least at R = 1/2, and h(xi)/xi bits per pair, with
+xi = R(1-R)/(1+R), at R = sqrt(2) - 1.  A seeded Monte Carlo sampler
+reproduces the same statistics empirically with bit-reproducible output.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from typing import Callable
 # Inverse golden ratio, the bracket shrink factor of the section search.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Search bracket for cost minimizations, the bracket width at which the
-# section search stops, and its iteration cap.
-_BRACKET = (1e-6, 1.0 - 1e-6)
+# The bracket width at which the section search stops, and its iteration cap.
 _SECTION_TOL = 1e-6
 _SECTION_MAX_ITER = 200
 
@@ -48,19 +48,11 @@ class McReport:
     std_error: float
 
 
-def binary_entropy(x: float) -> float:
-    """Shannon binary entropy in bits, continuously extended to h(0)=h(1)=0.
-
-    >>> binary_entropy(0.5)
-    1.0
-    >>> binary_entropy(0.0)
-    0.0
-    """
-    if x < -1e-12 or x > 1.0 + 1e-12:
-        raise ValueError(f"entropy argument {x!r} outside [0, 1]")
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+def _h_over_p(p: float) -> float:
+    """h(p)/p in bits for 0 < p < 1, h the binary entropy, as
+    -log2 p - (1-p) log2(1-p)/p; taking log1p(-p)/p first keeps every
+    digit down to subnormal p."""
+    return -math.log2(p) - (1.0 - p) * (math.log1p(-p) / p) / math.log(2.0)
 
 
 def cost_profile(R: float) -> CostProfile:
@@ -76,10 +68,8 @@ def cost_profile(R: float) -> CostProfile:
     p_d1 = R * (1.0 - R) / 2.0
     p_d2 = (1.0 + R * R) / 2.0
     p_db = (1.0 - R) / 2.0
-    p1 = p_d1 / (p_d1 + p_d2)
-    c_q = 2.0 / (R * (1.0 - R))
-    c = binary_entropy(p1) * (1.0 + R) / (R * (1.0 - R))
-    return CostProfile(R, p_d1, p_d2, p_db, p1, 1.0 - p1, c_q, c)
+    p1 = R * (1.0 - R) / (1.0 + R)
+    return CostProfile(R, p_d1, p_d2, p_db, p1, 1.0 - p1, 2.0 / (R * (1.0 - R)), _h_over_p(p1))
 
 
 def golden_section_min(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -118,19 +108,20 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float) -> flo
 
 
 def minimize_quantum_cost() -> tuple[float, float]:
-    """Reflectance minimizing the rounds-per-pair cost, and that cost."""
-    x = golden_section_min(lambda R: 2.0 / (R * (1.0 - R)), *_BRACKET)
-    return x, 2.0 / (x * (1.0 - x))
+    """Reflectance minimizing the rounds-per-pair cost, and that cost:
+    R(1-R) is largest at R = 1/2."""
+    return 0.5, cost_profile(0.5).C_q
 
 
 def minimize_classical_cost() -> tuple[float, float]:
     """Reflectance minimizing the bits-per-pair cost, and that cost.
 
     h(xi)/xi falls monotonically in xi, so minimizing the cost is the
-    same as maximizing xi(R) = R(1-R)/(1+R).
+    same as maximizing xi(R) = R(1-R)/(1+R), whose derivative vanishes
+    where R**2 + 2R - 1 = 0, at R = sqrt(2) - 1.
     """
-    x = golden_section_min(lambda R: -R * (1.0 - R) / (1.0 + R), *_BRACKET)
-    return x, cost_profile(x).C
+    r = math.sqrt(2.0) - 1.0
+    return r, cost_profile(r).C
 
 
 def total_qst_cost(R: float) -> float:
@@ -158,25 +149,16 @@ def monte_carlo(R: float, n: int, seed: int) -> McReport:
 
     pvals = [prof.P_D1, prof.P_D2, prof.P_DB]
     counts = np.zeros(3, dtype=np.int64)
-    drawn = 0
-    batch = 0
-    while drawn < n:
-        m = min(MC_BATCH, n - drawn)
+    for batch, start in enumerate(range(0, n, MC_BATCH)):
         rng = np.random.Generator(np.random.PCG64(seed).jumped(batch))
-        counts += rng.multinomial(m, pvals)
-        drawn += m
-        batch += 1
+        counts += rng.multinomial(min(MC_BATCH, n - start), pvals)
     n1, n2, nb = (int(k) for k in counts)
     announced = n1 + n2
     if n1 == 0 or n2 == 0:
         return McReport(n, seed, (n1, n2, nb), float("nan"), float("nan"))
     p1 = n1 / announced
-    empirical_c = binary_entropy(p1) / p1
+    empirical_c = _h_over_p(p1)
     # d/dp [h(p)/p] evaluated at the observed fraction
-    slope = (math.log2((1.0 - p1) / p1) * p1 - binary_entropy(p1)) / p1**2
+    slope = (math.log2((1.0 - p1) / p1) - empirical_c) / p1
     std_error = abs(slope) * math.sqrt(p1 * (1.0 - p1) / announced)
     return McReport(n, seed, (n1, n2, nb), empirical_c, std_error)
-
-
-def sweep_profiles(r_values) -> list[CostProfile]:
-    return [cost_profile(r) for r in r_values]

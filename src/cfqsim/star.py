@@ -10,11 +10,12 @@ simple non-unitary "keep the compatible branch" map.
 spoke is tensored in and propagated at once, so the incompatible branches
 die before the next spoke arrives.  Every propagator call sees at most 4
 labels and the state never holds more than 2, so the cost is linear in
-the number of spokes (times the O(N) label width).  The state is
-renormalized after every spoke, which keeps the amplitudes far from
-underflow however small the yield; the yield is carried as the
-product of the per-spoke norm**2 and, for yields below the double range,
-as its base-10 logarithm.
+the number of spokes (times the O(N) label width).  The two hub branches
+are carried apart, each as a label amplitude times its own power of two,
+rescaled exactly before every link to a magnitude near 2**54/sqrt(RT):
+then no amplitude, and no ratio of the two, leaves the double range, however
+small the yield, R or the spoke amplitudes.  The yield and its base-10
+logarithm are read off once, at the end.
 """
 
 from __future__ import annotations
@@ -85,18 +86,33 @@ def partial_propagator(state: PureState, link: int, bs: BeamSplitter) -> PureSta
 def run_star(config: StarConfig) -> CatResult:
     """Post-select every link on its counterfactual click, one spoke at a time."""
     kept = (*(alice_register(j) for j in range(config.n_links)), BOB_DEVICE)
+    # branches near 2**54/sqrt(RT) stay normal times any spoke amplitude (>= 2**-1074)
+    lift = 54 - math.frexp(math.sqrt(config.bs.R * config.bs.T))[1]
+    exps = dict.fromkeys(config.bob.basis, 0)  # branch amplitude = label amplitude * 2**exps[hub symbol]
     state = product_state([(BOB_DEVICE, config.bob)])
-    y, log10_y = 1.0, 0.0
     for j, q in enumerate(config.alices):
+        state = _rescaled(state, exps, lift)
         spoke = product_state([(alice_register(j), q), (detector_register(j), "none")])
         state = partial_propagator(state.tensor(spoke), j, config.bs)
         if not state.amps:
             return CatResult(0.0, PureState(kept, {}), -math.inf)
-        n2 = state.norm2()
-        y *= n2
-        log10_y += math.log10(n2)
-        state = state.normalized()
-    return CatResult(y, state.restrict(kept), log10_y)
+    state = _rescaled(state, exps, 0)
+    top = max(exps[label[0]] for label in state.amps)
+    state = PureState._trusted(state.registers, {l: a * 2.0 ** (exps[l[0]] - top) for l, a in state.amps.items()})
+    w = state.norm2()
+    log10_y = math.log10(w) + 2 * top * math.log10(2.0)
+    return CatResult(math.ldexp(w, 2 * top), state.normalized().restrict(kept), log10_y)
+
+
+def _rescaled(state: PureState, exps: dict[str, int], lift: int) -> PureState:
+    """Each hub branch (``label[0]``: the hub register comes first) moved by an exact
+    power of two to a magnitude in [2**(lift-1), 2**lift); ``exps`` absorbs the shift."""
+    amps = {}
+    for label, a in state.amps.items():
+        shift = lift - math.frexp(abs(a))[1]
+        exps[label[0]] -= shift
+        amps[label] = complex(math.ldexp(a.real, shift), math.ldexp(a.imag, shift))
+    return PureState._trusted(state.registers, amps)
 
 
 def ideal_cat(n_links: int) -> PureState:

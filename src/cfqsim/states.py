@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from operator import contains
 from typing import Callable, Mapping, Sequence, Union
@@ -210,9 +211,9 @@ class PureState:
 
 
 def _rescued(state: PureState) -> tuple[PureState, float]:
-    """The state and its norm**2, first scaled by 2**600 (exact) if that underflows to 0."""
+    """The state and its norm**2, first scaled by 2**600 (exact) if that is below the normal range."""
     n2 = state.norm2()
-    if n2 == 0.0 and state.amps:
+    if n2 < sys.float_info.min and state.amps:
         return _rescued(state * 2.0**600)
     return state, n2
 

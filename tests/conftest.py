@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -15,6 +17,16 @@ REFLECTANCES = st.one_of(
     st.floats(min_value=-300.0, max_value=0.0, exclude_max=True).map(lambda x: 10.0**x),
     st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
 ).filter(lambda R: R < 1.0)
+
+
+def binary_entropy(x: float) -> float:
+    """Shannon binary entropy in bits, continuously extended to h(0)=h(1)=0;
+    the tests' reference for the cost formulas."""
+    if x < -1e-12 or x > 1.0 + 1e-12:
+        raise ValueError(f"entropy argument {x!r} outside [0, 1]")
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -254,6 +254,13 @@ class TestAmplitudesBelowDoubleEpsilon:
         assert record["cat_fidelity"] == 1.0
         assert record["entropy_any_bipartition"] == 1.0
 
+    def test_star_with_tiny_spokes_at_tiny_reflectance(self, capsys):
+        # (RT)^2 (|alpha|^2 1e-600 + |beta|^2 1e-600) = 1e-1000, a balanced cat;
+        # each kept amplitude is 1e-300 * sqrt(RT), below the double range
+        record = run_json(capsys, "star", "--R", "1e-200", "--alice", "1e-300", "1", "--alice", "1", "1e-300")
+        assert record["log10_yield"] == pytest.approx(-1000.0, abs=1e-9)
+        assert record["cat_fidelity"] == 1.0
+
     @pytest.mark.parametrize(
         "readout, survival",
         [("after_final_bs", 5.11960926969e-88), ("after_final_obstacle", 6.72220784097e-89)],
@@ -363,7 +370,7 @@ class TestCost:
         assert code == 1
 
     def test_sweep_limit(self, capsys, monkeypatch):
-        monkeypatch.setattr(costs, "sweep_profiles", _no_work)
+        monkeypatch.setattr(costs, "cost_profile", _no_work)
         for sweep in ("0.1:0.2:1e-300", "-1e308:1e308:1e-300", "0:1:1e-5"):
             code, out, err = run_cli(capsys, "cost", "--sweep", sweep)
             assert code == 1
@@ -371,7 +378,7 @@ class TestCost:
             assert err.startswith("error: sweep has") and str(cli.SWEEP_MAX_POINTS) in err
 
     def test_sweep_rejects_reflectance(self, capsys, monkeypatch):
-        monkeypatch.setattr(costs, "sweep_profiles", _no_work)
+        monkeypatch.setattr(costs, "cost_profile", _no_work)
         code, out, err = run_cli(capsys, "cost", "--R", "0.3", "--sweep", "0.1:0.2:0.1")
         assert (code, out) == (1, "")
         assert err == "error: cost takes --R or --sweep, not both\n"

@@ -1,13 +1,14 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import binary_entropy
 from cfqsim import cli
 from cfqsim.costs import (
-    binary_entropy,
     cost_profile,
     golden_section_min,
     minimize_classical_cost,
@@ -20,6 +21,18 @@ from cfqsim.costs import (
 C_HALF = 6.0 * (-(1 / 6) * math.log2(1 / 6) - (5 / 6) * math.log2(5 / 6))
 
 R_STAR = math.sqrt(2.0) - 1.0
+
+
+def decimal_cost(R: float) -> float:
+    """h(p1')/p1' with p1' = R(1-R)/(1+R), from the exact double R in decimal.
+
+    p1' > 1e-324, so at 400 digits 1 - p1' keeps over 75 digits of p1'."""
+    with localcontext() as ctx:
+        ctx.prec = 400
+        r = Decimal(R)
+        p = r * (1 - r) / (1 + r)
+        h = -p * p.ln() - (1 - p) * (1 - p).ln()
+        return float(h / p / Decimal(2).ln())
 
 
 class TestBinaryEntropy:
@@ -67,6 +80,17 @@ class TestCostProfile:
         assert cost_profile(0.5).C < cost_profile(0.1).C < cost_profile(0.01).C < cost_profile(0.0001).C
         assert cost_profile(0.5).C < cost_profile(0.9).C < cost_profile(0.99).C
         assert cost_profile(1e-9).C > 25.0
+
+    @given(st.floats(min_value=math.log(5e-324), max_value=math.log(0.5), exclude_max=True))
+    @example(math.log(1e-10))
+    def test_cost_matches_decimal_reference_at_small_R(self, log_r):
+        R = max(math.exp(log_r), 5e-324)
+        assert cost_profile(R).C == pytest.approx(decimal_cost(R), rel=1e-14)
+
+    @pytest.mark.parametrize("k", range(1, 54))
+    def test_cost_matches_decimal_reference_near_one(self, k):
+        R = 1.0 - 2.0**-k
+        assert cost_profile(R).C == pytest.approx(decimal_cost(R), rel=1e-14)
 
     def test_announcement_accounting_identity(self):
         # h(p1') * n(1+R)/2 announced bits over n R(1-R)/2 delivered pairs
@@ -116,6 +140,10 @@ class TestMinimizers:
         _, c = minimize_quantum_cost()
         assert cost_profile(0.4).C_q > c
         assert cost_profile(0.6).C_q > c
+
+    def test_classical_minimum_is_the_closed_form_root(self):
+        # xi'(R) = 0 where R**2 + 2R - 1 = 0
+        assert minimize_classical_cost()[0] == math.sqrt(2.0) - 1.0
 
     def test_classical_minimum(self):
         r, c = minimize_classical_cost()

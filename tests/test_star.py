@@ -49,6 +49,42 @@ def random_star(rng, n=2, R=None) -> StarConfig:
     )
 
 
+# Reflectances in [5e-324, 1), log-uniform, down to the smallest subnormal.
+TINY_REFLECTANCES = (
+    st.floats(min_value=-323.3, max_value=0.0, exclude_max=True).map(lambda x: 10.0**x).filter(lambda R: R < 1.0)
+)
+
+
+def tiny_qubit(rng, basis) -> Qubit:
+    """A qubit whose smaller amplitude is log-uniform in [5e-324, 1], phases random."""
+    small = 10.0 ** -rng.uniform(0.0, 323.3)
+    amps = [small * np.exp(1j * rng.uniform(0, 6)), math.sqrt(1.0 - small * small) * np.exp(1j * rng.uniform(0, 6))]
+    rng.shuffle(amps)
+    return Qubit(basis, complex(amps[0]), complex(amps[1]))
+
+
+def log10_abs(a: complex) -> float:
+    """log10 |a|, taken after an exact 2**600 scaling: the modulus of an
+    amplitude with subnormal parts would itself round to a few digits."""
+    return math.log10(abs(a * 2.0**600)) - 600 * math.log10(2.0)
+
+
+def closed_form_log10_weights(cfg: StarConfig) -> tuple[float, float]:
+    """log10 |alpha prod nu|^2 and log10 |beta prod mu|^2, the two cat terms,
+    summed from the amplitudes' own logs so that nothing underflows."""
+    log_p = 2 * (log10_abs(cfg.bob.amp0) + sum(log10_abs(q.amp1) for q in cfg.alices))
+    log_b = 2 * (log10_abs(cfg.bob.amp1) + sum(log10_abs(q.amp0) for q in cfg.alices))
+    return log_p, log_b
+
+
+def closed_form_log10_yield(cfg: StarConfig) -> float:
+    """log10 of (RT)^N (|alpha prod nu|^2 + |beta prod mu|^2)."""
+    log_p, log_b = closed_form_log10_weights(cfg)
+    top = max(log_p, log_b)
+    log_rt = math.log10(cfg.bs.R) + math.log10(cfg.bs.T)
+    return cfg.n_links * log_rt + top + math.log10(10 ** (log_p - top) + 10 ** (log_b - top))
+
+
 class TestPartialPropagator:
     def setup_method(self):
         self.regs = (BOB_DEVICE, alice_register(0), detector_register(0))
@@ -198,11 +234,7 @@ class TestRunStar:
         alpha, beta = random_amplitude_pair(rng)
         cfg = StarConfig(BeamSplitter(R), tuple(alices), Qubit(("P", "B"), alpha, beta))
         result = run_star(cfg)
-        # (RT)^N (|alpha prod nu|^2 + |beta prod mu|^2), summed in log10
-        log_p = math.log10(abs(alpha) ** 2) + sum(math.log10(abs(q.amp1) ** 2) for q in alices)
-        log_b = math.log10(abs(beta) ** 2) + sum(math.log10(abs(q.amp0) ** 2) for q in alices)
-        top = max(log_p, log_b)
-        want_log10 = n * math.log10(R * (1 - R)) + top + math.log10(10 ** (log_p - top) + 10 ** (log_b - top))
+        want_log10 = closed_form_log10_yield(cfg)
         assert result.log10_yield == pytest.approx(want_log10, abs=1e-9)
         want_yield = 10.0**want_log10
         if want_yield > 1e-300:  # below that the double loses digits or underflows
@@ -211,6 +243,8 @@ class TestRunStar:
             assert result.yield_probability < 1e-290
         # the two-term cat: |H..H P> carries alpha prod nu, |V..V B> beta prod mu
         assert set(result.state.amps) == {("H",) * n + ("P",), ("V",) * n + ("B",)}
+        log_p, log_b = closed_form_log10_weights(cfg)
+        top = max(log_p, log_b)
         arg_p = np.angle(alpha) + sum(np.angle(q.amp1) for q in alices)
         arg_b = np.angle(beta) + sum(np.angle(q.amp0) for q in alices)
         cat = PureState(
@@ -221,6 +255,16 @@ class TestRunStar:
             },
         )
         assert fidelity_up_to_phase(result.state, cat) == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), TINY_REFLECTANCES, st.integers(1, 6))
+    @example(0, 5e-324, 3)
+    @example(1, 1e-315, 3)
+    def test_log10_yield_closed_form_down_to_tiny_amplitudes(self, seed, R, n):
+        rng = np.random.default_rng(seed)
+        alices = tuple(tiny_qubit(rng, ("V", "H")) for _ in range(n))
+        cfg = StarConfig(BeamSplitter(R), alices, tiny_qubit(rng, ("P", "B")))
+        assert run_star(cfg).log10_yield == pytest.approx(closed_form_log10_yield(cfg), abs=1e-9)
 
     def test_every_propagator_call_sees_at_most_four_labels(self, monkeypatch):
         import cfqsim.star as star
