@@ -33,7 +33,7 @@ _EXPORTS = {
     "transfer": "TransferTranscript transfer_alice_to_bob transfer_bob_to_alice "
     "transfer_without_correction",
     "zeno": "ChainConfig ChainResult asymptotic_limit chain_closed_form chain_step "
-    "convergence_scan obstacle_step run_chain",
+    "obstacle_step run_chain",
 }
 # exported name -> home submodule
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

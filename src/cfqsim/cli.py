@@ -1,13 +1,16 @@
 """Command-line front end.
 
-Every subcommand emits byte-deterministic JSON or CSV (``--format``)
-with numbers at 12 significant digits.  A single result is a JSON object
-or one CSV row; ``qst`` and the ``--sweep`` grids are a JSON list or one
-CSV row per entry, and ``table``'s JSON is one object holding its rows.
-``table`` and the sweeps default to CSV, the rest to JSON.  Exit codes:
-0 on success, 1 on a precondition violation (one-line diagnostic on
-stderr), 2 on a usage error.  Each handler imports its engine when it
-runs, so a call loads only the modules its subcommand uses.
+This is the only module that reads amplitudes from text or turns numbers
+into text: the engines take and return numbers, and every printed digit
+passes through ``emit``, at 12 significant digits, with amplitudes as
+'re' or 're,im' literals.  Every subcommand emits byte-deterministic JSON
+or CSV (``--format``).  A single result is a JSON object or one CSV row;
+``qst`` and the ``--sweep`` grids are a JSON list or one CSV row per
+entry, and ``table``'s JSON is one object holding its rows.  ``table``
+and the sweeps default to CSV, the rest to JSON.  Exit codes: 0 on
+success, 1 on a precondition violation (one-line diagnostic on stderr),
+2 on a usage error.  Each handler imports its engine when it runs, so a
+call loads only the modules its subcommand uses.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ NORM_REJECT = 1e-6
 # largest allowed input takes about 1-2 s on a 2-vCPU Xeon host under
 # Python 3.11.
 # Largest star, counting --N or the --alice pairs.  run_star is linear in
-# spokes, but every label is N registers wide, so its time grows faster
-# than N: N = 2000 takes about 1.4-1.8 s in process.
+# spokes, but every label is N devices wide, so its time grows faster
+# than N: N = 2000 takes about 0.7-0.8 s in process, under the budget.
 STAR_MAX_PARTIES = 2000
 # Most points in a --sweep grid: 100k cost-profile rows take about 0.8 s.
 SWEEP_MAX_POINTS = 100_000
@@ -61,9 +64,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_qubit(basis: tuple[str, str], pair: list[str], label: str) -> Qubit:
-    from .states import NORM_TOL, Qubit, parse_complex
+    """Two amplitude literals, each 're' or 're,im', as a qubit over ``basis``."""
+    from .states import NORM_TOL, Qubit
 
-    a0, a1 = (parse_complex(t) for t in pair)
+    amps = []
+    for text in pair:
+        try:
+            amps.append(complex(*map(float, text.split(","))))
+        except (TypeError, ValueError):  # TypeError: more than two fields
+            raise ValueError(f"malformed complex literal {text!r}; expected 're' or 're,im'") from None
+    a0, a1 = amps
     if not (cmath.isfinite(a0) and cmath.isfinite(a1)):
         raise ValueError(f"{label} amplitudes must be finite")
     n2 = abs(a0) * abs(a0) + abs(a1) * abs(a1)  # overflows to inf, not OverflowError
@@ -106,11 +116,16 @@ def parse_sweep(text: str) -> list[float]:
 
 
 def _round12(value):
-    """Floats at 12 significant digits; a non-finite float becomes None."""
+    """Floats at 12 significant digits; a non-finite float becomes None.  A
+    complex amplitude becomes its literal: 're' when purely real, else 're,im'."""
     if isinstance(value, bool):
         return value
     if isinstance(value, float):
         return float(f"{value:.12g}") if math.isfinite(value) else None
+    if isinstance(value, complex):
+        if value.imag == 0.0:
+            return f"{value.real:.12g}"
+        return f"{value.real:.12g},{value.imag:.12g}"
     if isinstance(value, dict):
         return {k: _round12(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -129,7 +144,7 @@ def _csv_cell(text: str) -> str:
 def emit(result, fmt: str) -> str:
     """One record (a dict) or a list of records, as sorted-key JSON or as
     CSV with a header line.  A missing or non-finite number is JSON null
-    and an empty CSV cell."""
+    and an empty CSV cell; a complex amplitude is a literal string."""
     result = _round12(result)
     if fmt == "json":
         return json.dumps(result, sort_keys=True, allow_nan=False) + "\n"
@@ -143,12 +158,6 @@ def emit(result, fmt: str) -> str:
             cells.append(_csv_cell("" if v is None else f"{v:.12g}" if isinstance(v, float) else str(v)))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def _balanced(basis: tuple[str, str]) -> Qubit:
-    from .states import Qubit
-
-    return Qubit.balanced(basis)
 
 
 def cmd_table(args) -> str:
@@ -187,7 +196,7 @@ def cmd_round(args) -> str:
 def cmd_star(args) -> str:
     from .michelson import BeamSplitter
     from .star import StarConfig, alice_register, cat_fidelity, run_star
-    from .states import entanglement_entropy
+    from .states import Qubit, entanglement_entropy
 
     parties = len(args.alice) if args.alice else args.N
     if parties is not None and parties > STAR_MAX_PARTIES:
@@ -198,8 +207,8 @@ def cmd_star(args) -> str:
             raise ValueError("--N disagrees with the number of --alice pairs")
     else:
         n = args.N if args.N is not None else 2
-        alices = tuple(_balanced(("V", "H")) for _ in range(n))
-    bob = parse_qubit(("P", "B"), args.bob, "--bob") if args.bob else _balanced(("P", "B"))
+        alices = tuple(Qubit.balanced(("V", "H")) for _ in range(n))
+    bob = parse_qubit(("P", "B"), args.bob, "--bob") if args.bob else Qubit.balanced(("P", "B"))
     result = run_star(StarConfig(BeamSplitter(args.R), alices, bob))
     entropy = entanglement_entropy(result.state, [alice_register(0)]) if result.state.amps else 0.0
     record = {
@@ -214,12 +223,12 @@ def cmd_star(args) -> str:
 
 
 def cmd_czqe(args) -> str:
-    from .states import fidelity_up_to_phase
-    from .zeno import ChainConfig, asymptotic_limit, convergence_scan, run_chain
+    from .states import Qubit, fidelity_up_to_phase
+    from .zeno import ChainConfig, asymptotic_limit, run_chain
 
     if args.sweep and (args.L is not None or args.theta is not None):
         raise ValueError("czqe --sweep sets L and the default angle; it takes no --L or --theta")
-    obstacle = parse_qubit(("pass", "block"), args.bob, "--bob") if args.bob else _balanced(("pass", "block"))
+    obstacle = parse_qubit(("pass", "block"), args.bob, "--bob") if args.bob else Qubit.balanced(("pass", "block"))
     layers = args.N if args.N is not None else 1
     if args.sweep:
         l_values = []
@@ -237,34 +246,37 @@ def cmd_czqe(args) -> str:
         raise ValueError(
             f"czqe work (L plus 2^(layers+1) labels, summed over the sweep) exceeds {CZQE_MAX_WORK}"
         )
+    configs = [ChainConfig(L=L, theta=args.theta, obstacle=obstacle, layers=layers) for L in l_values]
+    target = asymptotic_limit(obstacle, layers)
+    rows = []
+    for config in configs:
+        result = run_chain(config, args.readout)
+        fidelity = fidelity_up_to_phase(result.final, target)
+        rows.append({"L": config.L, "fidelity": fidelity, "survival": result.survival})
     if args.sweep:
-        rows = convergence_scan(obstacle, layers, l_values, args.readout)
-        return emit([row._asdict() for row in rows], args.format or "csv")
-    config = ChainConfig(L=args.L, theta=args.theta, obstacle=obstacle, layers=layers)
-    result = run_chain(config, args.readout)
+        return emit(rows, args.format or "csv")
     record = {
         "L": args.L,
-        "theta": config.resolved_theta,
+        "theta": configs[0].resolved_theta,
         "layers": layers,
         "readout": args.readout,
-        "survival": result.survival,
-        "fidelity_asymptote": fidelity_up_to_phase(
-            result.final, asymptotic_limit(obstacle, layers)
-        ),
+        "survival": rows[0]["survival"],
+        "fidelity_asymptote": rows[0]["fidelity"],
     }
     return emit(record, args.format or "json")
 
 
 def cmd_qst(args) -> str:
     from .michelson import BeamSplitter
-    from .transfer import transcript_record, transfer_alice_to_bob
+    from .transfer import transfer_alice_to_bob
 
     payload = parse_qubit(("V", "H"), args.payload, "--payload")
     bs = BeamSplitter(args.R)
-    records = [
-        transcript_record(transfer_alice_to_bob(payload, bs, branch), payload)
-        for branch in ("V", "H")
-    ]
+    records = []
+    for branch in ("V", "H"):
+        t = transfer_alice_to_bob(payload, bs, branch)
+        fields = {"branch": t.sender_outcome, "bit": t.classical_bit, "fidelity": t.fidelity}
+        records.append({"mu": payload.amp0, "nu": payload.amp1, **fields})
     return emit(records, args.format)
 
 

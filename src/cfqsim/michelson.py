@@ -34,7 +34,6 @@ from .states import (
     Register,
     apply_map,
     entanglement_entropy,
-    format_complex,
     product_state,
     sector,
 )
@@ -289,7 +288,8 @@ def run_scqkd_round(
 
 
 def round_record(config: RoundConfig) -> dict:
-    """Flat serializable record of one round's statistics."""
+    """Flat record of one round's statistics: the four input amplitudes as
+    complex numbers, the outcome probabilities and the D1 entropy."""
     outcomes = run_round(config)
     d1 = outcomes[0]
     if d1.posterior.amps:
@@ -299,10 +299,10 @@ def round_record(config: RoundConfig) -> dict:
         entropy = 0.0
     return {
         "R": config.bs.R,
-        "alpha": format_complex(config.bob.amp0),
-        "beta": format_complex(config.bob.amp1),
-        "mu": format_complex(config.alice.amp0),
-        "nu": format_complex(config.alice.amp1),
+        "alpha": complex(config.bob.amp0),
+        "beta": complex(config.bob.amp1),
+        "mu": complex(config.alice.amp0),
+        "nu": complex(config.alice.amp1),
         "variant": config.variant,
         "P_D1": outcomes[0].probability,
         "P_D2": outcomes[1].probability,

@@ -8,9 +8,11 @@ simple non-unitary "keep the compatible branch" map.
 
 ``run_star`` grows the state one spoke at a time from the hub qubit: each
 spoke is tensored in and propagated at once, so the incompatible branches
-die before the next spoke arrives.  Every propagator call sees at most 4
-labels and the state never holds more than 2, so the cost is linear in
-the number of spokes (times the O(N) label width).  The two hub branches
+die before the next spoke arrives.  The state holds the devices alone:
+every kept label clicked D1 on every link, so no detector is recorded.
+Every propagator call sees at most 4 labels and the state never holds
+more than 2, so the cost is linear in the number of spokes (times the
+O(N) label width).  The two hub branches
 are carried apart, each as a label amplitude times its own power of two,
 rescaled exactly before every link to a magnitude near 2**54/sqrt(RT):
 then no amplitude, and no ratio of the two, leaves the double range, however
@@ -29,10 +31,6 @@ from .states import PureState, Qubit, Register, apply_map, fidelity_up_to_phase,
 
 def alice_register(link: int) -> Register:
     return Register("device_a", link)
-
-
-def detector_register(link: int) -> Register:
-    return Register("alice_detector", link)
 
 
 @dataclass(frozen=True)
@@ -65,22 +63,21 @@ class CatResult:
 def partial_propagator(state: PureState, link: int, bs: BeamSplitter) -> PureState:
     """Evolve one link keeping only its counterfactual-click sector.
 
-    The surviving device combinations each pick up sqrt(RT) and stamp the
-    link's detector tag; the two combinations that interfere into the
-    other detector deterministically are dropped, so the norm decreases.
+    The two compatible device combinations each pick up sqrt(RT); the two
+    that never click D1 are dropped, so the norm decreases.  Every kept
+    label clicked D1, so the click is not recorded in a register.
     """
     a = alice_register(link)
-    det = detector_register(link)
-    if a not in state.registers or det not in state.registers:
+    if a not in state.registers:
         raise ValueError(f"link index {link} out of range for this state")
     s = math.sqrt(bs.R * bs.T)
     rules = {
-        ("P", "H", "none"): [(("P", "H", "D1H"), s)],
-        ("B", "V", "none"): [(("B", "V", "D1V"), s)],
-        ("P", "V", "none"): [],
-        ("B", "H", "none"): [],
+        ("P", "H"): [(("P", "H"), s)],
+        ("B", "V"): [(("B", "V"), s)],
+        ("P", "V"): [],
+        ("B", "H"): [],
     }
-    return apply_map(state, (BOB_DEVICE, a, det), rules)
+    return apply_map(state, (BOB_DEVICE, a), rules)
 
 
 def run_star(config: StarConfig) -> CatResult:
@@ -92,7 +89,7 @@ def run_star(config: StarConfig) -> CatResult:
     state = product_state([(BOB_DEVICE, config.bob)])
     for j, q in enumerate(config.alices):
         state = _rescaled(state, exps, lift)
-        spoke = product_state([(alice_register(j), q), (detector_register(j), "none")])
+        spoke = product_state([(alice_register(j), q)])
         state = partial_propagator(state.tensor(spoke), j, config.bs)
         if not state.amps:
             return CatResult(0.0, PureState(kept, {}), -math.inf)

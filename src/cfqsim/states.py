@@ -19,6 +19,8 @@ restrictions) are built with the trusted internal constructor
 nonzero amplitude, however small.  Only a sum makes cancellation dust:
 ``apply_map`` drops a label that received two or more terms if it ends
 at most ``PRUNE_TOL`` times the input norm.
+
+Amplitudes here are numbers only; ``cli`` reads and prints them as text.
 """
 
 from __future__ import annotations
@@ -422,22 +424,3 @@ def entanglement_entropy(state: PureState, partition: Sequence[Register]) -> flo
     p = [w / total for w in p]
     return -sum(w * math.log2(w) for w in p) + 0.0  # +0.0 folds -0.0 into 0.0
 
-
-def format_complex(z: complex) -> str:
-    """Amplitude literal: 're' when purely real, else 're,im'."""
-    z = complex(z)
-    if z.imag == 0.0:
-        return f"{z.real:.12g}"
-    return f"{z.real:.12g},{z.imag:.12g}"
-
-
-def parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise ValueError(f"malformed complex literal {text!r}; expected 're' or 're,im'")

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .michelson import ALICE_DEVICE, BOB_DEVICE, BeamSplitter, RoundConfig, run_round
-from .states import PureState, Qubit, Register, apply_map, format_complex, postselect
+from .states import PureState, Qubit, Register, apply_map, postselect
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -114,13 +114,3 @@ def transfer_without_correction(payload: Qubit) -> float:
     _, _, branches = _steer(payload, BeamSplitter(0.5), ALICE_DEVICE, ("V", "H"))
     return sum(prob * _fidelity(payload, amps) for prob, amps in branches)
 
-
-def transcript_record(transcript: TransferTranscript, payload: Qubit) -> dict:
-    """Flat serializable record of one transfer branch."""
-    return {
-        "mu": format_complex(payload.amp0),
-        "nu": format_complex(payload.amp1),
-        "branch": transcript.sender_outcome,
-        "bit": transcript.classical_bit,
-        "fidelity": transcript.fidelity,
-    }

@@ -7,7 +7,8 @@ chain entangles obstacle and mode, and stacking N mode layers under one
 jointly-applied obstacle grows the entangled pair into an (N+1)-party cat
 state in the long-chain limit.  On each obstacle branch the layers evolve
 independently, so ``run_chain`` steps one layer (at most 4 labels) and
-builds the layered state once.
+builds the layered state once.  ``czqe --sweep``, the convergence scan,
+compares one ``run_chain`` per L with the ``asymptotic_limit`` state.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import NamedTuple, Sequence
 
-from .states import PureState, Qubit, Register, apply_map, fidelity_up_to_phase
+from .states import PureState, Qubit, Register, apply_map
 
 OBSTACLE = Register("pb_device", 0)
 
@@ -55,12 +55,6 @@ class ChainConfig:
 class ChainResult:
     final: PureState  # unabsorbed labels plus ("block", "absorbed", ...) at sqrt(absorbed mass)
     survival: float  # norm**2 of the unabsorbed sector
-
-
-class ScanRow(NamedTuple):
-    L: int
-    fidelity: float
-    survival: float
 
 
 def _check_one_layer(state: PureState) -> None:
@@ -171,26 +165,3 @@ def asymptotic_limit(obstacle: Qubit, layers: int = 1) -> PureState:
         },
     )
 
-
-def convergence_scan(
-    obstacle: Qubit,
-    layers: int,
-    L_values: Sequence[int],
-    readout: str = "after_final_bs",
-) -> list[ScanRow]:
-    """Fidelity to the infinite-chain state and survival, per cycle count.
-
-    Each chain runs at its own default angle pi/(2 L).  Fidelity is taken
-    between the full normalized output (absorption loss included) and the
-    ideal limit state.
-    """
-    if not L_values:
-        raise ValueError("empty list of cycle counts")
-    target = asymptotic_limit(obstacle, layers)
-    rows = []
-    for L in L_values:
-        result = run_chain(ChainConfig(L=int(L), obstacle=obstacle, layers=layers), readout)
-        rows.append(
-            ScanRow(int(L), fidelity_up_to_phase(result.final, target), result.survival)
-        )
-    return rows

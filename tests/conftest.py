@@ -9,7 +9,7 @@ from cfqsim.michelson import (
     return_beamsplitter,
     switch_interaction,
 )
-from cfqsim.star import StarConfig, alice_register, detector_register
+from cfqsim.star import StarConfig, alice_register
 from cfqsim.states import MapRules, PureState, Register, product_state, sector
 
 # Reflectances in [1e-300, 1), log-uniform and uniform.
@@ -97,14 +97,14 @@ def star_bruteforce(config: StarConfig):
             (Register("arm_a", j), "vac"),
             (Register("arm_b", j), "vac"),
             (Register("bob_detector", j), "0"),
-            (detector_register(j), "none"),
+            (Register("alice_detector", j), "none"),
         ]
     state = product_state(parts)
     for j in range(n):
         state = forward_beamsplitter(state, config.bs, j)
         state = switch_interaction(state, j)
         state = return_beamsplitter(state, config.bs, j)
-        state = sector(state, detector_register(j), ("D1V", "D1H"))
+        state = sector(state, Register("alice_detector", j), ("D1V", "D1H"))
     yield_probability = state.norm2()
     if yield_probability == 0.0:
         return 0.0, None

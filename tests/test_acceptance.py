@@ -26,7 +26,7 @@ from cfqsim.transfer import transfer_alice_to_bob, transfer_bob_to_alice
 from cfqsim.zeno import (
     OBSTACLE,
     ChainConfig,
-    convergence_scan,
+    asymptotic_limit,
     mode_register,
     run_chain,
 )
@@ -191,8 +191,14 @@ def test_criterion_6_chained_zeno():
         )
         assert abs(result.survival - math.cos(math.pi / 2000) ** 2000) <= 1e-9
 
-        rows = convergence_scan(Qubit.balanced(("pass", "block")), 3, [10, 100, 1000])
-        assert rows[0].fidelity < rows[1].fidelity < rows[2].fidelity
+        # the czqe --sweep path: one run_chain per L against one limit state
+        balanced = Qubit.balanced(("pass", "block"))
+        target = asymptotic_limit(balanced, 3)
+        fids = [
+            fidelity_up_to_phase(run_chain(ChainConfig(L=L, obstacle=balanced, layers=3)).final, target)
+            for L in (10, 100, 1000)
+        ]
+        assert fids[0] < fids[1] < fids[2]
 
 
 def test_criterion_7_multiparty_oracle():

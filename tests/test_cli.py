@@ -79,9 +79,13 @@ class TestRound:
         reference = round_record(
             RoundConfig(BeamSplitter(0.37), Qubit(("V", "H"), 0.6, 0.8j), Qubit.balanced(("P", "B")))
         )
+        # the printed amplitude literals, read back by the CLI's own parser
+        alice = cli.parse_qubit(("V", "H"), [record["mu"], record["nu"]], "--alice")
+        bob = cli.parse_qubit(("P", "B"), [record["alpha"], record["beta"]], "--bob")
+        printed = {"mu": alice.amp0, "nu": alice.amp1, "alpha": bob.amp0, "beta": bob.amp1}
         for key, want in reference.items():
-            got = record[key]
-            if isinstance(want, float):
+            got = printed.get(key, record[key])
+            if isinstance(want, (float, complex)):
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
             else:
                 assert got == want
@@ -299,7 +303,6 @@ class TestCzqe:
         for at_cap in (["--L", str(cap - 4)], ["--L", "1", "--N", "14"]):
             with pytest.raises(AssertionError, match="work started"):  # at the cap the engine runs
                 cli.main(["czqe", *at_cap])
-        monkeypatch.setattr(zeno, "convergence_scan", _no_work)
         too_much = [
             ["--L", str(cap - 3)],
             ["--L", "100000000"],
@@ -324,9 +327,20 @@ class TestCzqe:
         assert record["survival"] == pytest.approx(oracle.norm2(), rel=1e-11)
         assert record["fidelity_asymptote"] == pytest.approx(abs(overlap(oracle, target)) ** 2, rel=1e-11)
 
+    @pytest.mark.parametrize("layers", ["1", "3"])
+    @pytest.mark.parametrize("readout", ["after_final_bs", "after_final_obstacle"])
+    def test_sweep_rows_equal_single_runs(self, capsys, readout, layers):
+        flags = ["--N", layers, "--readout", readout, "--bob", "0.6", "0,0.8", "--format", "json"]
+        rows = run_json(capsys, "czqe", "--sweep", "1:31:10", *flags)
+        assert [row["L"] for row in rows] == [1, 11, 21, 31]
+        for row in rows:
+            record = run_json(capsys, "czqe", "--L", str(row["L"]), *flags)
+            assert row["fidelity"] == record["fidelity_asymptote"]
+            assert row["survival"] == record["survival"]
+
     @pytest.mark.parametrize("extra", [["--theta", "0.2"], ["--L", "10"]])
     def test_sweep_rejects_single_run_flags(self, capsys, monkeypatch, extra):
-        monkeypatch.setattr(zeno, "convergence_scan", _no_work)
+        monkeypatch.setattr(zeno, "run_chain", _no_work)
         code, out, err = run_cli(capsys, "czqe", "--sweep", "10:20:10", *extra)
         assert (code, out) == (1, "")
         assert err.startswith("error: czqe --sweep") and extra[0] in err

@@ -12,7 +12,6 @@ from cfqsim.star import (
     StarConfig,
     alice_register,
     cat_fidelity,
-    detector_register,
     ideal_cat,
     partial_propagator,
     run_star,
@@ -87,23 +86,23 @@ def closed_form_log10_yield(cfg: StarConfig) -> float:
 
 class TestPartialPropagator:
     def setup_method(self):
-        self.regs = (BOB_DEVICE, alice_register(0), detector_register(0))
+        self.regs = (BOB_DEVICE, alice_register(0))
 
     def one_component(self, b_sym, a_sym):
-        return PureState(self.regs, {(b_sym, a_sym, "none"): 1.0})
+        return PureState(self.regs, {(b_sym, a_sym): 1.0})
 
     def test_compatible_pass_branch(self):
         out = partial_propagator(self.one_component("P", "H"), 0, BeamSplitter(0.5))
-        assert out.amps == {("P", "H", "D1H"): pytest.approx(0.5)}
+        assert out.amps == {("P", "H"): pytest.approx(0.5)}
 
     def test_incompatible_branch_dropped(self):
         out = partial_propagator(self.one_component("P", "V"), 0, BeamSplitter(0.5))
         assert out.amps == {}
 
     def test_compatible_block_branch_scales(self):
-        s = PureState(self.regs, {("B", "V", "none"): 0.3j})
+        s = PureState(self.regs, {("B", "V"): 0.3j})
         out = partial_propagator(s, 0, BeamSplitter(0.5))
-        assert out.amps[("B", "V", "D1V")] == pytest.approx(0.15j)
+        assert out.amps[("B", "V")] == pytest.approx(0.15j)
 
     def test_link_out_of_range(self):
         with pytest.raises(ValueError):
@@ -213,7 +212,6 @@ class TestRunStar:
         cfg = random_star(rng, n=3)
         parts = [(alice_register(j), q) for j, q in enumerate(cfg.alices)]
         parts.append((BOB_DEVICE, cfg.bob))
-        parts += [(detector_register(j), "none") for j in range(3)]
         initial = product_state(parts)
         forward = initial
         for j in (0, 1, 2):

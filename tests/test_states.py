@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state, random_unitary, state_sum, states_close, unitary_rules
+from cfqsim import cli
 from cfqsim.states import (
     PRUNE_TOL,
     PureState,
@@ -18,8 +19,6 @@ from cfqsim.states import (
     apply_map,
     entanglement_entropy,
     fidelity_up_to_phase,
-    format_complex,
-    parse_complex,
     postselect,
     product_state,
     sector,
@@ -545,14 +544,19 @@ class TestUnderflowingNorm:
 
 
 class TestComplexLiterals:
+    """Amplitude literals, which only the command line reads and prints:
+    ``cli._round12`` writes 're' or 're,im', ``cli.parse_qubit`` reads a pair."""
+
     @pytest.mark.parametrize("z", [0.5 + 0j, -0.25 + 0.75j, 1j, 0j])
     def test_round_trip(self, z):
-        assert parse_complex(format_complex(z)) == pytest.approx(z, abs=1e-12)
+        partner = complex(math.sqrt(1.0 - abs(z) ** 2))
+        qubit = cli.parse_qubit(("V", "H"), [cli._round12(z), cli._round12(partner)], "--alice")
+        assert qubit.amp0 == pytest.approx(z, abs=1e-12)
 
     @pytest.mark.parametrize("text", ["abc", "1,2,3", "", "1;2"])
     def test_malformed(self, text):
-        with pytest.raises(ValueError):
-            parse_complex(text)
+        with pytest.raises(ValueError, match="malformed"):
+            cli.parse_qubit(("V", "H"), [text, "1"], "--alice")
 
 
 # Registers for the trusted-path properties: alphabets of size 2, 2, 2, 3.

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import pathlib
 
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import random_amplitude_pair
+from cfqsim import cli
 from cfqsim.michelson import BeamSplitter
 from cfqsim.states import Qubit
 from cfqsim.transfer import (
-    transcript_record,
     transfer_alice_to_bob,
     transfer_bob_to_alice,
     transfer_without_correction,
@@ -136,10 +137,10 @@ class TestWithoutCorrection:
 
 
 class TestTranscriptRecord:
-    def test_fields(self):
-        payload = Qubit(("V", "H"), 0.6, 0.8)
-        t = transfer_alice_to_bob(payload, BeamSplitter(0.5), "V")
-        record = transcript_record(t, payload)
+    def test_fields(self, capsys):
+        # qst prints the V branch's record first
+        assert cli.main(["qst", "--R", "0.5", "--payload", "0.6", "0.8"]) == 0
+        record = json.loads(capsys.readouterr().out)[0]
         assert record == {
             "mu": "0.6",
             "nu": "0.8",

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from cfqsim.zeno import (
     asymptotic_limit,
     chain_closed_form,
     chain_step,
-    convergence_scan,
     mode_register,
     obstacle_step,
     run_chain,
@@ -33,6 +33,18 @@ BLOCK = Qubit(("pass", "block"), 0.0, 1.0)
 
 def obstacle_qubit(a, b):
     return Qubit(("pass", "block"), a, b)
+
+
+def sweep_rows(capsys, bob, layers, l_values, readout="after_final_bs"):
+    """``czqe --sweep --format json`` rows, one one-point sweep per cycle
+    count; ``bob`` holds the obstacle's amplitude literals, or None for the
+    balanced default."""
+    rows = []
+    for L in l_values:
+        argv = ["czqe", "--sweep", f"{L}:{L}:1", "--N", str(layers), "--readout", readout, "--format", "json"]
+        assert cli.main(argv + (["--bob", *bob] if bob else [])) == 0
+        rows += json.loads(capsys.readouterr().out)
+    return rows
 
 
 class TestChainStep:
@@ -257,26 +269,26 @@ class TestAsymptote:
 
 
 class TestConvergenceScan:
-    def test_single_cycle_far_from_limit(self):
-        rows = convergence_scan(Qubit.balanced(("pass", "block")), 1, [1])
-        assert rows[0].fidelity < 0.5
+    def test_single_cycle_far_from_limit(self, capsys):
+        rows = sweep_rows(capsys, None, 1, [1])
+        assert rows[0]["fidelity"] < 0.5
 
-    def test_fidelity_grows_with_chain_length(self):
-        rows = convergence_scan(Qubit.balanced(("pass", "block")), 1, [100, 400])
-        assert rows[1].fidelity > rows[0].fidelity
+    def test_fidelity_grows_with_chain_length(self, capsys):
+        rows = sweep_rows(capsys, None, 1, [100, 400])
+        assert rows[1]["fidelity"] > rows[0]["fidelity"]
 
-    def test_long_chain_block_survival(self):
-        rows = convergence_scan(BLOCK, 1, [1000], "after_final_obstacle")
-        assert rows[0].survival == pytest.approx(math.cos(math.pi / 2000) ** 2000, abs=1e-9)
+    def test_long_chain_block_survival(self, capsys):
+        rows = sweep_rows(capsys, ["0", "1"], 1, [1000], "after_final_obstacle")
+        assert rows[0]["survival"] == pytest.approx(math.cos(math.pi / 2000) ** 2000, abs=1e-9)
 
-    def test_three_layer_monotone(self):
-        rows = convergence_scan(Qubit.balanced(("pass", "block")), 3, [10, 100, 1000])
-        fids = [r.fidelity for r in rows]
+    def test_three_layer_monotone(self, capsys):
+        rows = sweep_rows(capsys, None, 3, [10, 100, 1000])
+        fids = [r["fidelity"] for r in rows]
         assert fids[0] < fids[1] < fids[2]
 
-    def test_deficit_scales_inversely_with_length(self):
-        rows = convergence_scan(Qubit.balanced(("pass", "block")), 3, [100, 1000])
-        ratio = (1.0 - rows[0].fidelity) / (1.0 - rows[1].fidelity)
+    def test_deficit_scales_inversely_with_length(self, capsys):
+        rows = sweep_rows(capsys, None, 3, [100, 1000])
+        ratio = (1.0 - rows[0]["fidelity"]) / (1.0 - rows[1]["fidelity"])
         assert 5.0 < ratio < 20.0
 
     def test_csv_shape(self, capsys):
@@ -287,5 +299,8 @@ class TestConvergenceScan:
         assert lines[1].startswith("2,")
 
     def test_empty_grid(self):
+        # parse_sweep always yields its start, so no grid is empty; a grid
+        # without a positive cycle count is the nearest case
+        args = cli.build_parser().parse_args(["czqe", "--sweep", "0:0:1", "--bob", "1", "0"])
         with pytest.raises(ValueError):
-            convergence_scan(PASS, 1, [])
+            args.handler(args)
