@@ -9,15 +9,15 @@ or CSV (``--format``).  A single result is a JSON object or one CSV row;
 entry, and ``table``'s JSON is one object holding its rows.  ``table``
 and the sweeps default to CSV, the rest to JSON.  Exit codes: 0 on
 success, 1 on a precondition violation (one-line diagnostic on stderr),
-2 on a usage error.  Each handler imports its engine when it runs, so a
-call loads only the modules its subcommand uses.
+2 on a usage error.  Each handler imports its engine when it runs, and
+``emit`` imports ``json`` only for JSON output, so a call loads only the
+modules its subcommand and output format use.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import math
 import re
 import sys
@@ -147,6 +147,7 @@ def emit(result, fmt: str) -> str:
     and an empty CSV cell; a complex amplitude is a literal string."""
     result = _round12(result)
     if fmt == "json":
+        import json
         return json.dumps(result, sort_keys=True, allow_nan=False) + "\n"
     records = [result] if isinstance(result, dict) else result
     keys = list(records[0].keys())
@@ -281,8 +282,6 @@ def cmd_qst(args) -> str:
 
 
 def cmd_cost(args) -> str:
-    from dataclasses import asdict
-
     from .costs import cost_profile, total_qst_cost
 
     if args.sweep:
@@ -295,7 +294,7 @@ def cmd_cost(args) -> str:
         return emit(rows, args.format or "csv")
     if args.R is None:
         raise ValueError("cost needs --R (or --sweep)")
-    record = {**asdict(cost_profile(args.R)), "total_qst_cost": total_qst_cost(args.R)}
+    record = {**cost_profile(args.R)._asdict(), "total_qst_cost": total_qst_cost(args.R)}
     return emit(record, args.format or "json")
 
 

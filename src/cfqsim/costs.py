@@ -12,8 +12,7 @@ reproduces the same statistics empirically with bit-reproducible output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 # Inverse golden ratio, the bracket shrink factor of the section search.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -27,8 +26,7 @@ _SECTION_MAX_ITER = 200
 MC_BATCH = 250_000
 
 
-@dataclass(frozen=True)
-class CostProfile:
+class CostProfile(NamedTuple):
     R: float
     P_D1: float
     P_D2: float
@@ -39,8 +37,7 @@ class CostProfile:
     C: float  # average classical bits per counterfactual pair
 
 
-@dataclass(frozen=True)
-class McReport:
+class McReport(NamedTuple):
     runs: int
     seed: int
     counts: tuple[int, int, int]  # (n_D1, n_D2, n_DB)

@@ -25,13 +25,14 @@ detector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 from .states import (
     PureState,
     Qubit,
     Register,
+    ValidatedTuple,
     apply_map,
     entanglement_entropy,
     product_state,
@@ -55,39 +56,37 @@ ABSORBER_BOB = Register("pb_absorber", 1)
 VARIANTS = ("N09", "ScQKD")
 
 
-@dataclass(frozen=True)
-class BeamSplitter:
+class BeamSplitter(ValidatedTuple, namedtuple("BeamSplitter", "R")):
     """Lossless beam splitter; transmittance is derived so R + T = 1 exactly."""
 
-    R: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, R: float) -> BeamSplitter:
+        self = super().__new__(cls, R)
         if not 0.0 <= self.R <= 1.0:
             raise ValueError("reflectance must lie in [0, 1]")
+        return self
 
     @property
     def T(self) -> float:
         return 1.0 - self.R
 
 
-@dataclass(frozen=True)
-class RoundConfig:
-    bs: BeamSplitter
-    alice: Qubit  # over (V, H)
-    bob: Qubit  # over (P, B)
-    variant: str = "N09"
+class RoundConfig(ValidatedTuple, namedtuple("RoundConfig", "bs alice bob variant")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, bs: BeamSplitter, alice: Qubit, bob: Qubit, variant: str = "N09") -> RoundConfig:
+        self = super().__new__(cls, bs, alice, bob, variant)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if tuple(self.alice.basis) != ("V", "H"):
             raise ValueError("sender qubit must be declared over (V, H)")
         if tuple(self.bob.basis) != ("P", "B"):
             raise ValueError("receiver qubit must be declared over (P, B)")
+        return self
 
 
-@dataclass(frozen=True)
-class RoundOutcome:
+class RoundOutcome(NamedTuple):
     outcome: str  # D1 | D2 | DB (or a polarization-resolved tag)
     probability: float
     posterior: PureState

@@ -23,23 +23,22 @@ logarithm are read off once, at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .michelson import BOB_DEVICE, BeamSplitter
-from .states import PureState, Qubit, Register, apply_map, fidelity_up_to_phase, product_state
+from .states import PureState, Qubit, Register, ValidatedTuple, apply_map, fidelity_up_to_phase, product_state
 
 
 def alice_register(link: int) -> Register:
     return Register("device_a", link)
 
 
-@dataclass(frozen=True)
-class StarConfig:
-    bs: BeamSplitter
-    alices: tuple[Qubit, ...]
-    bob: Qubit
+class StarConfig(ValidatedTuple, namedtuple("StarConfig", "bs alices bob")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, bs: BeamSplitter, alices: tuple[Qubit, ...], bob: Qubit) -> StarConfig:
+        self = super().__new__(cls, bs, alices, bob)
         if len(self.alices) < 1:
             raise ValueError("a star needs at least one spoke party")
         for q in self.alices:
@@ -47,14 +46,14 @@ class StarConfig:
                 raise ValueError("spoke qubits must be declared over (V, H)")
         if tuple(self.bob.basis) != ("P", "B"):
             raise ValueError("hub qubit must be declared over (P, B)")
+        return self
 
     @property
     def n_links(self) -> int:
         return len(self.alices)
 
 
-@dataclass(frozen=True)
-class CatResult:
+class CatResult(NamedTuple):
     yield_probability: float  # probability that every link clicks D1; may underflow to 0
     state: PureState  # normalized state over (a_1..a_N, b); empty at zero yield
     log10_yield: float  # log10 of the yield; finite where the float underflows, -inf at zero yield

@@ -12,7 +12,10 @@ concurrently without coordination.
 
 Validation happens once, at the boundary: the public ``PureState``
 constructor, ``product_state`` and the rule patterns of ``apply_map``
-check every register and symbol they are given.  States derived from
+check every register and symbol they are given, and each value type
+built on ``ValidatedTuple`` (``Register``, ``Qubit``, the engines'
+configs) checks its fields in ``__new__``, which ``_replace``,
+``_make``, copies and pickles go through too.  States derived from
 already-valid states (map results, sectors, scalings, tensor products,
 restrictions) are built with the trusted internal constructor
 ``PureState._trusted``, which skips the label checks.  Both keep every
@@ -28,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import contains
 from typing import Callable, Mapping, Sequence, Union
 
@@ -58,7 +61,21 @@ Label = tuple[str, ...]
 MapRules = Mapping[Label, Sequence[tuple[Label, complex]]]
 
 
-class Register(tuple):
+class ValidatedTuple:
+    """Base of a named tuple whose ``__new__`` checks its fields: ``_make``
+    (and so ``_replace``), copies and pickles all build through it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class Register(ValidatedTuple, namedtuple("Register", "kind index")):
     """One labeled subsystem: an ALPHABETS kind plus a party/layer index.
 
     A ``(kind, index)`` tuple underneath, so the register lookups of
@@ -72,18 +89,7 @@ class Register(tuple):
             raise ValueError(f"unknown register kind {kind!r}")
         if index < 0:
             raise ValueError("register index must be nonnegative")
-        return super().__new__(cls, (kind, index))
-
-    def __getnewargs__(self) -> tuple[str, int]:  # copy/pickle: __new__(cls, kind, index)
-        return tuple(self)
-
-    @property
-    def kind(self) -> str:
-        return self[0]
-
-    @property
-    def index(self) -> int:
-        return self[1]
+        return tuple.__new__(cls, (kind, index))  # hot path: skips namedtuple's Python __new__
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -93,15 +99,13 @@ class Register(tuple):
         return f"{self.kind}[{self.index}]"
 
 
-@dataclass(frozen=True)
-class Qubit:
+class Qubit(ValidatedTuple, namedtuple("Qubit", "basis amp0 amp1")):
     """Normalized amplitude pair over a declared two-symbol basis."""
 
-    basis: tuple[str, str]
-    amp0: complex
-    amp1: complex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, basis: tuple[str, str], amp0: complex, amp1: complex) -> "Qubit":
+        self = super().__new__(cls, basis, amp0, amp1)
         if len(self.basis) != 2 or self.basis[0] == self.basis[1]:
             raise ValueError("qubit basis must be two distinct symbols")
         if not (cmath.isfinite(self.amp0) and cmath.isfinite(self.amp1)):
@@ -109,6 +113,7 @@ class Qubit:
         n2 = abs(self.amp0) * abs(self.amp0) + abs(self.amp1) * abs(self.amp1)  # inf, not OverflowError
         if abs(n2 - 1.0) > NORM_TOL:
             raise ValueError(f"qubit amplitudes not normalized (norm^2 = {n2!r})")
+        return self
 
     @classmethod
     def balanced(cls, basis: Sequence[str]) -> "Qubit":

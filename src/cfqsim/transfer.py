@@ -9,7 +9,7 @@ to a known Pauli correction announced with one classical bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .michelson import ALICE_DEVICE, BOB_DEVICE, BeamSplitter, RoundConfig, run_round
 from .states import PureState, Qubit, Register, apply_map, postselect
@@ -17,8 +17,7 @@ from .states import PureState, Qubit, Register, apply_map, postselect
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class TransferTranscript:
+class TransferTranscript(NamedTuple):
     shared: PureState  # normalized device pair before the sender's Hadamard
     sender_outcome: str
     classical_bit: int  # 0: receiver applies identity, 1: phase flip

@@ -14,10 +14,11 @@ compares one ``run_chain`` per L with the ``asymptotic_limit`` state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product as iter_product
+from typing import NamedTuple
 
-from .states import PureState, Qubit, Register, apply_map
+from .states import PureState, Qubit, Register, ValidatedTuple, apply_map
 
 OBSTACLE = Register("pb_device", 0)
 
@@ -28,14 +29,15 @@ def mode_register(layer: int) -> Register:
     return Register("zeno_mode", layer)
 
 
-@dataclass(frozen=True)
-class ChainConfig:
-    L: int
-    theta: float | None = None  # defaults to pi / (2 L)
-    obstacle: Qubit = Qubit.balanced(("pass", "block"))
-    layers: int = 1
+class ChainConfig(ValidatedTuple, namedtuple("ChainConfig", "L theta obstacle layers")):
+    """An L-cycle chain; theta defaults to pi / (2 L)."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(
+        cls, L: int, theta: float | None = None, obstacle: Qubit = Qubit.balanced(("pass", "block")), layers: int = 1
+    ) -> ChainConfig:
+        self = super().__new__(cls, L, theta, obstacle, layers)
         if self.L < 1:
             raise ValueError("cycle count L must be >= 1")
         if self.layers < 1:
@@ -45,14 +47,14 @@ class ChainConfig:
         theta = self.resolved_theta
         if not 0.0 < theta <= math.pi / 2:
             raise ValueError("theta must lie in (0, pi/2]")
+        return self
 
     @property
     def resolved_theta(self) -> float:
         return math.pi / (2 * self.L) if self.theta is None else self.theta
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(NamedTuple):
     final: PureState  # unabsorbed labels plus ("block", "absorbed", ...) at sqrt(absorbed mass)
     survival: float  # norm**2 of the unabsorbed sector
 

@@ -620,3 +620,55 @@ def test_mc_without_numpy(args, message):
     assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert message in proc.stderr
+
+
+# One fresh ``python -m cfqsim.cli`` run per subcommand, as a user starts
+# it -> whether it prints JSON.  No call needs ``dataclasses``, only ``mc``
+# (through numpy) loads ``inspect``, and only JSON output loads ``json``.
+COLD_RUNS = {
+    "table --R 0.3": False,
+    "round --R 0.5": True,
+    "round --R 0.5 --format csv": False,
+    "scqkd --R 0.5": True,
+    "star --R 0.5": True,
+    "czqe --L 20": True,
+    "czqe --sweep 10:30:10": False,
+    "qst --payload 0.6 0.8": True,
+    "cost --R 0.3": True,
+    "cost --sweep 0.1:0.3:0.1": False,
+    "cost-min": True,
+    "mc --R 0.5 --runs 100 --seed 1": True,
+    "cost --R 2": False,  # an error: exit
+}
+
+
+def imported_modules(*args: str) -> tuple[int, set[str]]:
+    """Exit code and the modules that ``python -X importtime *args`` loads."""
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in lines[1:]}  # [0] is the header
+
+
+@pytest.fixture(scope="module")
+def bare_interpreter_modules():
+    return imported_modules("-c", "pass")[1]
+
+
+@pytest.mark.parametrize("argv", list(COLD_RUNS))
+def test_cold_start_imports(argv, bare_interpreter_modules):
+    """A subcommand loads no stdlib module it does not use."""
+    code, modules = imported_modules("-m", "cfqsim.cli", *argv.split())
+    assert code == (1 if argv == "cost --R 2" else 0)
+    assert "cfqsim" in modules
+    loaded = modules - bare_interpreter_modules
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded or argv.startswith("mc ")
+    assert ("json" in loaded) == COLD_RUNS[argv]

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -398,7 +397,7 @@ class TestRoundRecord:
 @example(1.0 - 2.0**-53, "N09")
 def test_balanced_entropy_is_one_at_any_reflectance(R, variant):
     """The D1 pair of balanced devices holds one ebit for every R, however small the yield."""
-    config = dataclasses.replace(balanced_config(R), variant=variant)
+    config = balanced_config(R)._replace(variant=variant)
     record = round_record(config)
     assert record["P_D1"] > 0.0
     assert abs(record["entropy_D1"] - 1.0) <= 1e-12

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import random_state, random_unitary, state_sum, states_close, unitary_rules
 from cfqsim import cli
+from cfqsim.costs import cost_profile, monte_carlo
+from cfqsim.michelson import BeamSplitter, RoundConfig, run_round
+from cfqsim.star import StarConfig, run_star
 from cfqsim.states import (
     PRUNE_TOL,
     PureState,
@@ -23,6 +26,8 @@ from cfqsim.states import (
     product_state,
     sector,
 )
+from cfqsim.transfer import transfer_alice_to_bob
+from cfqsim.zeno import ChainConfig, run_chain
 
 A = Register("device_a")
 B = Register("device_b")
@@ -115,6 +120,75 @@ class TestQubit:
     def test_overflowing_norm_rejected(self, amp0, amp1):
         with pytest.raises(ValueError, match="normalized"):
             Qubit(("V", "H"), amp0, amp1)
+
+
+# Each validated value type: a valid instance, one field, a value that
+# its __new__ rejects and the start of that error's message.
+BAL_VH = Qubit.balanced(("V", "H"))
+BAL_PB = Qubit.balanced(("P", "B"))
+VALIDATED = [
+    (Register("arm_a", 1), "kind", "flux_capacitor", "unknown register kind"),
+    (Qubit(("V", "H"), 0.6, 0.8), "amp0", 2.0, "qubit amplitudes not normalized"),
+    (BeamSplitter(0.5), "R", 1.5, "reflectance must lie"),
+    (RoundConfig(BeamSplitter(0.5), BAL_VH, BAL_PB), "variant", "bogus", "unknown variant"),
+    (StarConfig(BeamSplitter(0.5), (BAL_VH,), BAL_PB), "alices", (), "a star needs"),
+    (ChainConfig(L=10), "layers", 0, "layer count"),
+]
+
+
+def _pickled(value, protocol):
+    return pickle.loads(pickle.dumps(value, protocol))
+
+
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+REBUILDS = [copy.copy, copy.deepcopy] + [lambda v, p=p: _pickled(v, p) for p in PROTOCOLS]
+REBUILD_IDS = ["copy", "deepcopy"] + [f"pickle{p}" for p in PROTOCOLS]
+
+
+@pytest.mark.parametrize("value, field, bad, message", VALIDATED, ids=[type(v[0]).__name__ for v in VALIDATED])
+class TestValidatedTuple:
+    """Every construction path of a validated named tuple runs its checks."""
+
+    def test_constructor(self, value, field, bad, message):
+        with pytest.raises(ValueError, match=message):
+            type(value)(**{**value._asdict(), field: bad})
+
+    def test_replace_and_make(self, value, field, bad, message):
+        with pytest.raises(ValueError, match=message):
+            value._replace(**{field: bad})
+        with pytest.raises(ValueError, match=message):
+            type(value)._make({**value._asdict(), field: bad}.values())
+
+    @pytest.mark.parametrize("rebuild", REBUILDS, ids=REBUILD_IDS)
+    def test_copies_and_pickles(self, value, field, bad, message, rebuild):
+        rebuilt = rebuild(value)
+        assert rebuilt == value and type(rebuilt) is type(value)
+        corrupt = tuple.__new__(type(value), {**value._asdict(), field: bad}.values())
+        with pytest.raises(ValueError, match=message):
+            rebuild(corrupt)
+
+
+def _value_types():
+    """One instance of every value type: validated types and result records."""
+    config = RoundConfig(BeamSplitter(0.5), BAL_VH, BAL_PB)
+    records = [
+        run_round(config)[0],
+        run_star(StarConfig(BeamSplitter(0.5), (BAL_VH, BAL_VH), BAL_PB)),
+        run_chain(ChainConfig(L=10)),
+        transfer_alice_to_bob(Qubit(("V", "H"), 0.6, 0.8), BeamSplitter(0.5), "V"),
+        cost_profile(0.5),
+        monte_carlo(0.5, 10, 1),
+    ]
+    return [v[0] for v in VALIDATED] + records
+
+
+@pytest.mark.parametrize("value", _value_types(), ids=lambda v: type(v).__name__)
+def test_value_fields_are_read_only(value):
+    for field in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
 
 
 class TestProductState:
