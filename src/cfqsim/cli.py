@@ -29,8 +29,8 @@ if TYPE_CHECKING:
 # Amplitude pairs within states.NORM_TOL of unit norm pass through
 # untouched; beyond this deviation the pair is rejected as a probable typo.
 NORM_REJECT = 1e-6
-# Work caps, checked before any work starts; each is sized so that the
-# largest allowed input takes about 1-2 s on a 2-vCPU Xeon host under
+# Size caps, checked before any work starts; each work cap is sized so that
+# the largest allowed input takes about 1-2 s on a 2-vCPU Xeon host under
 # Python 3.11.
 # Largest star, counting --N or the --alice pairs.  run_star is linear in
 # spokes, but every label is N devices wide, so its time grows faster
@@ -38,7 +38,9 @@ NORM_REJECT = 1e-6
 STAR_MAX_PARTIES = 2000
 # Most points in a --sweep grid: 100k cost-profile rows take about 0.8 s.
 SWEEP_MAX_POINTS = 100_000
-# Most mc --runs: 5e9 runs (20k batches) take about 1.2 s.
+# Most mc --runs.  The draw's work does not grow with --runs, so this caps
+# the input range, not the work: the sampler's rejection test compares
+# lgamma values near n ln n, whose rounding (about 1e-5 at 5e9) grows with n.
 MC_MAX_RUNS = 5_000_000_000
 # Most czqe work, summed over the sweep points: L one-layer steps plus the
 # 2^(layers+1) labels of the layered output.  L = 59996 at one layer takes
@@ -141,15 +143,28 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+def _flat(record: dict) -> dict:
+    """A record with each nested dict (the mc counts) spread into
+    ``key_subkey`` fields, one CSV column each."""
+    flat = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            flat.update((f"{key}_{sub}", v) for sub, v in value.items())
+        else:
+            flat[key] = value
+    return flat
+
+
 def emit(result, fmt: str) -> str:
     """One record (a dict) or a list of records, as sorted-key JSON or as
-    CSV with a header line.  A missing or non-finite number is JSON null
-    and an empty CSV cell; a complex amplitude is a literal string."""
+    CSV with a header line, nested dicts flattened into columns.  A missing
+    or non-finite number is JSON null and an empty CSV cell; a complex
+    amplitude is a literal string."""
     result = _round12(result)
     if fmt == "json":
         import json
         return json.dumps(result, sort_keys=True, allow_nan=False) + "\n"
-    records = [result] if isinstance(result, dict) else result
+    records = [_flat(r) for r in ([result] if isinstance(result, dict) else result)]
     keys = list(records[0].keys())
     lines = [",".join(_csv_cell(k) for k in keys)]
     for record in records:
@@ -320,10 +335,7 @@ def cmd_mc(args) -> str:
         raise ValueError(f"mc asks for {args.runs} runs; at most {MC_MAX_RUNS} are supported")
     if args.seed < 0:
         raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
-    try:  # checks --runs and R before it imports numpy
-        report = monte_carlo(args.R, args.runs, args.seed)
-    except ImportError:
-        raise ValueError('mc needs numpy; install the mc extra: pip install -e ".[mc]"') from None
+    report = monte_carlo(args.R, args.runs, args.seed)
     record = {
         "R": args.R,
         "runs": report.runs,

@@ -6,7 +6,9 @@ pair and the average classical communication per pair reduce to closed
 forms in the reflectance R, and so do their minima: 2/(R(1-R)) rounds
 per pair is least at R = 1/2, and h(xi)/xi bits per pair, with
 xi = R(1-R)/(1+R), at R = sqrt(2) - 1.  A seeded Monte Carlo sampler
-reproduces the same statistics empirically with bit-reproducible output.
+reproduces the same statistics empirically on the standard library alone:
+one exact multinomial draw from ``random.Random(seed)``, in O(1) work
+whatever the run count, with bit-reproducible output.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # The bracket width at which the section search stops, and its iteration cap.
 _SECTION_TOL = 1e-6
 _SECTION_MAX_ITER = 200
-
-# Monte Carlo runs are drawn in fixed-size batches, one PCG64 substream
-# per batch, so merged counts are order-independent and deterministic.
-MC_BATCH = 250_000
 
 
 class CostProfile(NamedTuple):
@@ -130,26 +128,89 @@ def total_qst_cost(R: float) -> float:
     return cost_profile(R).C + 1.0
 
 
+def _binomial(rng, n: int, p: float) -> int:
+    """One exact Bin(n, p) draw in O(1) expected work, from ``rng.random()``
+    alone; p <= 0 gives 0 and p >= 1 gives n.
+
+    Ported from CPython 3.12's ``random.binomialvariate`` (which Python 3.10
+    and 3.11 lack): Devroye's geometric method ("Non-Uniform Random Variate
+    Generation", 1986) when n*p < 10, Hoermann's BTRS transformed rejection
+    ("The generation of binomial random variates", 1993) otherwise, and
+    symmetry for p > 1/2.  Unlike the original it survives a 0.0 from random(),
+    and its geometric gaps use log1p, so p below 1e-16 still draws.
+    """
+    if p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    uniform = rng.random
+    if n == 1:
+        return int(uniform() < p)
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+
+    if n * p < 10.0:
+        # Count the successes: each gap to the next is geometric, drawn by
+        # inversion from a uniform in (0, 1].
+        c = math.log1p(-p)
+        x = y = 0
+        while True:
+            gap = math.log(1.0 - uniform()) / c  # may be inf for subnormal p
+            if gap >= n - y:
+                return x
+            y += math.floor(gap) + 1
+            x += 1
+
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    lpq = math.log(p / (1.0 - p))
+    m = math.floor((n + 1) * p)  # the mode
+    h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+    while True:
+        u = uniform() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:  # uniform() == 0.0 sits on the hat's pole, k = -inf
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = uniform()
+        if us >= 0.07 and v <= vr:  # the squeeze
+            return k
+        # The accept test; Hoermann's paper omits its log(v).  v == 0.0 has
+        # log -inf, so it accepts.
+        v *= alpha / (a / (us * us) + b)
+        log_ratio = h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq
+        if v == 0.0 or math.log(v) <= log_ratio:
+            return k
+
+
 def monte_carlo(R: float, n: int, seed: int) -> McReport:
     """Sample n rounds and estimate the classical cost from observed counts.
 
-    Outcomes are multinomial draws from the balanced-device probabilities,
-    generated batch-wise from PCG64 substreams ``PCG64(seed).jumped(i)``,
-    so reports are bit-reproducible for fixed (R, n, seed) and independent
-    of batch execution order.  ``std_error`` is the delta-method standard
-    error of the empirical cost.
+    The outcome counts are one exact multinomial draw from the
+    balanced-device probabilities: n_D1 ~ Bin(n, P_D1), then
+    n_D2 ~ Bin(n - n_D1, P_D2 / (1 - P_D1)), and DB takes the rest.  Both
+    binomials come from ``random.Random(seed).random()``, whose stream
+    CPython keeps fixed for an integer seed, so reports are bit-reproducible
+    for fixed (R, n, seed), and the work does not grow with n.
+    ``std_error`` is the delta-method standard error of the empirical cost.
     """
     if n < 1:
         raise ValueError("need at least one run")
+    if seed < 0:  # random.Random would alias it to -seed
+        raise ValueError("seed must be nonnegative")
     prof = cost_profile(R)
-    import numpy as np
+    import random
 
-    pvals = [prof.P_D1, prof.P_D2, prof.P_DB]
-    counts = np.zeros(3, dtype=np.int64)
-    for batch, start in enumerate(range(0, n, MC_BATCH)):
-        rng = np.random.Generator(np.random.PCG64(seed).jumped(batch))
-        counts += rng.multinomial(min(MC_BATCH, n - start), pvals)
-    n1, n2, nb = (int(k) for k in counts)
+    rng = random.Random(seed)
+    n1 = _binomial(rng, n, prof.P_D1)
+    n2 = _binomial(rng, n - n1, prof.P_D2 / (1.0 - prof.P_D1))
+    nb = n - n1 - n2
     announced = n1 + n2
     if n1 == 0 or n2 == 0:
         return McReport(n, seed, (n1, n2, nb), float("nan"), float("nan"))

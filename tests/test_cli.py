@@ -1,4 +1,3 @@
-import ast
 import csv
 import io
 import json
@@ -471,22 +470,41 @@ class TestCsvQuoting:
             ("qst", "--R", "0.3", "--payload", "0.6", "0,0.8", "--format", "csv"),
             ("mc", "--R", "0.3", "--runs", "3000", "--seed", "7", "--format", "csv"),
             ("round", "--R", "0.37", "--bob", "0.8", "0,0.6", "--format", "csv"),
+            # one call per remaining subcommand and CSV shape
+            ("table", "--R", "0.3"),
+            ("scqkd", "--R", "0.5", "--format", "csv"),
+            ("star", "--R", "0.5", "--format", "csv"),
+            ("czqe", "--L", "20", "--format", "csv"),
+            ("czqe", "--sweep", "10:30:10"),
+            ("cost", "--R", "0.3", "--format", "csv"),
+            ("cost", "--sweep", "0.1:0.3:0.1"),
+            ("cost-min", "--format", "csv"),
         ],
     )
     def test_rows_parse_to_header_width(self, capsys, argv):
+        """Every row has the header's width, and no cell holds a nested record."""
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) >= 2
         for row in rows[1:]:
             assert len(row) == len(rows[0])
+        assert not any("{" in cell for row in rows for cell in row)
 
     def test_comma_cells_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "qst", "--R", "0.3", "--payload", "0.6", "0,0.8", "--format", "csv")
         assert {row["nu"] for row in csv.DictReader(io.StringIO(out))} == {"0,0.8"}
-        _, out, _ = run_cli(capsys, "mc", "--R", "0.3", "--runs", "3000", "--seed", "7", "--format", "csv")
+
+    def test_mc_counts_are_columns(self, capsys):
+        argv = ("mc", "--R", "0.3", "--runs", "3000", "--seed", "7")
+        record = run_json(capsys, *argv)
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
         (row,) = csv.DictReader(io.StringIO(out))
-        assert sum(ast.literal_eval(row["counts"]).values()) == 3000
+        assert list(row) == [
+            "R", "runs", "seed", "counts_D1", "counts_D2", "counts_DB", "empirical_C", "std_error"
+        ]
+        assert {k: int(row[f"counts_{k}"]) for k in ("D1", "D2", "DB")} == record["counts"]
+        assert sum(record["counts"].values()) == 3000
 
     def test_cell_quoting(self):
         assert cli._csv_cell("0.707106781187") == "0.707106781187"
@@ -548,9 +566,9 @@ class TestParser:
             cli.parse_sweep(f"0:{top}:1")
 
 
-# Code run in a fresh interpreter -> the modules it may load: cfqsim
-# submodules by short name, plus numpy.  Each subcommand imports only its
-# engine, and only the Monte Carlo sampler (``mc``) loads numpy.
+# Code run in a fresh interpreter -> the cfqsim submodules, by short name,
+# that it may load.  Each subcommand imports only its engine, and none loads
+# numpy.
 IMPORT_BUDGET = {
     "import cfqsim": "",
     "import cfqsim.cli": "cli",
@@ -561,8 +579,7 @@ IMPORT_BUDGET = {
     "from cfqsim import cli; cli.main(['cost', '--R', '0.5'])": "cli costs",
     "from cfqsim import cli; cli.main(['cost', '--sweep', '0.1:0.3:0.1'])": "cli costs",
     "from cfqsim import cli; cli.main(['cost-min'])": "cli costs",
-    "from cfqsim import cli; cli.main(['mc', '--R', '0.5', '--runs', '100', '--seed', '1'])":
-        "cli costs numpy",
+    "from cfqsim import cli; cli.main(['mc', '--R', '0.5', '--runs', '100', '--seed', '1'])": "cli costs",
     "from cfqsim import cli; cli.main(['czqe', '--L', '20'])": "cli states zeno",
     "from cfqsim import cli; cli.main(['cost', '--R', '2'])": "cli costs",
     "from cfqsim import cli; cli.main(['round', '--R', '0.5'])": "cli michelson states",
@@ -601,30 +618,9 @@ def test_numpy_not_imported(code):
     assert loaded <= set(IMPORT_BUDGET[code].split()), f"loaded {sorted(loaded)}"
 
 
-@pytest.mark.parametrize(
-    "args, message",
-    [
-        ("--R 0.5 --runs 10 --seed 1", 'the mc extra: pip install -e ".[mc]"'),
-        ("--R 0.5 --runs 10 --seed -1", "--seed"),
-        ("--R 0.5 --runs 0 --seed 1", "at least one run"),
-        ("--R 1.2 --runs 10 --seed 1", "reflectance"),
-    ],
-)
-def test_mc_without_numpy(args, message):
-    """Without numpy, mc checks its arguments, then exits 1 naming the mc extra."""
-    argv = ["mc", *args.split()]
-    proc = fresh_python(
-        f"import sys; sys.modules['numpy'] = None\n"
-        f"from cfqsim import cli; sys.exit(cli.main({argv!r}))"
-    )
-    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert message in proc.stderr
-
-
 # One fresh ``python -m cfqsim.cli`` run per subcommand, as a user starts
-# it -> whether it prints JSON.  No call needs ``dataclasses``, only ``mc``
-# (through numpy) loads ``inspect``, and only JSON output loads ``json``.
+# it -> whether it prints JSON.  No call needs ``dataclasses``, ``inspect``
+# or numpy, and only JSON output loads ``json``.
 COLD_RUNS = {
     "table --R 0.3": False,
     "round --R 0.5": True,
@@ -638,6 +634,7 @@ COLD_RUNS = {
     "cost --sweep 0.1:0.3:0.1": False,
     "cost-min": True,
     "mc --R 0.5 --runs 100 --seed 1": True,
+    "mc --R 0.5 --runs 5000000000 --seed 1 --format csv": False,
     "cost --R 2": False,  # an error: exit
 }
 
@@ -669,6 +666,5 @@ def test_cold_start_imports(argv, bare_interpreter_modules):
     assert code == (1 if argv == "cost --R 2" else 0)
     assert "cfqsim" in modules
     loaded = modules - bare_interpreter_modules
-    assert "dataclasses" not in loaded
-    assert "inspect" not in loaded or argv.startswith("mc ")
+    assert not {"dataclasses", "inspect", "numpy"} & loaded
     assert ("json" in loaded) == COLD_RUNS[argv]

@@ -1,4 +1,7 @@
 import math
+import random
+import time
+from collections import Counter
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import binary_entropy
 from cfqsim import cli
 from cfqsim.costs import (
+    _binomial,
     cost_profile,
     golden_section_min,
     minimize_classical_cost,
@@ -182,11 +186,20 @@ class TestMonteCarlo:
         report = monte_carlo(0.3, 123_457, 99)
         assert sum(report.counts) == 123_457
 
-    def test_multi_batch_still_deterministic(self):
-        # 600k runs span three substream batches
-        a = monte_carlo(0.5, 600_000, 41)
-        b = monte_carlo(0.5, 600_000, 41)
+    def test_deterministic_at_the_run_cap(self):
+        a = monte_carlo(0.5, cli.MC_MAX_RUNS, 41)
+        b = monte_carlo(0.5, cli.MC_MAX_RUNS, 41)
         assert a == b
+
+    def test_work_does_not_grow_with_runs(self):
+        start = time.perf_counter()
+        report = monte_carlo(0.5, 5_000_000_000, 1)
+        assert time.perf_counter() - start < 0.01
+        assert sum(report.counts) == 5_000_000_000
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo(0.5, 10, -1)
 
     def test_blocked_fraction_within_3_sigma(self):
         n = 1_000_000
@@ -201,6 +214,99 @@ class TestMonteCarlo:
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError):
             monte_carlo(0.5, 0, 1)
+
+
+def binomial_pmf(n: int, p: float) -> list[float]:
+    return [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+
+
+def chi2_critical(df: int, z: float = 3.09) -> float:
+    """Upper 0.1% point of chi-square with df degrees of freedom
+    (Wilson-Hilferty; z is the normal quantile)."""
+    q = 2.0 / (9.0 * df)
+    return df * (1.0 - q + z * math.sqrt(q)) ** 3
+
+
+class ReplayRng:
+    """An rng whose random() returns the given values, then repeats the last."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.values.pop(0) if len(self.values) > 1 else self.values[0]
+
+
+class TestBinomialSampler:
+    @pytest.mark.parametrize(
+        "n, p, seed",
+        [(20, 0.1, 1), (20, 0.7, 2), (200, 0.3, 3)],
+        ids=["geometric", "symmetric", "btrs"],
+    )
+    def test_chi_square_against_exact_pmf(self, n, p, seed):
+        draws = 20_000
+        rng = random.Random(seed)
+        observed = Counter(_binomial(rng, n, p) for _ in range(draws))
+        assert min(observed) >= 0 and max(observed) <= n
+        # cells of consecutive k, each expecting at least 5 draws; the upper
+        # tail joins the last cell
+        cells, expected, count = [], 0.0, 0
+        for k, mass in enumerate(binomial_pmf(n, p)):
+            expected += draws * mass
+            count += observed[k]
+            if expected >= 5.0:
+                cells.append((expected, count))
+                expected, count = 0.0, 0
+        last_e, last_o = cells.pop()
+        cells.append((last_e + expected, last_o + count))
+        chi2 = sum((o - e) ** 2 / e for e, o in cells)
+        assert chi2 < chi2_critical(len(cells) - 1)
+
+    @pytest.mark.parametrize("p, seed", [(0.3, 4), (0.9, 5), (5e-6, 6)], ids=["btrs", "symmetric", "geometric"])
+    def test_mean_and_variance_at_a_million_trials(self, p, seed):
+        n, draws = 1_000_000, 4000
+        rng = random.Random(seed)
+        xs = [_binomial(rng, n, p) for _ in range(draws)]
+        var = n * p * (1.0 - p)
+        mean = sum(xs) / draws
+        s2 = sum((x - mean) ** 2 for x in xs) / (draws - 1)
+        assert abs(mean - n * p) < 4.0 * math.sqrt(var / draws)
+        # the sample variance's standard deviation, kurtosis included
+        kurtosis = (1.0 - 6.0 * p * (1.0 - p)) / var
+        assert abs(s2 - var) < 4.0 * var * math.sqrt(2.0 / (draws - 1) + kurtosis / draws)
+
+    def test_certain_and_impossible_trials(self):
+        rng = ReplayRng(0.5)
+        assert _binomial(rng, 7, 0.0) == 0
+        assert _binomial(rng, 7, 1.0) == 7
+        assert _binomial(rng, 7, 1.0 + 2.0**-52) == 7
+        assert rng.calls == 0
+
+    def test_single_trial(self):
+        rng = random.Random(7)
+        xs = [_binomial(rng, 1, 0.3) for _ in range(10_000)]
+        assert set(xs) == {0, 1}
+        assert abs(sum(xs) / 10_000 - 0.3) < 4.0 * math.sqrt(0.21 / 10_000)
+
+    def test_empty_trial_count(self):
+        assert _binomial(random.Random(8), 0, 0.3) == 0
+        assert _binomial(random.Random(8), 0, 0.7) == 0
+
+    def test_subnormal_probability(self):
+        assert _binomial(random.Random(9), 5_000_000_000, 5e-321) == 0
+
+    def test_random_returning_zero(self):
+        # geometric: u = 0 gives the shortest gap, so every trial succeeds
+        assert _binomial(ReplayRng(0.0), 20, 0.1) == 20
+        assert _binomial(ReplayRng(0.0), 20, 0.7) == 0
+        assert _binomial(ReplayRng(0.0), 1, 0.3) == 1
+        # BTRS: u = 0 is rejected, then v = 0 fails the squeeze (us < 0.07)
+        # and must pass the accept test without taking log(0)
+        rng = ReplayRng(0.0, 0.04, 0.0)
+        k = _binomial(rng, 200, 0.3)
+        assert (k, rng.calls) == (44, 3)
 
 
 class TestSweep:

@@ -58,7 +58,7 @@ COMMANDS = (
     "cost --sweep 0.1:0.2:0.03",
     "cost-min",
     "cost-min --format csv",
-    # mc: one batch, then two batches of the 250k-run substreams
+    # mc: JSON, then CSV with the counts as three columns
     "mc --R 0.5 --runs 1000 --seed 1",
     "mc --R 0.3 --runs 300000 --seed 7 --format csv",
     # precondition violations: exit 1 with an 'error:' line
