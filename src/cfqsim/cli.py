@@ -110,11 +110,9 @@ def parse_sweep(text: str) -> list[float]:
         raise ValueError(
             f"sweep has about {span + 1:.3g} points; at most {SWEEP_MAX_POINTS} are supported"
         )
-    count = int(round(span)) + 1
-    values = [start + i * step for i in range(count)]
-    if values and values[-1] > stop + 1e-12:
-        values.pop()
-    return values
+    # Whole steps in the span; the slack, relative to a step, absorbs only rounding.
+    count = math.floor(span * (1 + 1e-12) + 1e-9) + 1
+    return [start + i * step for i in range(count)]
 
 
 def _round12(value):

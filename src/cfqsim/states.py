@@ -23,7 +23,9 @@ nonzero amplitude, however small.  Only a sum makes cancellation dust:
 ``apply_map`` drops a label that received two or more terms if it ends
 at most ``PRUNE_TOL`` times the input norm.
 
-Amplitudes here are numbers only; ``cli`` reads and prints them as text.
+Every split the engines make has a side with at most two distinct labels,
+so ``entanglement_entropy`` needs one 2x2 rotation.  Amplitudes here are
+numbers only; ``cli`` reads and prints them as text.
 """
 
 from __future__ import annotations
@@ -344,57 +346,16 @@ def fidelity_up_to_phase(s: PureState, t: PureState) -> float:
     return float(abs(overlap(s, t)) ** 2 / ns / nt) if ns and nt else 0.0
 
 
-def _hermitian_eigenvalues(g: list[list[complex]]) -> list[float]:
-    """Eigenvalues of a small Hermitian matrix by cyclic complex Jacobi.
-
-    Each rotation on the pair (p, q) first rephases row and column q so
-    that ``g[p][q]`` is real and nonnegative, then applies the real Jacobi
-    rotation that zeroes it (Numerical Recipes' ``jacobi``).  A 1x1 matrix
-    needs no rotation and a 2x2 matrix exactly one.  Overwrites ``g``.
-    """
-    d = len(g)
-    # An off-diagonal entry below 1e-30 of the trace moves no eigenvalue by
-    # more than itself, so it is left alone; cyclic Jacobi converges
-    # quadratically, so a handful of sweeps reach that for small d.
-    tiny = 1e-30 * sum(abs(g[k][k].real) for k in range(d))
-    for _ in range(64):
-        rotated = False
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                b = abs(g[p][q])
-                if b <= tiny:
-                    continue
-                rotated = True
-                phase = g[p][q].conjugate() / b  # g[p][q] * phase == b
-                a, c = g[p][p].real, g[q][q].real
-                theta = (c - a) / (2.0 * b)
-                t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
-                cos = 1.0 / math.sqrt(t * t + 1.0)
-                sin = t * cos
-                g[p][p] = complex(a - t * b)
-                g[q][q] = complex(c + t * b)
-                g[p][q] = g[q][p] = 0j
-                for r in range(d):
-                    if r == p or r == q:
-                        continue
-                    x, y = g[r][p], g[r][q] * phase
-                    g[r][p] = cos * x - sin * y
-                    g[r][q] = sin * x + cos * y
-                    g[p][r] = g[r][p].conjugate()
-                    g[q][r] = g[r][q].conjugate()
-        if not rotated:
-            return [g[k][k].real for k in range(d)]
-    raise ArithmeticError("Jacobi eigenvalue iteration did not converge")
-
-
 def entanglement_entropy(state: PureState, partition: Sequence[Register]) -> float:
     """Base-2 von Neumann entropy of the reduced state on ``partition``.
 
     The amplitudes form a bipartite matrix M (rows: the partition's label,
-    columns: the rest).  The Schmidt weights are the eigenvalues of the
-    Gram matrix M M^dagger / norm**2, built on whichever side has fewer
-    distinct labels and diagonalized by ``_hermitian_eigenvalues``;
-    symmetric under complementing the partition.
+    columns: the rest).  Every state cfqsim splits (the round's posteriors,
+    the two-term cat) has a side with at most two distinct labels, so the
+    reduced state has rank at most two: its Schmidt weights are the
+    eigenvalues of that side's 2x2 Gram matrix / norm**2, which one Jacobi
+    rotation gives.  Symmetric under complementing the partition; raises
+    ``ValueError`` when both sides have more than two distinct labels.
     """
     part = set(partition)
     regs = set(state.registers)
@@ -414,18 +375,24 @@ def entanglement_entropy(state: PureState, partition: Sequence[Register]) -> flo
         c = tuple(label[i] for i in col_idx)
         rows.setdefault(r, {})[c] = amp
         cols.setdefault(c, {})[r] = amp
-    # The Gram matrix of the smaller side's vectors; M M^dagger and
-    # M^T conj(M) share their nonzero eigenvalues.
+    # M M^dagger and M^T conj(M) share their nonzero eigenvalues: take the
+    # smaller side's Gram matrix, padding one vector with an empty one.
     vecs = list((rows if len(rows) <= len(cols) else cols).values())
-    gram = [
-        [
-            sum(a * v.get(x, 0j).conjugate() for x, a in u.items()) / n2
-            for v in vecs
-        ]
-        for u in vecs
-    ]
-    p = [w for w in _hermitian_eigenvalues(gram) if w > PRUNE_TOL]
+    if len(vecs) > 2:
+        raise ValueError("entropy needs a side with at most two distinct labels")
+    u, v = vecs if len(vecs) == 2 else (vecs[0], {})
+
+    def gram(u, v):
+        return sum(a * v.get(x, 0j).conjugate() for x, a in u.items()) / n2
+
+    a, c, b = gram(u, u).real, gram(v, v).real, abs(gram(u, v))
+    # An off-diagonal |g| below 1e-30 of the trace moves no eigenvalue by
+    # more than itself; else the Jacobi rotation zeroing it shifts a and c.
+    if b > 1e-30 * (abs(a) + abs(c)):
+        theta = (c - a) / (2.0 * b)
+        t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
+        a, c = a - t * b, c + t * b
+    p = [w for w in (a, c) if w > PRUNE_TOL]
     total = sum(p)
     p = [w / total for w in p]
     return -sum(w * math.log2(w) for w in p) + 0.0  # +0.0 folds -0.0 into 0.0
-

@@ -374,6 +374,13 @@ class TestCost:
         assert len(lines) == 20  # header + 19 grid points
         assert lines[10].startswith("0.5,0.125,0.625,0.25,8,")
 
+    def test_sweep_keeps_no_point_past_stop(self, capsys):
+        # 1.5 steps fit in the span: the third point, 1.3e-13, lies past stop
+        code, out, _ = run_cli(capsys, "cost", "--sweep", "1e-14:1e-13:6e-14")
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [1e-14, 7e-14]
+
     def test_missing_reflectance(self, capsys):
         code, _, err = run_cli(capsys, "cost")
         assert code == 1

@@ -122,7 +122,7 @@ class TestRunStar:
             result = run_star(cfg)
             pair_cfg = RoundConfig(cfg.bs, cfg.alices[0], cfg.bob)
             ideal = d1_state_closed_form(pair_cfg)
-            assert result.yield_probability == pytest.approx(ideal.norm2(), abs=1e-12)
+            assert result.yield_probability == pytest.approx(ideal.norm2(), rel=1e-12)
             # registers differ only in naming convention; compare amplitudes
             got = {label: amp for label, amp in result.state.amps.items()}
             want = ideal.normalized()

@@ -385,7 +385,7 @@ class TestEntanglementEntropy:
 
 
 # Registers with the 3-symbol arm and 5-symbol detector alphabets, so
-# multi-register partitions give Gram matrices of dimension 3 to 15.
+# multi-register partitions have 3 to 15 distinct labels on both sides.
 ARM_A1 = Register("arm_a", 1)
 DET0 = Register("alice_detector", 0)
 DET1 = Register("alice_detector", 1)
@@ -398,6 +398,10 @@ WIDE_PARTITIONS = (
     (DET0, ARM_A1),  # d = 15
     (ARM_A, DET1),  # d = 15
 )
+# Wide sides of up to 15 labels, and registers for a side with two labels.
+WIDE_SIDES = ((ARM_A,), (DET0,), (ARM_A, ARM_A1), (DET0, ARM_A1), (ARM_A, DET1))
+TWO_LABEL_REGS = (A, ARM_B, Register("alice_detector", 2))
+RANK_ABOVE_TWO = "two distinct labels"
 
 
 def svd_entropy(state: PureState, partition) -> float:
@@ -411,18 +415,12 @@ def svd_entropy(state: PureState, partition) -> float:
     for label, amp in state.amps.items():
         r = rows.index(tuple(label[i] for i in row_idx))
         m[r, cols.index(tuple(label[i] for i in col_idx))] = amp
-    m /= state.norm()
+    m /= np.abs(m).max()  # amplitudes down to 1e-300 have a norm**2 that underflows
+    m /= np.linalg.norm(m)
     p = np.linalg.svd(m, compute_uv=False) ** 2
     p = p[p > PRUNE_TOL]
     p = p / p.sum()
     return float(-(p * np.log2(p)).sum()) + 0.0
-
-
-def schmidt_dimension(state: PureState, partition) -> int:
-    part = set(partition)
-    rows = {tuple(s for s, r in zip(l, state.registers) if r in part) for l in state.amps}
-    cols = {tuple(s for s, r in zip(l, state.registers) if r not in part) for l in state.amps}
-    return min(len(rows), len(cols))
 
 
 def locally_rotated(state: PureState, rng) -> PureState:
@@ -433,9 +431,11 @@ def locally_rotated(state: PureState, rng) -> PureState:
 
 
 def schmidt_pair(weights) -> PureState:
-    """sum_k sqrt(w_k) |k>|k> over arm_a x arm_a (up to 3 weights) or
-    detector x detector (up to 5): Schmidt weights exactly ``weights``."""
-    left, right = (ARM_A, ARM_A1) if len(weights) <= 3 else (DET0, DET1)
+    """sum_k sqrt(w_k) |k>|k> over device_a x device_b (up to 2 weights),
+    arm_a x arm_a (up to 3) or detector x detector (up to 5): Schmidt
+    weights exactly ``weights``."""
+    d = len(weights)
+    left, right = (A, B) if d <= 2 else (ARM_A, ARM_A1) if d <= 3 else (DET0, DET1)
     amps = {
         (left.alphabet[k], right.alphabet[k]): math.sqrt(w) for k, w in enumerate(weights)
     }
@@ -447,38 +447,65 @@ def schmidt_state(weights, rng) -> PureState:
     return locally_rotated(schmidt_pair(weights), rng)
 
 
+def assert_rank_above_two_rejected(state: PureState, partition) -> None:
+    rest = [r for r in state.registers if r not in partition]
+    for side in (partition, rest):
+        with pytest.raises(ValueError, match=RANK_ABOVE_TWO):
+            entanglement_entropy(state, side)
+
+
 class TestEntropyAgainstSvd:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
-        st.sampled_from(WIDE_PARTITIONS),
+        st.sampled_from(TWO_LABEL_REGS),
+        st.sampled_from(WIDE_SIDES),
+        st.integers(0, 2),
+        st.tuples(st.floats(-300.0, 0.0), st.floats(-300.0, 0.0)),
+        st.tuples(st.floats(-12.0, 0.0), st.floats(-12.0, 0.0)),
         st.floats(0.0, 0.6),
     )
-    def test_random_states_match_svd(self, seed, partition, sparsity):
+    def test_random_states_match_svd(self, seed, two, wide, at, log_amps, log_mix, sparsity):
+        """alpha|x>|u> + beta|y>|w>: a register holding two of its symbols
+        against up to 15 labels, with |alpha|, |beta| down to 1e-300 and
+        complex branches w = c u + e r (r orthogonal to u) from nearly
+        parallel to nearly orthogonal, |c| and |e| in [1e-12, 1]."""
         rng = np.random.default_rng(seed)
-        s = random_state(WIDE_REGS, rng)
-        keep = {l: a for l, a in s.amps.items() if rng.random() >= sparsity}
-        s = PureState(WIDE_REGS, keep)
-        assume(s.norm2() > 1e-6 and schmidt_dimension(s, partition) > 2)
-        assert entanglement_entropy(s, partition) == pytest.approx(
-            svd_entropy(s, partition), abs=1e-12
-        )
+        registers = wide[:at] + (two,) + wide[at:]
+        x, y = rng.choice(len(two.alphabet), size=2, replace=False)
+        labels = list(itertools.product(*(r.alphabet for r in wide)))
+        u = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+        r = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+        r -= np.vdot(u, r) / np.vdot(u, u) * u
+        c, e = (10.0**m * cmath.exp(2j * math.pi * rng.random()) for m in log_mix)
+        w = c * u + e * r
+        amps = {}
+        for sym, log_amp, vec in ((x, log_amps[0], u), (y, log_amps[1], w)):
+            coeff = 10.0**log_amp * cmath.exp(2j * math.pi * rng.random())
+            for label, a in zip(labels, vec):
+                if rng.random() >= sparsity:
+                    amps[label[:at] + (two.alphabet[sym],) + label[at:]] = coeff * complex(a)
+        s = PureState(registers, amps)
+        assume(s.amps)
+        for side in ((two,), wide):
+            assert entanglement_entropy(s, side) == pytest.approx(svd_entropy(s, side), abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(WIDE_PARTITIONS))
     def test_complement_symmetry_above_two(self, seed, partition):
-        s = random_state(WIDE_REGS, np.random.default_rng(seed))
-        rest = [r for r in WIDE_REGS if r not in partition]
-        assert schmidt_dimension(s, partition) > 2
-        assert entanglement_entropy(s, partition) == pytest.approx(
-            entanglement_entropy(s, rest), abs=1e-12
-        )
+        """Both sides of a dense wide state have over two labels: both raise."""
+        rng = np.random.default_rng(seed)
+        s = random_state(WIDE_REGS, rng)
+        assert_rank_above_two_rejected(s, partition)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_equal_schmidt_weights(self, d):
         rng = np.random.default_rng(40 + d)
         for _ in range(10):
             s = schmidt_state([1.0 / d] * d, rng)
+            if d > 2:
+                assert_rank_above_two_rejected(s, s.registers[:1])
+                continue
             assert entanglement_entropy(s, s.registers[:1]) == pytest.approx(
                 math.log2(d), abs=1e-12
             )
@@ -489,15 +516,19 @@ class TestEntropyAgainstSvd:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(WIDE_PARTITIONS))
     def test_product_states(self, seed, partition):
+        """A product with a two-symbol factor: entropy 0 across that factor;
+        the wide partitions have over two labels on both sides."""
         rng = np.random.default_rng(seed)
-        factors = [random_state((reg,), rng) for reg in WIDE_REGS]
+        factors = [random_state((reg,), rng) for reg in (A,) + WIDE_REGS]
         s = factors[0]
         for f in factors[1:]:
             s = s.tensor(f)
-        assert entanglement_entropy(s, partition) == pytest.approx(0.0, abs=1e-12)
-        assert entanglement_entropy(s, partition) == pytest.approx(
-            svd_entropy(s, partition), abs=1e-12
-        )
+        for side in ((A,), WIDE_REGS):
+            assert entanglement_entropy(s, side) == pytest.approx(0.0, abs=1e-12)
+            assert entanglement_entropy(s, side) == pytest.approx(
+                svd_entropy(s, side), abs=1e-12
+            )
+        assert_rank_above_two_rejected(s, partition)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_weight_near_prune_tol(self, d):
@@ -506,6 +537,9 @@ class TestEntropyAgainstSvd:
         for tiny in (above, below):
             weights = [w * (1.0 - tiny) for w in rest] + [tiny]
             s = schmidt_pair(weights)
+            if d > 2:
+                assert_rank_above_two_rejected(s, s.registers[:1])
+                continue
             kept = [w for w in weights if w > PRUNE_TOL]
             expected = -sum(w / sum(kept) * math.log2(w / sum(kept)) for w in kept)
             got = entanglement_entropy(s, s.registers[:1])
