@@ -20,8 +20,9 @@ already-valid states (map results, sectors, scalings, tensor products,
 restrictions) are built with the trusted internal constructor
 ``PureState._trusted``, which skips the label checks.  Both keep every
 nonzero amplitude, however small.  Only a sum makes cancellation dust:
-``apply_map`` drops a label that received two or more terms if it ends
-at most ``PRUNE_TOL`` times the input norm.
+``apply_map`` (and ``zeno.chain_step``, through ``_drop_dust``) drops a
+label that received two or more terms if it ends at most ``PRUNE_TOL``
+times the input norm.
 
 Every split the engines make has a side with at most two distinct labels,
 so ``entanglement_entropy`` needs one 2x2 rotation.  Amplitudes here are

@@ -7,18 +7,21 @@ chain entangles obstacle and mode, and stacking N mode layers under one
 jointly-applied obstacle grows the entangled pair into an (N+1)-party cat
 state in the long-chain limit.  On each obstacle branch the layers evolve
 independently, so ``run_chain`` steps one layer (at most 4 labels) and
-builds the layered state once.  ``czqe --sweep``, the convergence scan,
-compares one ``run_chain`` per L with the ``asymptotic_limit`` state.
+builds the layered state once.  A step is the 2x2 rotation R(theta) on
+each branch's (mode 0, mode 1) amplitude pair; the obstacle then removes
+the block branch's mode 1 amplitude.  ``czqe --sweep``, the convergence
+scan, compares one ``run_chain`` per L with the ``asymptotic_limit`` state.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from itertools import product as iter_product
 from typing import NamedTuple
 
-from .states import PureState, Qubit, Register, ValidatedTuple, apply_map
+from .states import Label, PureState, Qubit, Register, ValidatedTuple, _drop_dust
 
 OBSTACLE = Register("pb_device", 0)
 
@@ -29,6 +32,17 @@ def mode_register(layer: int) -> Register:
     return Register("zeno_mode", layer)
 
 
+def _count(value: int, name: str) -> int:
+    """``value`` as an int, once it is known to be an integer >= 1."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return value
+
+
 class ChainConfig(ValidatedTuple, namedtuple("ChainConfig", "L theta obstacle layers")):
     """An L-cycle chain; theta defaults to pi / (2 L)."""
 
@@ -37,11 +51,7 @@ class ChainConfig(ValidatedTuple, namedtuple("ChainConfig", "L theta obstacle la
     def __new__(
         cls, L: int, theta: float | None = None, obstacle: Qubit = Qubit.balanced(("pass", "block")), layers: int = 1
     ) -> ChainConfig:
-        self = super().__new__(cls, L, theta, obstacle, layers)
-        if self.L < 1:
-            raise ValueError("cycle count L must be >= 1")
-        if self.layers < 1:
-            raise ValueError("layer count must be >= 1")
+        self = super().__new__(cls, _count(L, "cycle count L"), theta, obstacle, _count(layers, "layer count"))
         if tuple(self.obstacle.basis) != ("pass", "block"):
             raise ValueError("obstacle qubit must be declared over (pass, block)")
         theta = self.resolved_theta
@@ -65,11 +75,35 @@ def _check_one_layer(state: PureState) -> None:
 
 
 def chain_step(state: PureState, theta: float) -> PureState:
-    """One beam splitter passage: rotate the mode by theta on both branches."""
+    """One beam splitter passage: rotate the mode by theta on both branches.
+
+    Each obstacle branch b carries the 2x2 rotation R(theta) on its
+    (b, "0") and (b, "1") amplitudes; other mode symbols pass through.
+    A label that sums two terms is dropped when it is cancellation dust.
+    """
     _check_one_layer(state)
     c, s = math.cos(theta), math.sin(theta)
-    rules = {("0",): [(("0",), c), (("1",), s)], ("1",): [(("0",), -s), (("1",), c)]}
-    return apply_map(state, state.registers[1:], rules)
+    ns = -s
+    out: dict[Label, complex] = {}
+    summed: list[Label] = []
+    for label, amp in state.amps.items():
+        b, x = label
+        if x == "0":
+            t0, t1 = amp * c, amp * s
+        elif x == "1":
+            t0, t1 = amp * ns, amp * c
+        else:
+            out[label] = amp
+            continue
+        l0, l1 = (b, "0"), (b, "1")
+        # (b, "0") and (b, "1") always enter together, on the branch's first input
+        if l0 in out:
+            out[l0] += t0
+            out[l1] += t1
+            summed += (l0, l1)
+        else:
+            out[l0], out[l1] = t0, t1
+    return PureState._trusted(state.registers, _drop_dust(out, summed, state.norm))
 
 
 def obstacle_step(state: PureState) -> tuple[PureState, float]:
@@ -77,9 +111,9 @@ def obstacle_step(state: PureState) -> tuple[PureState, float]:
     its ("block", "1") label and the mass that label carried.  Absorbed
     amplitudes never interfere again, so the chain keeps only their total."""
     _check_one_layer(state)
-    kept = dict(state.amps)
-    lost = abs(kept.pop(("block", "1"), 0j)) ** 2
-    return PureState._trusted(state.registers, kept), lost
+    kept = PureState._trusted(state.registers, state.amps)  # a copy
+    lost = abs(kept.amps.pop(("block", "1"), 0j)) ** 2
+    return kept, lost
 
 
 def run_chain(config: ChainConfig, readout: str = "after_final_bs") -> ChainResult:
@@ -156,8 +190,7 @@ def chain_closed_form(
 
 def asymptotic_limit(obstacle: Qubit, layers: int = 1) -> PureState:
     """Infinite-chain output: pass freezes every layer in |1>, block in |0>."""
-    if layers < 1:
-        raise ValueError("layer count must be >= 1")
+    layers = _count(layers, "layer count")
     regs = (OBSTACLE, *(mode_register(j) for j in range(layers)))
     return PureState(
         regs,

@@ -10,7 +10,8 @@ from cfqsim.michelson import (
     switch_interaction,
 )
 from cfqsim.star import StarConfig, alice_register
-from cfqsim.states import MapRules, PureState, Register, product_state, sector
+from cfqsim.states import MapRules, PureState, Register, apply_map, product_state, sector
+from cfqsim.zeno import _check_one_layer
 
 # Reflectances in [1e-300, 1), log-uniform and uniform.
 REFLECTANCES = st.one_of(
@@ -110,3 +111,12 @@ def star_bruteforce(config: StarConfig):
         return 0.0, None
     kept = (*(alice_register(j) for j in range(n)), BOB_DEVICE)
     return yield_probability, state.normalized().restrict(kept)
+
+
+def chain_step_reference(state: PureState, theta: float) -> PureState:
+    """One beam splitter passage as a rule table run through ``apply_map``:
+    the reference that ``zeno.chain_step`` must match bit for bit."""
+    _check_one_layer(state)
+    c, s = math.cos(theta), math.sin(theta)
+    rules = {("0",): [(("0",), c), (("1",), s)], ("1",): [(("0",), -s), (("1",), c)]}
+    return apply_map(state, state.registers[1:], rules)

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import states_close
+from conftest import chain_step_reference, states_close
 from cfqsim import cli, zeno
 from cfqsim.states import (
     PureState,
@@ -223,6 +224,14 @@ class TestRunChain:
     def test_bad_config(self):
         with pytest.raises(ValueError):
             ChainConfig(L=0)
+        with pytest.raises(ValueError, match="cycle count L must be an integer"):
+            ChainConfig(L=2.5)
+        with pytest.raises(ValueError, match="layer count must be an integer"):
+            ChainConfig(L=3, layers=2.0)
+        with pytest.raises(ValueError, match="layer count must be an integer"):
+            asymptotic_limit(Qubit.balanced(("pass", "block")), 2.0)
+        with pytest.raises(ValueError, match="layer count must be >= 1"):
+            asymptotic_limit(Qubit.balanced(("pass", "block")), 0)
         with pytest.raises(ValueError):
             ChainConfig(L=4, theta=2.0)
         with pytest.raises(ValueError):
@@ -249,6 +258,81 @@ def test_run_chain_matches_closed_form(angle, L, theta, layers, readout):
     assert states_close(sector(result.final, MODE, ("0", "1")), oracle, 1e-12)
     assert result.survival == pytest.approx(oracle.norm2(), abs=1e-12)
     assert result.final.norm2() == pytest.approx(1.0, abs=1e-12)
+
+
+# The one-layer labels a chain step can meet, with magnitudes down to 1e-300
+ONE_LAYER_LABELS = [(b, x) for b in ("pass", "block") for x in ("0", "1", "absorbed")]
+MAGNITUDES = st.floats(min_value=-300.0, max_value=0.0).map(lambda x: 10.0**x)
+COMPLEX_AMPS = st.builds(
+    lambda r, i, phase: complex(r, i) * cmath.exp(1j * phase),
+    MAGNITUDES,
+    st.one_of(st.just(0.0), MAGNITUDES),
+    st.floats(min_value=0.0, max_value=2 * math.pi),
+)
+ANGLES = st.one_of(
+    st.just(math.pi / 2),
+    st.floats(min_value=-300.0, max_value=0.0).map(lambda x: 10.0**x),
+    st.floats(min_value=0.0, max_value=math.pi / 2, exclude_min=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(ONE_LAYER_LABELS), COMPLEX_AMPS), unique_by=lambda t: t[0], max_size=6),
+    ANGLES,
+    st.booleans(),
+)
+def test_chain_step_matches_reference(items, theta, cancel):
+    # with `cancel`, the smaller of each branch's two amplitudes is reset
+    # so that its rotated "0" amplitude a0 c - a1 s cancels, leaving dust
+    # that both steps must drop
+    amps = dict(items)
+    if cancel:
+        c, s = math.cos(theta), math.sin(theta)
+        for b in ("pass", "block"):
+            if (b, "0") in amps and (b, "1") in amps:
+                if s <= c:
+                    amps[(b, "0")] = amps[(b, "1")] * s / c
+                else:
+                    amps[(b, "1")] = amps[(b, "0")] * c / s
+    state = PureState((OBSTACLE, MODE), amps)
+    got, want = chain_step(state, theta), chain_step_reference(state, theta)
+    assert list(got.amps.items()) == list(want.amps.items())
+    assert got.registers == want.registers
+
+
+def _same_chain(config, readout):
+    """``run_chain``'s result, once it equals the run with the reference step."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(zeno, "chain_step", chain_step_reference)
+        want = run_chain(config, readout)
+    got = run_chain(config, readout)
+    assert list(got.final.amps.items()) == list(want.final.amps.items())
+    assert got.survival == want.survival
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=math.pi / 2),
+    st.floats(min_value=0.0, max_value=2 * math.pi),
+    st.integers(1, 3000),
+    st.one_of(st.none(), st.just(math.pi / 2), st.floats(min_value=1e-6, max_value=math.pi / 2)),
+    st.integers(1, 4),
+    st.sampled_from(("after_final_bs", "after_final_obstacle")),
+)
+def test_run_chain_matches_reference_stepping(angle, phase, L, theta, layers, readout):
+    obstacle = obstacle_qubit(math.cos(angle), math.sin(angle) * cmath.exp(1j * phase))
+    _same_chain(ChainConfig(L=L, theta=theta, obstacle=obstacle, layers=layers), readout)
+
+
+def test_default_angle_drops_pass_branch_dust():
+    # theta = pi / (2 L) turns the pass branch fully into "1": its "0"
+    # label sums to about 8e-17 and both steps drop it
+    for readout in ("after_final_bs", "after_final_obstacle"):
+        result = _same_chain(ChainConfig(L=10), readout)
+        assert ("pass", "0") not in result.final.amps
+        assert ("pass", "1") in result.final.amps
 
 
 class TestAsymptote:
