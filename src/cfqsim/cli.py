@@ -33,9 +33,9 @@ NORM_REJECT = 1e-6
 # the largest allowed input takes about 1-2 s on a 2-vCPU Xeon host under
 # Python 3.11.
 # Largest star, counting --N or the --alice pairs.  run_star is linear in
-# spokes, but every label is N devices wide, so its time grows faster
-# than N: N = 2000 takes about 0.7-0.8 s in process, under the budget.
-STAR_MAX_PARTIES = 2000
+# spokes (--N 5000 takes about 0.2-0.3 s end to end), but argparse's time
+# grows as the square of the --alice pairs: 5000 of them take 0.9-1.5 s.
+STAR_MAX_PARTIES = 5000
 # Most points in a --sweep grid: 100k cost-profile rows take about 0.8 s.
 SWEEP_MAX_POINTS = 100_000
 # Most mc --runs.  The draw's work does not grow with --runs, so this caps

@@ -6,18 +6,16 @@ counterfactual detector click projects the N+1 devices onto a cat-type
 superposition; the per-link evolution restricted to that sector is a
 simple non-unitary "keep the compatible branch" map.
 
-``run_star`` grows the state one spoke at a time from the hub qubit: each
-spoke is tensored in and propagated at once, so the incompatible branches
-die before the next spoke arrives.  The state holds the devices alone:
-every kept label clicked D1 on every link, so no detector is recorded.
-Every propagator call sees at most 4 labels and the state never holds
-more than 2, so the cost is linear in the number of spokes (times the
-O(N) label width).  The two hub branches
-are carried apart, each as a label amplitude times its own power of two,
-rescaled exactly before every link to a magnitude near 2**54/sqrt(RT):
-then no amplitude, and no ratio of the two, leaves the double range, however
-small the yield, R or the spoke amplitudes.  The yield and its base-10
-logarithm are read off once, at the end.
+Given the hub's setting the links are independent, so ``run_star``
+carries only the live hub branches.  Per spoke it tensors them with the
+spoke qubit and makes one propagator call (at most 4 labels in, 2 out),
+which multiplies each branch by its D1 factor and drops a branch that
+gets none: the cost is linear in the number of spokes.  Each branch is a
+mantissa times its own power of two, rescaled exactly before every link
+to a magnitude near 2**54/sqrt(RT), so no amplitude, and no ratio of the
+two, leaves the double range, however small the yield, R or the spoke
+amplitudes.  The two-term cat over the devices (a_1..a_N, b), the yield
+and its base-10 logarithm are built once, at the end.
 """
 
 from __future__ import annotations
@@ -84,31 +82,30 @@ def run_star(config: StarConfig) -> CatResult:
     kept = (*(alice_register(j) for j in range(config.n_links)), BOB_DEVICE)
     # branches near 2**54/sqrt(RT) stay normal times any spoke amplitude (>= 2**-1074)
     lift = 54 - math.frexp(math.sqrt(config.bs.R * config.bs.T))[1]
-    exps = dict.fromkeys(config.bob.basis, 0)  # branch amplitude = label amplitude * 2**exps[hub symbol]
-    state = product_state([(BOB_DEVICE, config.bob)])
+    # the live hub branches: symbol -> (m, e) for the branch amplitude m * 2**e
+    branches = {b: (m, 0) for (b,), m in product_state([(BOB_DEVICE, config.bob)]).amps.items()}
+    spokes = {b: [] for b in branches}  # each branch's spoke symbols, in link order
     for j, q in enumerate(config.alices):
-        state = _rescaled(state, exps, lift)
-        spoke = product_state([(alice_register(j), q)])
-        state = partial_propagator(state.tensor(spoke), j, config.bs)
-        if not state.amps:
+        lifted = {b: _split(m, e, lift) for b, (m, e) in branches.items()}
+        hub = PureState._trusted((BOB_DEVICE,), {(b,): m for b, (m, _) in lifted.items()})
+        link = partial_propagator(hub.tensor(product_state([(alice_register(j), q)])), j, config.bs)
+        if not link.amps:
             return CatResult(0.0, PureState(kept, {}), -math.inf)
-    state = _rescaled(state, exps, 0)
-    top = max(exps[label[0]] for label in state.amps)
-    state = PureState._trusted(state.registers, {l: a * 2.0 ** (exps[l[0]] - top) for l, a in state.amps.items()})
-    w = state.norm2()
+        branches = {b: (m, lifted[b][1]) for (b, _), m in link.amps.items()}
+        for b, x in link.amps:
+            spokes[b].append(x)
+    branches = {b: _split(m, e, 0) for b, (m, e) in branches.items()}
+    top = max(e for _, e in branches.values())
+    cat = PureState._trusted(kept, {(*spokes[b], b): m * 2.0 ** (e - top) for b, (m, e) in branches.items()})
+    w = cat.norm2()
     log10_y = math.log10(w) + 2 * top * math.log10(2.0)
-    return CatResult(math.ldexp(w, 2 * top), state.normalized().restrict(kept), log10_y)
+    return CatResult(math.ldexp(w, 2 * top), cat.normalized(), log10_y)
 
 
-def _rescaled(state: PureState, exps: dict[str, int], lift: int) -> PureState:
-    """Each hub branch (``label[0]``: the hub register comes first) moved by an exact
-    power of two to a magnitude in [2**(lift-1), 2**lift); ``exps`` absorbs the shift."""
-    amps = {}
-    for label, a in state.amps.items():
-        shift = lift - math.frexp(abs(a))[1]
-        exps[label[0]] -= shift
-        amps[label] = complex(math.ldexp(a.real, shift), math.ldexp(a.imag, shift))
-    return PureState._trusted(state.registers, amps)
+def _split(m: complex, e: int, lift: int) -> tuple[complex, int]:
+    """``m * 2**e`` as ``(m', e')``, ``|m'|`` in [2**(lift-1), 2**lift): an exact power-of-two shift."""
+    shift = lift - math.frexp(abs(m))[1]
+    return complex(math.ldexp(m.real, shift), math.ldexp(m.imag, shift)), e - shift
 
 
 def ideal_cat(n_links: int) -> PureState:

@@ -24,6 +24,7 @@ from typing import NamedTuple
 from .states import Label, PureState, Qubit, Register, ValidatedTuple, _drop_dust
 
 OBSTACLE = Register("pb_device", 0)
+_ONE_LAYER = (OBSTACLE, Register("zeno_mode", 0))  # the registers of every chain step
 
 READOUTS = ("after_final_bs", "after_final_obstacle")
 
@@ -54,9 +55,11 @@ class ChainConfig(ValidatedTuple, namedtuple("ChainConfig", "L theta obstacle la
         self = super().__new__(cls, _count(L, "cycle count L"), theta, obstacle, _count(layers, "layer count"))
         if tuple(self.obstacle.basis) != ("pass", "block"):
             raise ValueError("obstacle qubit must be declared over (pass, block)")
-        theta = self.resolved_theta
-        if not 0.0 < theta <= math.pi / 2:
-            raise ValueError("theta must lie in (0, pi/2]")
+        try:
+            if not 0.0 < self.resolved_theta <= math.pi / 2:
+                raise ValueError("theta must lie in (0, pi/2]")
+        except TypeError:
+            raise ValueError("theta must be a real number") from None
         return self
 
     @property
@@ -70,7 +73,7 @@ class ChainResult(NamedTuple):
 
 
 def _check_one_layer(state: PureState) -> None:
-    if state.registers != (OBSTACLE, mode_register(0)):
+    if state.registers != _ONE_LAYER:
         raise ValueError("chain steps act on one layer: registers (pb_device[0], zeno_mode[0])")
 
 
@@ -128,9 +131,7 @@ def run_chain(config: ChainConfig, readout: str = "after_final_bs") -> ChainResu
         raise ValueError(f"unknown readout {readout!r}")
     theta = config.resolved_theta
     # one layer, both branches at unit weight
-    state = PureState._trusted(
-        (OBSTACLE, mode_register(0)), {("pass", "0"): 1 + 0j, ("block", "0"): 1 + 0j}
-    )
+    state = PureState._trusted(_ONE_LAYER, {("pass", "0"): 1 + 0j, ("block", "0"): 1 + 0j})
     loss = 0.0  # mass one layer of the block branch loses to the obstacle
     for k in range(config.L):
         state = chain_step(state, theta)

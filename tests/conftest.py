@@ -9,7 +9,7 @@ from cfqsim.michelson import (
     return_beamsplitter,
     switch_interaction,
 )
-from cfqsim.star import StarConfig, alice_register
+from cfqsim.star import CatResult, StarConfig, alice_register, partial_propagator
 from cfqsim.states import MapRules, PureState, Register, apply_map, product_state, sector
 from cfqsim.zeno import _check_one_layer
 
@@ -120,3 +120,36 @@ def chain_step_reference(state: PureState, theta: float) -> PureState:
     c, s = math.cos(theta), math.sin(theta)
     rules = {("0",): [(("0",), c), (("1",), s)], ("1",): [(("0",), -s), (("1",), c)]}
     return apply_map(state, state.registers[1:], rules)
+
+
+def run_star_reference(config: StarConfig) -> CatResult:
+    """The star grown as one (N+1)-register state, each hub branch's labels
+    rescaled by exact powers of two before every link: the reference that
+    ``star.run_star``, which carries the hub branches alone, must match."""
+    kept = (*(alice_register(j) for j in range(config.n_links)), BOB_DEVICE)
+    lift = 54 - math.frexp(math.sqrt(config.bs.R * config.bs.T))[1]
+    exps = dict.fromkeys(config.bob.basis, 0)  # branch amplitude = label amplitude * 2**exps[hub symbol]
+    state = product_state([(BOB_DEVICE, config.bob)])
+    for j, q in enumerate(config.alices):
+        state = _rescaled(state, exps, lift)
+        spoke = product_state([(alice_register(j), q)])
+        state = partial_propagator(state.tensor(spoke), j, config.bs)
+        if not state.amps:
+            return CatResult(0.0, PureState(kept, {}), -math.inf)
+    state = _rescaled(state, exps, 0)
+    top = max(exps[label[0]] for label in state.amps)
+    state = PureState._trusted(state.registers, {l: a * 2.0 ** (exps[l[0]] - top) for l, a in state.amps.items()})
+    w = state.norm2()
+    log10_y = math.log10(w) + 2 * top * math.log10(2.0)
+    return CatResult(math.ldexp(w, 2 * top), state.normalized().restrict(kept), log10_y)
+
+
+def _rescaled(state: PureState, exps: dict[str, int], lift: int) -> PureState:
+    """Each hub branch (``label[0]``: the hub register comes first) moved by an exact
+    power of two to a magnitude in [2**(lift-1), 2**lift); ``exps`` absorbs the shift."""
+    amps = {}
+    for label, a in state.amps.items():
+        shift = lift - math.frexp(abs(a))[1]
+        exps[label[0]] -= shift
+        amps[label] = complex(math.ldexp(a.real, shift), math.ldexp(a.imag, shift))
+    return PureState._trusted(state.registers, amps)

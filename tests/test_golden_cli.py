@@ -70,7 +70,7 @@ COMMANDS = (
     "round --R 0.5 --bob 1e400 0",
     "scqkd --R 1.0",
     "star --R 0.5 --N 0",
-    "star --R 0.5 --N 2001",
+    "star --R 0.5 --N 5001",
     "star --R 0.5 --N 3 --alice 1 0",
     "star --R 0.5 --alice inf 1",
     "czqe",

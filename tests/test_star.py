@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REFLECTANCES, random_amplitude_pair, star_bruteforce, states_close
+from conftest import REFLECTANCES, random_amplitude_pair, run_star_reference, star_bruteforce, states_close
 from cfqsim.michelson import BOB_DEVICE, BeamSplitter, RoundConfig, d1_state_closed_form
 from cfqsim.star import (
     StarConfig,
@@ -57,6 +57,17 @@ TINY_REFLECTANCES = (
 def tiny_qubit(rng, basis) -> Qubit:
     """A qubit whose smaller amplitude is log-uniform in [5e-324, 1], phases random."""
     small = 10.0 ** -rng.uniform(0.0, 323.3)
+    amps = [small * np.exp(1j * rng.uniform(0, 6)), math.sqrt(1.0 - small * small) * np.exp(1j * rng.uniform(0, 6))]
+    rng.shuffle(amps)
+    return Qubit(basis, complex(amps[0]), complex(amps[1]))
+
+
+def pinned_or_tiny_qubit(rng, basis, p_pinned) -> Qubit:
+    """A basis state with probability ``p_pinned``; else a complex qubit
+    whose smaller amplitude is log-uniform in [1e-300, 1]."""
+    if rng.random() < p_pinned:
+        return Qubit(basis, *rng.permutation([1.0, 0.0]))
+    small = 10.0 ** -rng.uniform(0.0, 300.0)
     amps = [small * np.exp(1j * rng.uniform(0, 6)), math.sqrt(1.0 - small * small) * np.exp(1j * rng.uniform(0, 6))]
     rng.shuffle(amps)
     return Qubit(basis, complex(amps[0]), complex(amps[1]))
@@ -263,6 +274,22 @@ class TestRunStar:
         alices = tuple(tiny_qubit(rng, ("V", "H")) for _ in range(n))
         cfg = StarConfig(BeamSplitter(R), alices, tiny_qubit(rng, ("P", "B")))
         assert run_star(cfg).log10_yield == pytest.approx(closed_form_log10_yield(cfg), abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), REFLECTANCES, st.integers(1, 40))
+    def test_matches_the_full_label_reference(self, seed, R, n):
+        # a pinned spoke kills one hub branch, two opposite pins the whole star
+        rng = np.random.default_rng(seed)
+        p_pinned = rng.choice([0.0, 1.0 / n, 2.0 / n])
+        alices = tuple(pinned_or_tiny_qubit(rng, ("V", "H"), p_pinned) for _ in range(n))
+        cfg = StarConfig(BeamSplitter(R), alices, pinned_or_tiny_qubit(rng, ("P", "B"), 0.1))
+        got, want = run_star(cfg), run_star_reference(cfg)
+        assert got.state.registers == want.state.registers
+        assert set(got.state.amps) == set(want.state.amps)
+        assert math.isclose(got.yield_probability, want.yield_probability, rel_tol=1e-13)
+        assert math.isclose(got.log10_yield, want.log10_yield, rel_tol=1e-13)
+        if want.state.amps:
+            assert fidelity_up_to_phase(got.state, want.state) >= 1.0 - 1e-13
 
     def test_every_propagator_call_sees_at_most_four_labels(self, monkeypatch):
         import cfqsim.star as star

@@ -234,6 +234,10 @@ class TestRunChain:
             asymptotic_limit(Qubit.balanced(("pass", "block")), 0)
         with pytest.raises(ValueError):
             ChainConfig(L=4, theta=2.0)
+        with pytest.raises(ValueError, match="theta must be a real number"):
+            ChainConfig(L=3, theta="0.3")
+        with pytest.raises(ValueError, match="theta must be a real number"):
+            ChainConfig(L=3, theta=1j)
         with pytest.raises(ValueError):
             ChainConfig(L=4, layers=0)
         with pytest.raises(ValueError):
