@@ -16,6 +16,12 @@ shared.  DB is the ``none`` sector of ``alice_detector`` in both
 variants: an absorbed photon leaves both arms empty, which the return
 beam splitter leaves alone.
 
+The maps' rule patterns depend on neither R nor the link, so they are
+checked once, at import, by the checker that ``states.apply_map`` runs on
+every call; a call binds sqrt(R) and sqrt(T) into the rules, finds its
+link's registers in the state (built once per link) and runs
+``apply_map``'s label loop alone.
+
 Beam splitter phase convention: reflection picks up a factor i on the way
 out, transmission stays real; on the return pass the roles swap so that a
 blocked-nothing round interferes deterministically into the second
@@ -24,6 +30,7 @@ detector.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from typing import NamedTuple
@@ -33,7 +40,9 @@ from .states import (
     Qubit,
     Register,
     ValidatedTuple,
-    apply_map,
+    _check_patterns,
+    _map_labels,
+    _positions,
     entanglement_entropy,
     product_state,
     sector,
@@ -105,17 +114,55 @@ def initial_round_state(alice: Qubit, bob: Qubit) -> PureState:
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _link_registers(link: int) -> tuple[tuple[Register, ...], ...]:
+    """The registers that the forward splitter, the switch and the return
+    splitter act on at ``link``, in that order."""
+    return (
+        (Register("device_a", link), Register("arm_a", link), Register("arm_b", link)),
+        (BOB_DEVICE, Register("arm_b", link), Register("bob_detector", link)),
+        (Register("arm_a", link), Register("arm_b", link), Register("alice_detector", link)),
+    )
+
+
+def _forward_rules(r: float, t: float) -> dict:
+    return {
+        ("V", "vac", "vac"): [(("V", "V", "vac"), 1j * r), (("V", "vac", "V"), t)],
+        ("H", "vac", "vac"): [(("H", "H", "vac"), 1j * r), (("H", "vac", "H"), t)],
+    }
+
+
+_SWITCH_RULES = {
+    ("P", "H", "0"): [(("P", "vac", "Y"), 1.0)],
+    ("B", "V", "0"): [(("B", "vac", "Y"), 1.0)],
+}
+
+
+def _return_rules(r: float, t: float) -> dict:
+    return {
+        ("vac", "V", "none"): [(("vac", "vac", "D1V"), r), (("vac", "vac", "D2V"), 1j * t)],
+        ("V", "vac", "none"): [(("vac", "vac", "D1V"), 1j * t), (("vac", "vac", "D2V"), r)],
+        ("vac", "H", "none"): [(("vac", "vac", "D1H"), r), (("vac", "vac", "D2H"), 1j * t)],
+        ("H", "vac", "none"): [(("vac", "vac", "D1H"), 1j * t), (("vac", "vac", "D2H"), r)],
+    }
+
+
+_PASS_BLOCK_RULES = {("block", "V", "0"): [(("block", "vac", "Y"), 1.0)]}
+_PASS_BLOCK_REGISTERS = ((SWITCH_ALICE, ARM_ALICE, ABSORBER_ALICE), (SWITCH_BOB, ARM_BOB, ABSORBER_BOB))
+
+# The patterns depend on neither R nor the link, so this one check covers every call.
+for _on, _rules in [
+    *zip(_link_registers(0), [_forward_rules(1.0, 1.0), _SWITCH_RULES, _return_rules(1.0, 1.0)]),
+    *zip(_PASS_BLOCK_REGISTERS, [_PASS_BLOCK_RULES] * 2),
+]:
+    _check_patterns([reg.alphabet for reg in _on], _rules)
+del _on, _rules
+
+
 def forward_beamsplitter(state: PureState, bs: BeamSplitter, link: int = 0) -> PureState:
     """Emit the photon with the device's polarization and split it over the arms."""
-    r, t = math.sqrt(bs.R), math.sqrt(bs.T)
-    rules = {}
-    for x in ("V", "H"):
-        rules[(x, "vac", "vac")] = [
-            ((x, x, "vac"), 1j * r),
-            ((x, "vac", x), t),
-        ]
-    on = (Register("device_a", link), Register("arm_a", link), Register("arm_b", link))
-    return apply_map(state, on, rules)
+    on = _link_registers(link)[0]
+    return _map_labels(state, _positions(state, on), _forward_rules(math.sqrt(bs.R), math.sqrt(bs.T)))
 
 
 def switch_interaction(state: PureState, link: int = 0) -> PureState:
@@ -127,11 +174,7 @@ def switch_interaction(state: PureState, link: int = 0) -> PureState:
     can be read off as sector norms.  Passed photons match no rule and
     are left alone.
     """
-    rules = {
-        ("P", "H", "0"): [(("P", "vac", "Y"), 1.0)],
-        ("B", "V", "0"): [(("B", "vac", "Y"), 1.0)],
-    }
-    return apply_map(state, (BOB_DEVICE, Register("arm_b", link), Register("bob_detector", link)), rules)
+    return _map_labels(state, _positions(state, _link_registers(link)[1]), _SWITCH_RULES)
 
 
 def return_beamsplitter(state: PureState, bs: BeamSplitter, link: int = 0) -> PureState:
@@ -140,19 +183,15 @@ def return_beamsplitter(state: PureState, bs: BeamSplitter, link: int = 0) -> Pu
     Acts only where a photon is in an arm; the absorbed sector has both
     arms empty and is left untouched.
     """
-    r, t = math.sqrt(bs.R), math.sqrt(bs.T)
-    rules = {}
-    for x in ("V", "H"):
-        rules[("vac", x, "none")] = [
-            (("vac", "vac", f"D1{x}"), r),
-            (("vac", "vac", f"D2{x}"), 1j * t),
-        ]
-        rules[(x, "vac", "none")] = [
-            (("vac", "vac", f"D1{x}"), 1j * t),
-            (("vac", "vac", f"D2{x}"), r),
-        ]
-    on = (Register("arm_a", link), Register("arm_b", link), Register("alice_detector", link))
-    return apply_map(state, on, rules)
+    on = _link_registers(link)[2]
+    return _map_labels(state, _positions(state, on), _return_rules(math.sqrt(bs.R), math.sqrt(bs.T)))
+
+
+def _pass_block_switches(state: PureState) -> PureState:
+    """Each blocking pass/block switch absorbs its own arm's photon into its ``pb_absorber``."""
+    for on in _PASS_BLOCK_REGISTERS:
+        state = _map_labels(state, _positions(state, on), _PASS_BLOCK_RULES)
+    return state
 
 
 # Polarization-summed clicks: one outcome per output detector.
@@ -275,11 +314,7 @@ def run_scqkd_round(
         ]
     )
     state = forward_beamsplitter(state, bs)
-    for switch, arm, absorber in (
-        (SWITCH_ALICE, ARM_ALICE, ABSORBER_ALICE),
-        (SWITCH_BOB, ARM_BOB, ABSORBER_BOB),
-    ):
-        state = apply_map(state, (switch, arm, absorber), {("block", "V", "0"): [(("block", "vac", "Y"), 1.0)]})
+    state = _pass_block_switches(state)
     state = return_beamsplitter(state, bs)
 
     switches = (SWITCH_ALICE, SWITCH_BOB)

@@ -12,7 +12,9 @@ concurrently without coordination.
 
 Validation happens once, at the boundary: the public ``PureState``
 constructor, ``product_state`` and the rule patterns of ``apply_map``
-check every register and symbol they are given, and each value type
+check every register and symbol they are given (``michelson``'s maps,
+whose patterns are fixed, run ``apply_map``'s pattern checker over them
+once, at import, and then only its label loop), and each value type
 built on ``ValidatedTuple`` (``Register``, ``Qubit``, the engines'
 configs) checks its fields in ``__new__``, which ``_replace``,
 ``_make``, copies and pickles go through too.  States derived from
@@ -268,18 +270,34 @@ def apply_map(state: PureState, on: Sequence[Register], rules: MapRules) -> Pure
     patterns not listed act as the identity.  An empty branch list deletes
     the amplitude, so non-unitary (norm-decreasing) maps are expressible.
     """
-    on = tuple(on)
+    idx = _positions(state, on)
+    _check_patterns([state.registers[i].alphabet for i in idx], rules)
+    return _map_labels(state, idx, rules)
+
+
+def _positions(state: PureState, on: Sequence[Register]) -> tuple[int, ...]:
+    """Where each of the ``on`` registers sits in the state's register tuple."""
     try:
-        idx = tuple(state.registers.index(r) for r in on)
+        return tuple(map(state.registers.index, on))
     except ValueError:
         raise ValueError("map touches a register absent from the state") from None
-    alphabets = [state.registers[i].alphabet for i in idx]
+
+
+def _check_patterns(alphabets: Sequence[Sequence[str]], rules: MapRules) -> None:
+    """Raise ``ValueError`` unless every input and output pattern of
+    ``rules`` has one symbol per alphabet, each inside its alphabet."""
+    n = len(alphabets)
     for pattern, branches in rules.items():
-        if len(pattern) != len(on) or not all(map(contains, alphabets, pattern)):
+        if len(pattern) != n or not all(map(contains, alphabets, pattern)):
             raise ValueError(f"input pattern {pattern} outside register alphabets")
         for out_pat, _ in branches:
-            if len(out_pat) != len(on) or not all(map(contains, alphabets, out_pat)):
+            if len(out_pat) != n or not all(map(contains, alphabets, out_pat)):
                 raise ValueError(f"output pattern {out_pat} outside register alphabets")
+
+
+def _map_labels(state: PureState, idx: tuple[int, ...], rules: MapRules) -> PureState:
+    """The label loop of ``apply_map`` over the registers at positions
+    ``idx``, for rules whose patterns ``_check_patterns`` has passed."""
     out: dict[Label, complex] = {}
     summed: list[Label] = []  # labels that received a second term
     for label, amp in state.amps.items():

@@ -4,7 +4,14 @@ import numpy as np
 from hypothesis import strategies as st
 
 from cfqsim.michelson import (
+    ABSORBER_ALICE,
+    ABSORBER_BOB,
+    ARM_ALICE,
+    ARM_BOB,
     BOB_DEVICE,
+    SWITCH_ALICE,
+    SWITCH_BOB,
+    BeamSplitter,
     forward_beamsplitter,
     return_beamsplitter,
     switch_interaction,
@@ -111,6 +118,56 @@ def star_bruteforce(config: StarConfig):
         return 0.0, None
     kept = (*(alice_register(j) for j in range(n)), BOB_DEVICE)
     return yield_probability, state.normalized().restrict(kept)
+
+
+# The Michelson maps as rule dicts rebuilt, and checked, on every call by
+# the public ``apply_map``: the references that ``michelson``'s maps, which
+# check their patterns once at import, must match bit for bit.
+
+
+def forward_beamsplitter_reference(state: PureState, bs: BeamSplitter, link: int = 0) -> PureState:
+    r, t = math.sqrt(bs.R), math.sqrt(bs.T)
+    rules = {}
+    for x in ("V", "H"):
+        rules[(x, "vac", "vac")] = [
+            ((x, x, "vac"), 1j * r),
+            ((x, "vac", x), t),
+        ]
+    on = (Register("device_a", link), Register("arm_a", link), Register("arm_b", link))
+    return apply_map(state, on, rules)
+
+
+def switch_interaction_reference(state: PureState, link: int = 0) -> PureState:
+    rules = {
+        ("P", "H", "0"): [(("P", "vac", "Y"), 1.0)],
+        ("B", "V", "0"): [(("B", "vac", "Y"), 1.0)],
+    }
+    return apply_map(state, (BOB_DEVICE, Register("arm_b", link), Register("bob_detector", link)), rules)
+
+
+def return_beamsplitter_reference(state: PureState, bs: BeamSplitter, link: int = 0) -> PureState:
+    r, t = math.sqrt(bs.R), math.sqrt(bs.T)
+    rules = {}
+    for x in ("V", "H"):
+        rules[("vac", x, "none")] = [
+            (("vac", "vac", f"D1{x}"), r),
+            (("vac", "vac", f"D2{x}"), 1j * t),
+        ]
+        rules[(x, "vac", "none")] = [
+            (("vac", "vac", f"D1{x}"), 1j * t),
+            (("vac", "vac", f"D2{x}"), r),
+        ]
+    on = (Register("arm_a", link), Register("arm_b", link), Register("alice_detector", link))
+    return apply_map(state, on, rules)
+
+
+def pass_block_switches_reference(state: PureState) -> PureState:
+    for switch, arm, absorber in (
+        (SWITCH_ALICE, ARM_ALICE, ABSORBER_ALICE),
+        (SWITCH_BOB, ARM_BOB, ABSORBER_BOB),
+    ):
+        state = apply_map(state, (switch, arm, absorber), {("block", "V", "0"): [(("block", "vac", "Y"), 1.0)]})
+    return state
 
 
 def chain_step_reference(state: PureState, theta: float) -> PureState:

@@ -109,10 +109,13 @@ COMMANDS = (
     "mc --R 0.5 --runs 1 --seed 1",
     "cost --R 1e-320",
     # mc names a negative --seed itself
-    "mc --R 0.5 --runs 10 --seed -1",    # star yields whose per-spoke norm**2 falls below the normal float range
+    "mc --R 0.5 --runs 10 --seed -1",
+    # star yields whose per-spoke norm**2 falls below the normal float range
     "star --R 0.5 --alice 1e-200 1 --bob 1e-300 1",
     "star --R 5e-324 --N 3",
     "star --R 1e-315 --N 3",
+    # both pass/block parties superposed with complex amplitudes
+    "scqkd --R 0.37 --alice 0.6 0,0.8 --bob 0,0.6 0.8",
 )
 
 

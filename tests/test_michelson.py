@@ -1,11 +1,22 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REFLECTANCES, random_amplitude_pair, states_close
+from conftest import (
+    REFLECTANCES,
+    forward_beamsplitter_reference,
+    pass_block_switches_reference,
+    random_amplitude_pair,
+    return_beamsplitter_reference,
+    states_close,
+    switch_interaction_reference,
+)
+from cfqsim import michelson
 from cfqsim.michelson import (
     ALICE_DEVICE,
     ARM_ALICE,
@@ -15,6 +26,7 @@ from cfqsim.michelson import (
     DETECTOR,
     SWITCH_ALICE,
     SWITCH_BOB,
+    VARIANTS,
     BeamSplitter,
     RoundConfig,
     closed_form_probs,
@@ -497,3 +509,145 @@ def test_maps_at_link_one_leave_link_zero_alone():
     assert all(label[after.registers.index(r)] == "vac" for label in after.amps for r in link1[1:3])
     assert sector(after, link1[4], ("none",)).amps == sector(after, link1[3], ("Y",)).amps
     assert sector(after, link1[3], ("Y",)).amps
+
+
+# ---- the maps against their references: rules rebuilt and checked on every call
+
+LINK_KINDS = ("device_a", "arm_a", "arm_b", "bob_detector", "alice_detector")
+MAGNITUDES = st.floats(min_value=-300.0, max_value=0.0).map(lambda x: 10.0**x)
+PARTS = st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda x: -x))
+AMPLITUDES = st.builds(complex, PARTS, PARTS).filter(bool)
+MAP_REFLECTANCES = st.one_of(st.sampled_from((0.0, 1.0)), REFLECTANCES)
+
+
+def link_registers(link):
+    return (BOB_DEVICE, *(Register(kind, link) for kind in LINK_KINDS))
+
+
+@st.composite
+def link_states(draw):
+    """A link index in 0-3 and a state on a random subset of that link's
+    labels (registers in random order), amplitudes down to 1e-300."""
+    link = draw(st.integers(min_value=0, max_value=3))
+    registers = tuple(draw(st.permutations(link_registers(link))))
+    labels = list(itertools.product(*(r.alphabet for r in registers)))
+    chosen = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=60, unique=True))
+    return link, PureState(registers, {label: draw(AMPLITUDES) for label in chosen})
+
+
+def exact(state):
+    """Registers and amplitude items in order, every float bit included."""
+    return state.registers, repr(list(state.amps.items()))
+
+
+def run_recording_rules(fn, loop, state, *args):
+    """``fn(state, *args)`` exactly, and the rule dicts that it hands to the
+    label loop ``loop`` (a global of its module), as item lists in order."""
+    real, handed = fn.__globals__[loop], []
+
+    def spy(state, where, rules):
+        handed.append(repr(list(rules.items())))
+        return real(state, where, rules)
+
+    with mock.patch.dict(fn.__globals__, {loop: spy}):
+        return exact(fn(state, *args)), handed
+
+
+@settings(max_examples=300, deadline=None)
+@given(link_states(), MAP_REFLECTANCES)
+@example((0, PureState(link_registers(0), {("P", "V", "vac", "vac", "0", "none"): 1e-300j})), 1e-300)
+def test_maps_match_their_references(case, R):
+    link, state = case
+    bs = BeamSplitter(R)
+    pairs = [
+        (forward_beamsplitter, forward_beamsplitter_reference, (bs, link)),
+        (switch_interaction, switch_interaction_reference, (link,)),
+        (return_beamsplitter, return_beamsplitter_reference, (bs, link)),
+    ]
+    new = ref = state
+    for fast, slow, args in pairs:
+        # the same rules, insertion and branch order included, and the same output
+        assert run_recording_rules(fast, "_map_labels", state, *args) == run_recording_rules(
+            slow, "apply_map", state, *args
+        )
+        new, ref = fast(new, *args), slow(ref, *args)  # and the three in sequence
+        assert exact(new) == exact(ref)
+
+
+@st.composite
+def unit_pairs_down_to_tiny(draw):
+    """A normalized amplitude pair whose smaller entry may be as small as 1e-300."""
+    t = draw(st.one_of(MAGNITUDES, st.floats(min_value=0.0, max_value=math.pi / 2)))
+    a, b = draw(ANGLES), draw(ANGLES)
+    pair = (math.cos(t) * complex(math.cos(a), math.sin(a)), math.sin(t) * complex(math.cos(b), math.sin(b)))
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+def outcomes_exact(outcomes):
+    return [(o.outcome, repr(o.probability), *exact(o.posterior)) for o in outcomes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(REFLECTANCES, unit_pairs_down_to_tiny(), unit_pairs_down_to_tiny(), st.sampled_from(VARIANTS))
+@example(1e-300, (SQ2, SQ2), (SQ2, SQ2), "ScQKD")
+@example(0.37, (0.6, 0.8j), (0.6j, 0.8), "ScQKD")
+def test_rounds_match_the_reference_maps(R, alice, bob, variant):
+    config = RoundConfig(BeamSplitter(R), Qubit(("V", "H"), *alice), Qubit(("P", "B"), *bob), variant)
+    pass_block = Qubit(("pass", "block"), *alice), Qubit(("pass", "block"), *bob)
+
+    def results():
+        rounds = [run_round(config), run_scqkd_round(*pass_block, config.bs)]
+        if variant == "N09":
+            rounds.append(run_round(config, split_detector_polarization=True))
+        return [outcomes_exact(r) for r in rounds], repr(list(round_record(config).items()))
+
+    new = results()
+    with mock.patch.multiple(
+        michelson,
+        forward_beamsplitter=forward_beamsplitter_reference,
+        switch_interaction=switch_interaction_reference,
+        return_beamsplitter=return_beamsplitter_reference,
+        _pass_block_switches=pass_block_switches_reference,
+    ):
+        assert results() == new
+
+
+# ---- the checks every call still makes
+
+BS = BeamSplitter(0.3)
+MAPS = {
+    "forward": (lambda state, link: forward_beamsplitter(state, BS, link), ("device_a", "arm_a", "arm_b")),
+    "switch": (switch_interaction, ("device_b", "arm_b", "bob_detector")),
+    "return": (lambda state, link: return_beamsplitter(state, BS, link), ("arm_a", "arm_b", "alice_detector")),
+}
+
+
+def full_link_state(registers):
+    return product_state([(r, r.alphabet[0]) for r in registers])
+
+
+@pytest.mark.parametrize("name", MAPS)
+@pytest.mark.parametrize("link", [0, 2])
+def test_map_rejects_a_state_without_one_of_its_registers(name, link):
+    apply, kinds = MAPS[name]
+    registers = link_registers(link)
+    apply(full_link_state(registers), link)  # the whole link: fine
+    for kind in kinds:
+        partial = [r for r in registers if r.kind != kind]
+        with pytest.raises(ValueError, match="^map touches a register absent from the state$"):
+            apply(full_link_state(partial), link)
+    with pytest.raises(ValueError, match="^map touches a register absent from the state$"):
+        apply(full_link_state(registers), link + 1)  # another link's registers
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_map_rejects_a_negative_link(name):
+    apply, _ = MAPS[name]
+    with pytest.raises(ValueError, match="^register index must be nonnegative$"):
+        apply(full_link_state(link_registers(0)), -1)
+
+
+def test_pass_block_switches_reject_a_state_without_an_absorber():
+    state = product_state([(SWITCH_ALICE, "block"), (ARM_ALICE, "V"), (SWITCH_BOB, "pass"), (ARM_BOB, "vac")])
+    with pytest.raises(ValueError, match="^map touches a register absent from the state$"):
+        michelson._pass_block_switches(state)
