@@ -41,8 +41,10 @@ from .states import (
     Register,
     ValidatedTuple,
     _check_patterns,
+    _checked_registers,
     _map_labels,
     _positions,
+    _restricted,
     entanglement_entropy,
     product_state,
     sector,
@@ -197,6 +199,13 @@ def _pass_block_switches(state: PureState) -> PureState:
 # Polarization-summed clicks: one outcome per output detector.
 _CLICKS = [("D1", ("D1V", "D1H")), ("D2", ("D2V", "D2H"))]
 
+# The registers each variant's posteriors keep, checked once here, since
+# ``_outcomes`` restricts to them without the checks of ``restrict``.
+_DEVICES = _checked_registers((ALICE_DEVICE, BOB_DEVICE))
+_TAGGED_DEVICES = _checked_registers((*_DEVICES, DETECTOR))
+_SWITCHES = _checked_registers((SWITCH_ALICE, SWITCH_BOB))
+_SWITCHES_ABSORBERS = _checked_registers((*_SWITCHES, ABSORBER_ALICE, ABSORBER_BOB))
+
 
 def _outcomes(
     state: PureState,
@@ -206,14 +215,15 @@ def _outcomes(
 ) -> list[RoundOutcome]:
     """One outcome per ``clicks`` entry (a name and its ``DETECTOR`` tags,
     posterior on ``tagged``), then DB, the silent detector (posterior on
-    ``blocked_keep``).  Each is the sector's norm**2 and its normalized
-    posterior; every kept amplitude is nonzero, so a sector with labels
-    has a posterior even where its probability underflows."""
+    ``blocked_keep``); both keep tuples are checked module constants.
+    Each is the sector's norm**2 and its normalized posterior; every kept
+    amplitude is nonzero, so a sector with labels has a posterior even
+    where its probability underflows."""
     outcomes = []
     for name, syms in [*clicks, ("DB", ("none",))]:
         part = sector(state, DETECTOR, syms)
         keep = blocked_keep if name == "DB" else tagged
-        posterior = part.normalized().restrict(keep) if part.amps else PureState(keep, {})
+        posterior = _restricted(part.normalized(), keep) if part.amps else PureState(keep, {})
         outcomes.append(RoundOutcome(name, part.norm2(), posterior))
     return outcomes
 
@@ -244,8 +254,7 @@ def run_round(
         clicks = [(sym, (sym,)) for sym in ("D1V", "D1H", "D2V", "D2H")]
     else:
         clicks = _CLICKS
-    devices = (ALICE_DEVICE, BOB_DEVICE)
-    return _outcomes(state, clicks, (*devices, DETECTOR), devices)
+    return _outcomes(state, clicks, _TAGGED_DEVICES, _DEVICES)
 
 
 class ClosedFormProbs(NamedTuple):
@@ -317,8 +326,7 @@ def run_scqkd_round(
     state = _pass_block_switches(state)
     state = return_beamsplitter(state, bs)
 
-    switches = (SWITCH_ALICE, SWITCH_BOB)
-    return _outcomes(state, _CLICKS, switches, (*switches, ABSORBER_ALICE, ABSORBER_BOB))
+    return _outcomes(state, _CLICKS, _SWITCHES, _SWITCHES_ABSORBERS)
 
 
 def round_record(config: RoundConfig) -> dict:

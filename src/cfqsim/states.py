@@ -11,10 +11,14 @@ nothing here mutates its inputs, so independent evaluations can run
 concurrently without coordination.
 
 Validation happens once, at the boundary: the public ``PureState``
-constructor, ``product_state`` and the rule patterns of ``apply_map``
-check every register and symbol they are given (``michelson``'s maps,
-whose patterns are fixed, run ``apply_map``'s pattern checker over them
-once, at import, and then only its label loop), and each value type
+constructor, ``product_state``, the rule patterns of ``apply_map`` and
+the ``keep`` registers of ``PureState.restrict`` check every register and
+symbol they are given on every call.  ``michelson``'s maps, whose
+patterns are fixed, run ``apply_map``'s pattern checker over them once,
+at import, and then only its label loop; likewise the rounds and
+transfers restrict to fixed keep tuples checked once, at import, through
+``_restricted``, which reads the kept and dropped label positions from a
+plan cached per (register tuple, keep tuple).  Each value type
 built on ``ValidatedTuple`` (``Register``, ``Qubit``, the engines'
 configs) checks its fields in ``__new__``, which ``_replace``,
 ``_make``, copies and pickles go through too.  States derived from
@@ -34,10 +38,11 @@ numbers only; ``cli`` reads and prints them as text.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from collections import namedtuple
-from operator import contains
+from operator import contains, itemgetter
 from typing import Callable, Mapping, Sequence, Union
 
 # A summed amplitude at most this times the input norm is cancellation
@@ -198,20 +203,11 @@ class PureState:
         This is a coherent uncompute of redundant records (e.g. a detector
         tag perfectly correlated with a device register), not a partial
         trace; it raises if a dropped register carries independent
-        information.
+        information.  ``keep`` is checked on every call; the rounds and
+        transfers call ``_restricted`` directly, with fixed keep tuples
+        checked once, at import.
         """
-        keep = _checked_registers(keep)
-        keep_idx = [self.registers.index(r) for r in keep]
-        drop_idx = [i for i in range(len(self.registers)) if i not in keep_idx]
-        seen: dict[Label, Label] = {}
-        out: dict[Label, complex] = {}
-        for label, amp in self.amps.items():
-            k = tuple(label[i] for i in keep_idx)
-            d = tuple(label[i] for i in drop_idx)
-            if seen.setdefault(k, d) != d:
-                raise ValueError("dropped registers carry independent information")
-            out[k] = amp
-        return PureState._trusted(keep, out)
+        return _restricted(self, _checked_registers(keep))
 
     def __mul__(self, scalar: complex) -> "PureState":
         return PureState._trusted(
@@ -220,6 +216,43 @@ class PureState:
 
     def __repr__(self) -> str:
         return f"PureState({len(self.amps)} labels over {list(self.registers)})"
+
+
+def _projection(idx: tuple[int, ...]) -> Callable[[Label], Label]:
+    """The label's symbols at positions ``idx``, as a tuple, in C: a single
+    position or none goes through a slice, where ``itemgetter`` would
+    return a bare symbol or refuse to be built."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0, 0))
+
+
+@functools.lru_cache(maxsize=64)
+def _restrict_plan(
+    registers: tuple[Register, ...], keep: tuple[Register, ...]
+) -> tuple[Callable[[Label], Label], Callable[[Label], Label]]:
+    """The kept and the dropped projections of a label over ``registers``."""
+    try:
+        keep_idx = tuple(map(registers.index, keep))
+    except ValueError:
+        raise ValueError("restrict keeps a register absent from the state") from None
+    drop_idx = tuple(i for i in range(len(registers)) if i not in keep_idx)
+    return _projection(keep_idx), _projection(drop_idx)
+
+
+def _restricted(state: PureState, keep: tuple[Register, ...]) -> PureState:
+    """``state.restrict(keep)`` for a ``keep`` that ``_checked_registers``
+    has passed, its label positions looked up once per register tuple
+    and keep tuple."""
+    kept, dropped = _restrict_plan(state.registers, keep)
+    seen: dict[Label, Label] = {}
+    out: dict[Label, complex] = {}
+    for label, amp in state.amps.items():
+        k, d = kept(label), dropped(label)
+        if seen.setdefault(k, d) != d:
+            raise ValueError("dropped registers carry independent information")
+        out[k] = amp
+    return PureState._trusted(keep, out)
 
 
 def _rescued(state: PureState) -> tuple[PureState, float]:
@@ -325,7 +358,10 @@ def _map_labels(state: PureState, idx: tuple[int, ...], rules: MapRules) -> Pure
 
 def sector(state: PureState, register: Register, symbols: Sequence[str]) -> PureState:
     """Unnormalized projection onto the labels carrying one of ``symbols``."""
-    i = state.registers.index(register)
+    try:
+        i = state.registers.index(register)
+    except ValueError:
+        raise ValueError("sector reads a register absent from the state") from None
     allowed = set(symbols)
     return PureState._trusted(
         state.registers, {l: a for l, a in state.amps.items() if l[i] in allowed}

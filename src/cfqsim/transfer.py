@@ -12,9 +12,14 @@ import math
 from typing import NamedTuple
 
 from .michelson import ALICE_DEVICE, BOB_DEVICE, BeamSplitter, RoundConfig, run_round
-from .states import PureState, Qubit, Register, apply_map, postselect
+from .states import PureState, Qubit, Register, _checked_registers, _restricted, apply_map, postselect
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+# What ``_steer`` restricts to, checked once here: the device pair, and
+# each device alone.
+_PAIR = _checked_registers((ALICE_DEVICE, BOB_DEVICE))
+_ALONE = {device: _checked_registers((device,)) for device in _PAIR}
 
 
 class TransferTranscript(NamedTuple):
@@ -52,7 +57,7 @@ def _steer(
     d1 = run_round(RoundConfig(bs, alice, bob))[0]
     if not d1.posterior.amps:
         raise ValueError("configuration admits no counterfactual branch")
-    shared = d1.posterior.restrict((ALICE_DEVICE, BOB_DEVICE))
+    shared = _restricted(d1.posterior, _PAIR)
     hadamard = {
         (plus,): [((plus,), _SQRT_HALF), ((minus,), _SQRT_HALF)],
         (minus,): [((plus,), _SQRT_HALF), ((minus,), -_SQRT_HALF)],
@@ -61,7 +66,7 @@ def _steer(
     results = []
     for branch in branches:
         prob, post = postselect(rotated, sender, branch)
-        received = post.restrict((receiver,))
+        received = _restricted(post, _ALONE[receiver])
         results.append((prob, [received.amps.get((sym,), 0j) for sym in receiver.alphabet]))
     return shared, receiver, results
 

@@ -17,7 +17,7 @@ from cfqsim.michelson import (
     switch_interaction,
 )
 from cfqsim.star import CatResult, StarConfig, alice_register, partial_propagator
-from cfqsim.states import MapRules, PureState, Register, apply_map, product_state, sector
+from cfqsim.states import MapRules, PureState, Register, _checked_registers, apply_map, product_state, sector
 from cfqsim.zeno import _check_one_layer
 
 # Reflectances in [1e-300, 1), log-uniform and uniform.
@@ -25,6 +25,13 @@ REFLECTANCES = st.one_of(
     st.floats(min_value=-300.0, max_value=0.0, exclude_max=True).map(lambda x: 10.0**x),
     st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
 ).filter(lambda R: R < 1.0)
+
+
+# Magnitudes log-uniform in [1e-300, 1], and nonzero complex amplitudes
+# whose parts are each 0 or such a magnitude of either sign.
+MAGNITUDES = st.floats(min_value=-300.0, max_value=0.0).map(lambda x: 10.0**x)
+_PARTS = st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda x: -x))
+AMPLITUDES = st.builds(complex, _PARTS, _PARTS).filter(bool)
 
 
 def binary_entropy(x: float) -> float:
@@ -118,6 +125,24 @@ def star_bruteforce(config: StarConfig):
         return 0.0, None
     kept = (*(alice_register(j) for j in range(n)), BOB_DEVICE)
     return yield_probability, state.normalized().restrict(kept)
+
+
+def restrict_reference(state: PureState, keep) -> PureState:
+    """``state.restrict(keep)`` with every kept register looked up again on
+    each call: the reference that ``states._restricted``, which reads its
+    label positions from a cached plan, must match bit for bit."""
+    keep = _checked_registers(keep)
+    keep_idx = [state.registers.index(r) for r in keep]
+    drop_idx = [i for i in range(len(state.registers)) if i not in keep_idx]
+    seen = {}
+    out = {}
+    for label, amp in state.amps.items():
+        k = tuple(label[i] for i in keep_idx)
+        d = tuple(label[i] for i in drop_idx)
+        if seen.setdefault(k, d) != d:
+            raise ValueError("dropped registers carry independent information")
+        out[k] = amp
+    return PureState._trusted(keep, out)
 
 
 # The Michelson maps as rule dicts rebuilt, and checked, on every call by

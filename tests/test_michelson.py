@@ -8,15 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    AMPLITUDES,
+    MAGNITUDES,
     REFLECTANCES,
     forward_beamsplitter_reference,
     pass_block_switches_reference,
     random_amplitude_pair,
+    restrict_reference,
     return_beamsplitter_reference,
     states_close,
     switch_interaction_reference,
 )
-from cfqsim import michelson
+from cfqsim import michelson, transfer
 from cfqsim.michelson import (
     ALICE_DEVICE,
     ARM_ALICE,
@@ -49,6 +52,7 @@ from cfqsim.states import (
     product_state,
     sector,
 )
+from cfqsim.transfer import transfer_alice_to_bob, transfer_bob_to_alice, transfer_without_correction
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -514,9 +518,6 @@ def test_maps_at_link_one_leave_link_zero_alone():
 # ---- the maps against their references: rules rebuilt and checked on every call
 
 LINK_KINDS = ("device_a", "arm_a", "arm_b", "bob_detector", "alice_detector")
-MAGNITUDES = st.floats(min_value=-300.0, max_value=0.0).map(lambda x: 10.0**x)
-PARTS = st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda x: -x))
-AMPLITUDES = st.builds(complex, PARTS, PARTS).filter(bool)
 MAP_REFLECTANCES = st.one_of(st.sampled_from((0.0, 1.0)), REFLECTANCES)
 
 
@@ -608,6 +609,49 @@ def test_rounds_match_the_reference_maps(R, alice, bob, variant):
         switch_interaction=switch_interaction_reference,
         return_beamsplitter=return_beamsplitter_reference,
         _pass_block_switches=pass_block_switches_reference,
+    ):
+        assert results() == new
+
+
+@settings(max_examples=150, deadline=None)
+@given(REFLECTANCES, unit_pairs_down_to_tiny(), unit_pairs_down_to_tiny(), st.sampled_from(VARIANTS))
+@example(1e-300, (SQ2, SQ2), (SQ2, SQ2), "ScQKD")
+@example(0.37, (0.6, 0.8j), (0.6j, 0.8), "N09")
+@example(0.5, (1.0, 0.0), (0.0, 1.0), "N09")
+def test_rounds_and_transfers_match_the_reference_restrict(R, alice, bob, variant):
+    """The posteriors' and transfers' restrictions, on cached plans, against
+    the reference that looks every kept register up on each call."""
+    bs = BeamSplitter(R)
+    config = RoundConfig(bs, Qubit(("V", "H"), *alice), Qubit(("P", "B"), *bob), variant)
+    pass_block = Qubit(("pass", "block"), *alice), Qubit(("pass", "block"), *bob)
+
+    def attempt(fn, *args):
+        try:
+            return fn(*args)
+        except ValueError as exc:  # a transfer with no counterfactual branch
+            return str(exc)
+
+    def transcript(t):
+        if isinstance(t, str):
+            return t
+        numbers = repr((tuple(t.receiver_state), t.fidelity, t.branch_probability))
+        return (*exact(t.shared), t.sender_outcome, t.classical_bit, numbers)
+
+    def results():
+        split = run_round(config._replace(variant="N09"), split_detector_polarization=True)
+        rounds = [run_round(config), run_scqkd_round(*pass_block, bs), split]
+        transfers = [transcript(attempt(transfer_alice_to_bob, config.alice, bs, b)) for b in ("V", "H")]
+        transfers += [transcript(attempt(transfer_bob_to_alice, config.bob, bs, b)) for b in ("P", "B")]
+        return (
+            [outcomes_exact(r) for r in rounds],
+            repr(list(round_record(config).items())),
+            transfers,
+            repr(attempt(transfer_without_correction, config.alice)),
+        )
+
+    new = results()
+    with mock.patch.object(michelson, "_restricted", restrict_reference), mock.patch.object(
+        transfer, "_restricted", restrict_reference
     ):
         assert results() == new
 

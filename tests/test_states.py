@@ -6,10 +6,18 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_state, random_unitary, state_sum, states_close, unitary_rules
+from conftest import (
+    AMPLITUDES,
+    random_state,
+    random_unitary,
+    restrict_reference,
+    state_sum,
+    states_close,
+    unitary_rules,
+)
 from cfqsim import cli
 from cfqsim.costs import cost_profile, monte_carlo
 from cfqsim.michelson import BeamSplitter, RoundConfig, run_round
@@ -569,6 +577,21 @@ class TestStateUtilities:
         with pytest.raises(ValueError):
             s.restrict((A,))
 
+    def test_restrict_rejects_an_absent_register(self):
+        s = PureState((A, DB), {("V", "0"): 0.6, ("H", "Y"): 0.8})
+        with pytest.raises(ValueError, match="^restrict keeps a register absent from the state$"):
+            s.restrict((A, B))
+
+    def test_sector_rejects_an_absent_register(self):
+        s = PureState((A, DB), {("V", "0"): 0.6, ("H", "Y"): 0.8})
+        with pytest.raises(ValueError, match="^sector reads a register absent from the state$"):
+            sector(s, B, ("P",))
+
+    def test_postselect_rejects_an_absent_register(self):
+        s = PureState((A, DB), {("V", "0"): 0.6, ("H", "Y"): 0.8})
+        with pytest.raises(ValueError, match="^sector reads a register absent from the state$"):
+            postselect(s, B, "P")
+
     def test_tensor(self):
         s = PureState((A,), {("V",): 0.6, ("H",): 0.8})
         t = PureState((B,), {("P",): 1.0})
@@ -748,3 +771,51 @@ class TestTrustedPath:
         with pytest.raises(ValueError, match="duplicate"):
             s.restrict((A, A))
 
+
+# ---- restrict against its reference: positions looked up on every call
+
+# Eight registers with alphabets of 2 to 5 symbols; a state takes 1-6 of them.
+RESTRICT_REGS = (A, B, DB, ARM_A, ARM_B, Register("alice_detector"), Register("device_a", 1), Register("zeno_mode"))
+
+
+@st.composite
+def restrict_cases(draw):
+    """A sparse state over 1-6 registers in random order, amplitudes down
+    to 1e-300, and a keep tuple of any size (empty and all included) in
+    random order."""
+    registers = tuple(draw(st.lists(st.sampled_from(RESTRICT_REGS), unique=True, min_size=1, max_size=6)))
+    label = st.tuples(*(st.sampled_from(r.alphabet) for r in registers))
+    labels = draw(st.lists(label, unique=True, max_size=10))
+    state = PureState(registers, {l: draw(AMPLITUDES) for l in labels})
+    keep = draw(st.permutations(registers))[: draw(st.integers(min_value=0, max_value=len(registers)))]
+    return state, tuple(keep)
+
+
+def restricted_exactly(restrict, state, keep):
+    """Registers and amplitude items in order, every float bit included, or
+    the message of the ``ValueError`` raised."""
+    try:
+        out = restrict(state, keep)
+    except ValueError as exc:
+        return str(exc)
+    return out.registers, repr(list(out.amps.items()))
+
+
+ONE_LABEL = PureState((A, DB, ARM_B), {("H", "Y", "V"): 1e-300 - 2e-300j})
+TAGGED = PureState((A, DB, ARM_B), {("V", "0", "vac"): 0.6, ("H", "Y", "vac"): 0.8j, ("H", "Y", "H"): 1e-300})
+
+
+@settings(max_examples=400, deadline=None)
+@given(restrict_cases())
+@example((ONE_LABEL, ()))
+@example((ONE_LABEL, (DB,)))
+@example((ONE_LABEL, (ARM_B, A, DB)))
+@example((TAGGED, ()))
+@example((TAGGED, (ARM_B, A)))
+@example((TAGGED, (A,)))
+@example((TAGGED, (ARM_B, A, DB)))
+def test_restrict_matches_its_reference(case):
+    state, keep = case
+    got = restricted_exactly(PureState.restrict, state, keep)
+    assert got == restricted_exactly(restrict_reference, state, keep)
+    assert got == restricted_exactly(PureState.restrict, state, list(keep))  # a list keep: the same plan
