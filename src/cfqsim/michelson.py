@@ -20,7 +20,8 @@ The maps' rule patterns depend on neither R nor the link, so they are
 checked once, at import, by the checker that ``states.apply_map`` runs on
 every call; a call binds sqrt(R) and sqrt(T) into the rules, finds its
 link's registers in the state (built once per link) and runs
-``apply_map``'s label loop alone.
+``apply_map``'s label loop alone.  ``run_round`` reads all three outcomes
+off the evolved N09 state, ``transfer`` its D1 sector alone.
 
 Beam splitter phase convention: reflection picks up a factor i on the way
 out, transmission stays real; on the return pass the roles swap so that a
@@ -245,16 +246,21 @@ def run_round(
         alice = Qubit(("pass", "block"), config.alice.amp0, config.alice.amp1)
         bob = Qubit(("pass", "block"), config.bob.amp0, config.bob.amp1)
         return run_scqkd_round(alice, bob, config.bs)
-    state = initial_round_state(config.alice, config.bob)
-    state = forward_beamsplitter(state, config.bs)
-    state = switch_interaction(state)
-    state = return_beamsplitter(state, config.bs)
+    state = _n09_state(config.bs, config.alice, config.bob)
 
     if split_detector_polarization:
         clicks = [(sym, (sym,)) for sym in ("D1V", "D1H", "D2V", "D2H")]
     else:
         clicks = _CLICKS
     return _outcomes(state, clicks, _TAGGED_DEVICES, _DEVICES)
+
+
+def _n09_state(bs: BeamSplitter, alice: Qubit, bob: Qubit) -> PureState:
+    """The N09 round of (V, H) and (P, B) qubits, evolved up to its detectors."""
+    if not 0.0 < bs.R < 1.0:
+        raise ValueError("degenerate beam splitter: R must lie strictly inside (0, 1)")
+    state = forward_beamsplitter(initial_round_state(alice, bob), bs)
+    return return_beamsplitter(switch_interaction(state), bs)
 
 
 class ClosedFormProbs(NamedTuple):

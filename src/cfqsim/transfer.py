@@ -3,7 +3,8 @@
 The receiver prepares a balanced device, one counterfactual round leaves
 the two devices in a payload-dependent entangled pair, and a Hadamard plus
 measurement on the sender's device steers the receiver into the payload up
-to a known Pauli correction announced with one classical bit.
+to a known Pauli correction announced with one classical bit.  Only the
+round's D1 sector is read: the D2 and DB outcomes are never built.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .michelson import ALICE_DEVICE, BOB_DEVICE, BeamSplitter, RoundConfig, run_round
-from .states import PureState, Qubit, Register, _checked_registers, _restricted, apply_map, postselect
+from .michelson import ALICE_DEVICE, BOB_DEVICE, DETECTOR, BeamSplitter, _n09_state
+from .states import PureState, Qubit, Register, _checked_registers, _restricted, apply_map, postselect, sector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -54,10 +55,10 @@ def _steer(
     else:
         receiver, minus, plus = ALICE_DEVICE, "B", "P"
         alice, bob = Qubit.balanced(("V", "H")), payload
-    d1 = run_round(RoundConfig(bs, alice, bob))[0]
-    if not d1.posterior.amps:
+    d1 = sector(_n09_state(bs, alice, bob), DETECTOR, ("D1V", "D1H"))
+    if not d1.amps:
         raise ValueError("configuration admits no counterfactual branch")
-    shared = _restricted(d1.posterior, _PAIR)
+    shared = _restricted(d1.normalized(), _PAIR)
     hadamard = {
         (plus,): [((plus,), _SQRT_HALF), ((minus,), _SQRT_HALF)],
         (minus,): [((plus,), _SQRT_HALF), ((minus,), -_SQRT_HALF)],

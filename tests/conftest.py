@@ -6,18 +6,36 @@ from hypothesis import strategies as st
 from cfqsim.michelson import (
     ABSORBER_ALICE,
     ABSORBER_BOB,
+    ALICE_DEVICE,
     ARM_ALICE,
     ARM_BOB,
     BOB_DEVICE,
     SWITCH_ALICE,
     SWITCH_BOB,
     BeamSplitter,
+    RoundConfig,
     forward_beamsplitter,
     return_beamsplitter,
+    run_round,
     switch_interaction,
 )
 from cfqsim.star import CatResult, StarConfig, alice_register, partial_propagator
-from cfqsim.states import MapRules, PureState, Register, _checked_registers, apply_map, product_state, sector
+from cfqsim.states import (
+    PRUNE_TOL,
+    MapRules,
+    PureState,
+    Qubit,
+    Register,
+    _check_patterns,
+    _checked_registers,
+    _positions,
+    _restricted,
+    apply_map,
+    postselect,
+    product_state,
+    sector,
+)
+from cfqsim.transfer import _ALONE, _PAIR
 from cfqsim.zeno import _check_one_layer
 
 # Reflectances in [1e-300, 1), log-uniform and uniform.
@@ -145,9 +163,82 @@ def restrict_reference(state: PureState, keep) -> PureState:
     return PureState._trusted(keep, out)
 
 
-# The Michelson maps as rule dicts rebuilt, and checked, on every call by
-# the public ``apply_map``: the references that ``michelson``'s maps, which
-# check their patterns once at import, must match bit for bit.
+def map_labels_reference(state: PureState, idx: tuple[int, ...], rules: MapRules) -> PureState:
+    """``states._map_labels`` written out again, each label's rule key built
+    position by position: the reference that the label loop, and every map
+    built on it, must match bit for bit, from code that they do not share."""
+    out = {}
+    summed = []  # labels that received a second term
+    for label, amp in state.amps.items():
+        key = tuple(label[i] for i in idx)
+        branches = rules.get(key)
+        if branches is None:
+            if label in out:
+                out[label] += amp
+                summed.append(label)
+            else:
+                out[label] = amp
+            continue
+        for out_pat, coeff in branches:
+            new = list(label)
+            for i, sym in zip(idx, out_pat):
+                new[i] = sym
+            t = tuple(new)
+            if t in out:
+                out[t] += amp * coeff
+                summed.append(t)
+            else:
+                out[t] = amp * coeff
+    if summed:
+        tol = PRUNE_TOL * state.norm()
+        for label in summed:
+            if label in out and abs(out[label]) <= tol:
+                del out[label]
+    return PureState._trusted(state.registers, out)
+
+
+def apply_map_reference(state: PureState, on, rules: MapRules) -> PureState:
+    """``apply_map``'s register lookup and pattern check, then the
+    reference label loop."""
+    idx = _positions(state, on)
+    _check_patterns([state.registers[i].alphabet for i in idx], rules)
+    return map_labels_reference(state, idx, rules)
+
+
+def steer_reference(payload: Qubit, bs: BeamSplitter, sender: Register, branches: tuple[str, ...]):
+    """``transfer._steer`` on the whole round: every outcome of ``run_round``
+    is built, the D1 posterior (``[0]``) is restricted to the device pair,
+    and the rest is as in ``_steer``.  The reference that ``_steer``, which
+    evolves the round and reads its D1 sector alone, must match bit for bit."""
+    basis = sender.alphabet
+    if tuple(payload.basis) != basis:
+        raise ValueError(f"payload must be declared over ({', '.join(basis)})")
+    if any(branch not in basis for branch in branches):
+        raise ValueError(f"sender branch must be {basis[0]!r} or {basis[1]!r}")
+    if sender == ALICE_DEVICE:
+        receiver, minus, plus = BOB_DEVICE, "V", "H"
+        alice, bob = payload, Qubit.balanced(("P", "B"))
+    else:
+        receiver, minus, plus = ALICE_DEVICE, "B", "P"
+        alice, bob = Qubit.balanced(("V", "H")), payload
+    d1 = run_round(RoundConfig(bs, alice, bob))[0]
+    if not d1.posterior.amps:
+        raise ValueError("configuration admits no counterfactual branch")
+    shared = _restricted(d1.posterior, _PAIR)
+    h = 1.0 / math.sqrt(2.0)
+    hadamard = {(plus,): [((plus,), h), ((minus,), h)], (minus,): [((plus,), h), ((minus,), -h)]}
+    rotated = apply_map(shared, (sender,), hadamard)
+    results = []
+    for branch in branches:
+        prob, post = postselect(rotated, sender, branch)
+        received = _restricted(post, _ALONE[receiver])
+        results.append((prob, [received.amps.get((sym,), 0j) for sym in receiver.alphabet]))
+    return shared, receiver, results
+
+
+# The Michelson maps as rule dicts rebuilt, and checked, on every call, and
+# run through the reference label loop: the references that ``michelson``'s
+# maps, which check their patterns once at import, must match bit for bit.
 
 
 def forward_beamsplitter_reference(state: PureState, bs: BeamSplitter, link: int = 0) -> PureState:
@@ -159,7 +250,7 @@ def forward_beamsplitter_reference(state: PureState, bs: BeamSplitter, link: int
             ((x, "vac", x), t),
         ]
     on = (Register("device_a", link), Register("arm_a", link), Register("arm_b", link))
-    return apply_map(state, on, rules)
+    return apply_map_reference(state, on, rules)
 
 
 def switch_interaction_reference(state: PureState, link: int = 0) -> PureState:
@@ -167,7 +258,7 @@ def switch_interaction_reference(state: PureState, link: int = 0) -> PureState:
         ("P", "H", "0"): [(("P", "vac", "Y"), 1.0)],
         ("B", "V", "0"): [(("B", "vac", "Y"), 1.0)],
     }
-    return apply_map(state, (BOB_DEVICE, Register("arm_b", link), Register("bob_detector", link)), rules)
+    return apply_map_reference(state, (BOB_DEVICE, Register("arm_b", link), Register("bob_detector", link)), rules)
 
 
 def return_beamsplitter_reference(state: PureState, bs: BeamSplitter, link: int = 0) -> PureState:
@@ -183,7 +274,7 @@ def return_beamsplitter_reference(state: PureState, bs: BeamSplitter, link: int 
             (("vac", "vac", f"D2{x}"), r),
         ]
     on = (Register("arm_a", link), Register("arm_b", link), Register("alice_detector", link))
-    return apply_map(state, on, rules)
+    return apply_map_reference(state, on, rules)
 
 
 def pass_block_switches_reference(state: PureState) -> PureState:
@@ -191,17 +282,19 @@ def pass_block_switches_reference(state: PureState) -> PureState:
         (SWITCH_ALICE, ARM_ALICE, ABSORBER_ALICE),
         (SWITCH_BOB, ARM_BOB, ABSORBER_BOB),
     ):
-        state = apply_map(state, (switch, arm, absorber), {("block", "V", "0"): [(("block", "vac", "Y"), 1.0)]})
+        rules = {("block", "V", "0"): [(("block", "vac", "Y"), 1.0)]}
+        state = apply_map_reference(state, (switch, arm, absorber), rules)
     return state
 
 
 def chain_step_reference(state: PureState, theta: float) -> PureState:
-    """One beam splitter passage as a rule table run through ``apply_map``:
-    the reference that ``zeno.chain_step`` must match bit for bit."""
+    """One beam splitter passage as a rule table run through
+    ``apply_map_reference``: the reference that ``zeno.chain_step`` must
+    match bit for bit."""
     _check_one_layer(state)
     c, s = math.cos(theta), math.sin(theta)
     rules = {("0",): [(("0",), c), (("1",), s)], ("1",): [(("0",), -s), (("1",), c)]}
-    return apply_map(state, state.registers[1:], rules)
+    return apply_map_reference(state, state.registers[1:], rules)
 
 
 def run_star_reference(config: StarConfig) -> CatResult:

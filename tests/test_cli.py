@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,7 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from exact import n09_round_probabilities, within_one_unit
 from cfqsim import cli, costs, zeno
 
 
@@ -165,6 +169,68 @@ class TestRound:
         assert run_json(capsys, "round", "--R", "0.5", "--alice", *comma) == run_json(
             capsys, "round", "--R", "0.5", "--alice", *plain
         )
+
+
+# R log-uniform down to 1e-100 and uniform; amplitude pairs whose smaller
+# magnitude is exactly 0 or at least 1e-7, with random phases.  Every
+# printed probability is then 0 or in the normal range.  Below 1e-7 a
+# passing pair's D2 amplitude can fall under the dust threshold, a defect
+# that ``test_round_keeps_a_small_d2_sum`` pins.
+NORMAL_REFLECTANCES = st.one_of(
+    st.floats(min_value=-100.0, max_value=0.0, exclude_max=True).map(lambda x: 10.0**x),
+    st.floats(min_value=1e-100, max_value=1.0, exclude_max=True),
+).filter(lambda R: R < 1.0)
+SMALLER_MAGNITUDES = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-7.0, max_value=0.0).map(lambda x: 10.0**x),
+    st.floats(min_value=1e-7, max_value=1.0),
+).map(lambda m: min(m, math.sqrt(0.5)))
+PHASES = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@st.composite
+def amplitude_literals(draw):
+    """A unit amplitude pair as the CLI's two 're,im' literals."""
+    small = draw(SMALLER_MAGNITUDES)
+    a, b = draw(PHASES), draw(PHASES)
+    large = math.sqrt(1.0 - small * small)
+    pair = [small * complex(math.cos(a), math.sin(a)), large * complex(math.cos(b), math.sin(b))]
+    if draw(st.booleans()):
+        pair.reverse()
+    return [f"{z.real!r},{z.imag!r}" for z in pair]
+
+
+def printed_round(*argv):
+    """``round``'s JSON record for ``argv``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["round", *argv]) == 0
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=300, deadline=None)
+@given(NORMAL_REFLECTANCES, amplitude_literals(), amplitude_literals())
+@example(0.37, ["0.6", "0,0.8"], ["0.6,0", "0.8"])
+@example(0.5, ["1", "0"], ["0", "1"])
+@example(1e-100, ["1e-7", "1"], ["1", "1e-7"])
+def test_round_prints_the_exact_probabilities(R, alice, bob):
+    """``round``'s 12-digit probabilities against exact arithmetic on the
+    inputs that it parsed: each is the exact value's 12-digit rounding, or
+    one unit in the last digit away from it."""
+    record = printed_round("--R", repr(R), "--alice", *alice, "--bob", *bob)
+    mu, nu = cli.parse_qubit(("V", "H"), alice, "--alice")[1:]
+    alpha, beta = cli.parse_qubit(("P", "B"), bob, "--bob")[1:]
+    for name, value in n09_round_probabilities(R, mu, nu, alpha, beta).items():
+        assert within_one_unit(record[name], value), (name, record[name], float(value))
+
+
+@pytest.mark.xfail(strict=True, reason="a two-term D2 sum below PRUNE_TOL times the norm is dropped as dust")
+def test_round_keeps_a_small_d2_sum():
+    """Known defect: the passing pairs' D2 amplitudes, 1e-16 here, are each
+    a sum of two same-sign terms, and the return map drops them as
+    cancellation dust, so P_D2 prints 1e-24 where it is 1.00000002e-24."""
+    record = printed_round("--R", "1e-12", "--alice", "1e-16", "1", "--bob", "1", "1e-16")
+    assert within_one_unit(record["P_D2"], n09_round_probabilities(1e-12, 1e-16, 1.0, 1.0, 1e-16)["P_D2"])
 
 
 class TestScqkd:

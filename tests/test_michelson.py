@@ -515,7 +515,8 @@ def test_maps_at_link_one_leave_link_zero_alone():
     assert sector(after, link1[3], ("Y",)).amps
 
 
-# ---- the maps against their references: rules rebuilt and checked on every call
+# ---- the maps against their references: rules rebuilt and checked on every
+# call, and run through the reference label loop
 
 LINK_KINDS = ("device_a", "arm_a", "arm_b", "bob_detector", "alice_detector")
 MAP_REFLECTANCES = st.one_of(st.sampled_from((0.0, 1.0)), REFLECTANCES)
@@ -569,7 +570,7 @@ def test_maps_match_their_references(case, R):
     for fast, slow, args in pairs:
         # the same rules, insertion and branch order included, and the same output
         assert run_recording_rules(fast, "_map_labels", state, *args) == run_recording_rules(
-            slow, "apply_map", state, *args
+            slow, "apply_map_reference", state, *args
         )
         new, ref = fast(new, *args), slow(ref, *args)  # and the three in sequence
         assert exact(new) == exact(ref)

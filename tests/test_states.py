@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     AMPLITUDES,
+    map_labels_reference,
     random_state,
     random_unitary,
     restrict_reference,
@@ -27,6 +28,7 @@ from cfqsim.states import (
     PureState,
     Qubit,
     Register,
+    _map_labels,
     apply_map,
     entanglement_entropy,
     fidelity_up_to_phase,
@@ -819,3 +821,49 @@ def test_restrict_matches_its_reference(case):
     got = restricted_exactly(PureState.restrict, state, keep)
     assert got == restricted_exactly(restrict_reference, state, keep)
     assert got == restricted_exactly(PureState.restrict, state, list(keep))  # a list keep: the same plan
+
+
+# ---- the label loop against its reference: rule keys built position by position
+
+# Values whose sums cancel: opposite terms to an exact zero, 1 against
+# -(1 + 2**-52) to 2**-52, dust below PRUNE_TOL times any norm near 1.
+CANCELLING = st.sampled_from((1.0, -1.0, 1j, -1j, 0.5, 1.0 + 2.0**-52, -(1.0 + 2.0**-52)))
+MAP_VALUES = st.one_of(AMPLITUDES, CANCELLING)
+
+
+@st.composite
+def map_label_cases(draw):
+    """A sparse state over 1-6 registers in random order, amplitudes down
+    to 1e-300 or from ``CANCELLING``; 0-3 distinct positions in any order;
+    and rules on some patterns there, mostly ones the labels carry, each
+    fanning out into 0-4 branches.  Labels that match no rule pass."""
+    registers = tuple(draw(st.lists(st.sampled_from(RESTRICT_REGS), unique=True, min_size=1, max_size=6)))
+    label = st.tuples(*(st.sampled_from(r.alphabet) for r in registers))
+    labels = draw(st.lists(label, unique=True, min_size=1, max_size=12))
+    state = PureState(registers, {l: draw(MAP_VALUES) for l in labels})
+    idx = tuple(draw(st.permutations(range(len(registers))))[: draw(st.integers(0, min(3, len(registers))))])
+    any_pattern = st.tuples(*(st.sampled_from(registers[i].alphabet) for i in idx))
+    pattern = st.one_of(st.sampled_from([tuple(l[i] for i in idx) for l in labels]), any_pattern)
+    rules = draw(st.dictionaries(pattern, st.lists(st.tuples(pattern, MAP_VALUES), max_size=4), max_size=6))
+    return state, idx, rules
+
+
+def mapped_exactly(loop, state, idx, rules):
+    """Registers and amplitude items in order, every float bit included."""
+    out = loop(state, idx, rules)
+    return out.registers, repr(list(out.amps.items()))
+
+
+TWO = PureState((A,), {("V",): 1.0, ("H",): 1.0})
+LINK = PureState((B, ARM_B, DB), {("P", "H", "0"): 1e-300, ("B", "V", "0"): -1e-300j, ("P", "vac", "Y"): 1e-300})
+
+
+@settings(max_examples=400, deadline=None)
+@given(map_label_cases())
+@example((TWO, (0,), {("H",): [(("V",), -1.0)]}))  # a passing label cancelled to zero
+@example((TWO, (0,), {("V",): [(("V",), 1.0)], ("H",): [(("V",), -(1.0 + 2.0**-52))]}))  # to dust
+@example((TWO, (), {(): [((), 1j), ((), 0.5)]}))  # no positions: one rule for every label
+@example((LINK, (2, 0, 1), {("0", "P", "H"): [(("Y", "P", "vac"), -1.0)], ("0", "B", "V"): [(("Y", "P", "vac"), 1j)]}))
+def test_map_labels_matches_its_reference(case):
+    state, idx, rules = case
+    assert mapped_exactly(_map_labels, state, idx, rules) == mapped_exactly(map_labels_reference, state, idx, rules)

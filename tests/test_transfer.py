@@ -3,11 +3,15 @@ import json
 import math
 import pathlib
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_amplitude_pair
-from cfqsim import cli
+from conftest import AMPLITUDES, REFLECTANCES, random_amplitude_pair, steer_reference
+from cfqsim import cli, transfer
 from cfqsim.michelson import BeamSplitter
 from cfqsim.states import Qubit
 from cfqsim.transfer import (
@@ -148,3 +152,51 @@ class TestTranscriptRecord:
             "bit": 1,
             "fidelity": pytest.approx(1.0, abs=1e-12),
         }
+
+
+# ---- steering on the D1 sector alone against the whole round's D1 posterior
+
+
+def unit_pair(a, b):
+    """``(a, b)`` scaled to unit norm, the larger part first brought near 1."""
+    m = max(abs(a), abs(b))
+    a, b = a / m, b / m
+    n = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    return a / n, b / n
+
+
+def transcripts(payload_amps, R):
+    """Every transfer of the payload (both directions, every branch, and a
+    wrong basis and an unknown branch in each direction) and the
+    uncorrected average, each as every float bit of its fields, item order
+    included, or the message of the ``ValueError`` raised."""
+
+    def attempt(fn, *args):
+        try:
+            out = fn(*args)
+        except ValueError as exc:
+            return str(exc)
+        if isinstance(out, float):
+            return repr(out)
+        numbers = (tuple(out.receiver_state), out.fidelity, out.branch_probability)
+        shared = (out.shared.registers, repr(list(out.shared.amps.items())))
+        return (*shared, out.sender_outcome, out.classical_bit, repr(numbers))
+
+    bs = BeamSplitter(R)
+    forward, backward = Qubit(("V", "H"), *payload_amps), Qubit(("P", "B"), *payload_amps)
+    calls = [(transfer_alice_to_bob, forward, b) for b in ("V", "H", "P")]
+    calls += [(transfer_bob_to_alice, backward, b) for b in ("P", "B", "V")]
+    calls += [(transfer_alice_to_bob, backward, "V"), (transfer_bob_to_alice, forward, "P")]
+    return [attempt(fn, payload, bs, b) for fn, payload, b in calls] + [attempt(transfer_without_correction, forward)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from((0.0, 1.0)), REFLECTANCES), AMPLITUDES, AMPLITUDES)
+@example(1e-300, 0.6, 0.8j)
+@example(5e-324, 0.6, 0.8)
+@example(0.37, 1e-300, 1.0)
+@example(0.0, 0.6, 0.8)
+def test_transfers_match_the_reference_steer(R, a, b):
+    new = transcripts(unit_pair(a, b), R)
+    with mock.patch.object(transfer, "_steer", steer_reference):
+        assert transcripts(unit_pair(a, b), R) == new
