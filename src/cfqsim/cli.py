@@ -33,8 +33,8 @@ NORM_REJECT = 1e-6
 # the largest allowed input takes about 1-2 s on a 2-vCPU Xeon host under
 # Python 3.11.
 # Largest star, counting --N or the --alice pairs.  run_star is linear in
-# spokes (--N 5000 takes about 0.2-0.3 s end to end), but argparse's time
-# grows as the square of the --alice pairs: 5000 of them take 0.9-1.5 s.
+# spokes (--N 5000 takes about 0.12-0.18 s end to end), but argparse's time
+# grows as the square of the --alice pairs: 5000 of them take 0.8-1.2 s.
 STAR_MAX_PARTIES = 5000
 # Most points in a --sweep grid: 100k cost-profile rows take about 0.8 s.
 SWEEP_MAX_POINTS = 100_000
@@ -228,10 +228,11 @@ def cmd_star(args) -> str:
     bob = parse_qubit(("P", "B"), args.bob, "--bob") if args.bob else Qubit.balanced(("P", "B"))
     result = run_star(StarConfig(BeamSplitter(args.R), alices, bob))
     entropy = entanglement_entropy(result.state, [alice_register(0)]) if result.state.amps else 0.0
+    y = result.yield_probability  # null below the normal range, where it has lost digits; 0 only if exact
     record = {
         "N": len(alices),
         "R": args.R,
-        "yield": result.yield_probability,
+        "yield": y if y >= sys.float_info.min or result.log10_yield == -math.inf else None,
         "log10_yield": result.log10_yield,
         "cat_fidelity": cat_fidelity(result),
         "entropy_any_bipartition": entropy,

@@ -4,11 +4,13 @@ One hub party holds a single switch device whose choice acts jointly on N
 separate links, one per spoke party.  Conditioning every link on its
 counterfactual detector click projects the N+1 devices onto a cat-type
 superposition; the per-link evolution restricted to that sector is a
-simple non-unitary "keep the compatible branch" map.
+simple non-unitary "keep the compatible branch" map, read off one real
+N09 round per beam splitter: its D1 factor is -sqrt(R)*sqrt(T) on (H, P)
+and (V, B), so the cat carries a global phase (-1)**N.
 
 Given the hub's setting the links are independent, so ``run_star``
-carries only the live hub branches.  Per spoke it tensors them with the
-spoke qubit and makes one propagator call (at most 4 labels in, 2 out),
+carries only the live hub branches.  Per spoke it builds their (hub,
+spoke) labels and makes one propagator call (at most 4 labels in, 2 out),
 which multiplies each branch by its D1 factor and drops a branch that
 gets none: the cost is linear in the number of spokes.  Each branch is a
 mantissa times its own power of two, rescaled exactly before every link
@@ -20,12 +22,14 @@ and its base-10 logarithm are built once, at the end.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .michelson import BOB_DEVICE, BeamSplitter
-from .states import PureState, Qubit, Register, ValidatedTuple, apply_map, fidelity_up_to_phase, product_state
+from .michelson import ALICE_DEVICE, BOB_DEVICE, DETECTOR, BeamSplitter, initial_round_state
+from .michelson import forward_beamsplitter, return_beamsplitter, switch_interaction
+from .states import PureState, Qubit, Register, ValidatedTuple, _map_labels, _positions, fidelity_up_to_phase, sector
 
 
 def alice_register(link: int) -> Register:
@@ -57,24 +61,32 @@ class CatResult(NamedTuple):
     log10_yield: float  # log10 of the yield; finite where the float underflows, -inf at zero yield
 
 
+# One link-0 round state holding every (device_a, device_b) pair at amplitude 1.
+_PAIRS = initial_round_state(Qubit.balanced(("V", "H")), Qubit.balanced(("P", "B")))
+_PAIRS = PureState(_PAIRS.registers, dict.fromkeys(_PAIRS.amps, 1.0))
+
+
+@functools.lru_cache(maxsize=1)
+def _d1_rules(bs: BeamSplitter) -> dict:
+    """Each (device_b, device_a) pair's D1 factor in the N09 round of
+    ``_PAIRS`` as a rule on those registers; a pair without D1 maps to none."""
+    round_ = return_beamsplitter(switch_interaction(forward_beamsplitter(_PAIRS, bs)), bs)
+    a, b = _positions(_PAIRS, (ALICE_DEVICE, BOB_DEVICE))
+    d1 = {(l[b], l[a]): amp for l, amp in sector(round_, DETECTOR, ("D1V", "D1H")).amps.items()}
+    return {p: [(p, d1[p])] if p in d1 else [] for p in ((l[b], l[a]) for l in _PAIRS.amps)}
+
+
 def partial_propagator(state: PureState, link: int, bs: BeamSplitter) -> PureState:
     """Evolve one link keeping only its counterfactual-click sector.
 
-    The two compatible device combinations each pick up sqrt(RT); the two
-    that never click D1 are dropped, so the norm decreases.  Every kept
-    label clicked D1, so the click is not recorded in a register.
+    The compatible device pairs pick up their N09 D1 factor, -sqrt(R)*sqrt(T);
+    the two that never click D1 are dropped, so the norm decreases.  Every
+    kept label clicked D1, so the click is not recorded in a register.
     """
     a = alice_register(link)
     if a not in state.registers:
         raise ValueError(f"link index {link} out of range for this state")
-    s = math.sqrt(bs.R * bs.T)
-    rules = {
-        ("P", "H"): [(("P", "H"), s)],
-        ("B", "V"): [(("B", "V"), s)],
-        ("P", "V"): [],
-        ("B", "H"): [],
-    }
-    return apply_map(state, (BOB_DEVICE, a), rules)
+    return _map_labels(state, _positions(state, (BOB_DEVICE, a)), _d1_rules(bs))
 
 
 def run_star(config: StarConfig) -> CatResult:
@@ -83,12 +95,12 @@ def run_star(config: StarConfig) -> CatResult:
     # branches near 2**54/sqrt(RT) stay normal times any spoke amplitude (>= 2**-1074)
     lift = 54 - math.frexp(math.sqrt(config.bs.R * config.bs.T))[1]
     # the live hub branches: symbol -> (m, e) for the branch amplitude m * 2**e
-    branches = {b: (m, 0) for (b,), m in product_state([(BOB_DEVICE, config.bob)]).amps.items()}
+    branches = {b: (m, 0) for b, m in config.bob.amplitudes().items()}
     spokes = {b: [] for b in branches}  # each branch's spoke symbols, in link order
     for j, q in enumerate(config.alices):
         lifted = {b: _split(m, e, lift) for b, (m, e) in branches.items()}
-        hub = PureState._trusted((BOB_DEVICE,), {(b,): m for b, (m, _) in lifted.items()})
-        link = partial_propagator(hub.tensor(product_state([(alice_register(j), q)])), j, config.bs)
+        pairs = {(b, x): m * a for b, (m, _) in lifted.items() for x, a in q.amplitudes().items()}
+        link = partial_propagator(PureState._trusted((BOB_DEVICE, alice_register(j)), pairs), j, config.bs)
         if not link.amps:
             return CatResult(0.0, PureState(kept, {}), -math.inf)
         branches = {b: (m, lifted[b][1]) for (b, _), m in link.amps.items()}

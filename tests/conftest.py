@@ -297,6 +297,21 @@ def chain_step_reference(state: PureState, theta: float) -> PureState:
     return apply_map_reference(state, state.registers[1:], rules)
 
 
+def partial_propagator_reference(state: PureState, link: int, bs: BeamSplitter) -> PureState:
+    """The star's link step as a hand-written table: +sqrt(RT) on the
+    compatible (device_b, device_a) pairs (P, H) and (B, V), the other two
+    dropped.  ``star.partial_propagator``, which reads its factors off the
+    N09 maps, must keep exactly its labels, each at -1 times its amplitude."""
+    s = math.sqrt(bs.R * bs.T)
+    rules = {
+        ("P", "H"): [(("P", "H"), s)],
+        ("B", "V"): [(("B", "V"), s)],
+        ("P", "V"): [],
+        ("B", "H"): [],
+    }
+    return apply_map(state, (BOB_DEVICE, alice_register(link)), rules)
+
+
 def run_star_reference(config: StarConfig) -> CatResult:
     """The star grown as one (N+1)-register state, each hub branch's labels
     rescaled by exact powers of two before every link: the reference that

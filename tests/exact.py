@@ -32,6 +32,27 @@ def n09_round_probabilities(R: float, mu: complex, nu: complex, alpha: complex, 
     return {"P_D1": R * T * blocked, "P_D2": passing + R * R * blocked, "P_DB": T * blocked}
 
 
+def star_yield(R: float, alices: list[tuple[complex, complex]], alpha: complex, beta: complex) -> Fraction:
+    """The yield of a star with spoke amplitudes (mu_j, nu_j) on (V, H) and
+    hub amplitudes (alpha, beta) on (P, B): every link clicks D1 with
+    weight RT on the pairs (H, P) and (V, B) alone, so the yield is
+    (RT)**N (|alpha|**2 prod |nu_j|**2 + |beta|**2 prod |mu_j|**2)."""
+    R = Fraction(R)
+    passing, blocking = abs2(alpha), abs2(beta)
+    for mu, nu in alices:
+        passing *= abs2(nu)
+        blocking *= abs2(mu)
+    return (R * (1 - R)) ** len(alices) * (passing + blocking)
+
+
+def log10(value: Fraction, digits: int = 40) -> Fraction:
+    """log10 of a positive ``value``, from the logarithms of its numerator
+    and denominator, each taken at ``digits`` significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return Fraction(Decimal(value.numerator).log10() - Decimal(value.denominator).log10())
+
+
 def rounded(value: Fraction, digits: int = 12) -> Decimal:
     """``value`` correctly rounded to ``digits`` significant digits."""
     with localcontext() as ctx:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exact import n09_round_probabilities, within_one_unit
+from exact import log10, n09_round_probabilities, star_yield, within_one_unit
 from cfqsim import cli, costs, zeno
 
 
@@ -200,11 +200,11 @@ def amplitude_literals(draw):
     return [f"{z.real!r},{z.imag!r}" for z in pair]
 
 
-def printed_round(*argv):
-    """``round``'s JSON record for ``argv``."""
+def printed(*argv):
+    """The JSON record that the command line ``argv`` prints."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(["round", *argv]) == 0
+        assert cli.main(list(argv)) == 0
     return json.loads(out.getvalue())
 
 
@@ -217,7 +217,7 @@ def test_round_prints_the_exact_probabilities(R, alice, bob):
     """``round``'s 12-digit probabilities against exact arithmetic on the
     inputs that it parsed: each is the exact value's 12-digit rounding, or
     one unit in the last digit away from it."""
-    record = printed_round("--R", repr(R), "--alice", *alice, "--bob", *bob)
+    record = printed("round", "--R", repr(R), "--alice", *alice, "--bob", *bob)
     mu, nu = cli.parse_qubit(("V", "H"), alice, "--alice")[1:]
     alpha, beta = cli.parse_qubit(("P", "B"), bob, "--bob")[1:]
     for name, value in n09_round_probabilities(R, mu, nu, alpha, beta).items():
@@ -229,8 +229,31 @@ def test_round_keeps_a_small_d2_sum():
     """Known defect: the passing pairs' D2 amplitudes, 1e-16 here, are each
     a sum of two same-sign terms, and the return map drops them as
     cancellation dust, so P_D2 prints 1e-24 where it is 1.00000002e-24."""
-    record = printed_round("--R", "1e-12", "--alice", "1e-16", "1", "--bob", "1", "1e-16")
+    record = printed("round", "--R", "1e-12", "--alice", "1e-16", "1", "--bob", "1", "1e-16")
     assert within_one_unit(record["P_D2"], n09_round_probabilities(1e-12, 1e-16, 1.0, 1.0, 1e-16)["P_D2"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(NORMAL_REFLECTANCES, st.lists(amplitude_literals(), min_size=1, max_size=60), amplitude_literals())
+@example(0.5, [["1", "0"], ["0", "1"]], ["0.6", "0.8"])
+@example(1e-100, [["1e-7", "1"]] * 60, ["1", "1e-7"])
+def test_star_prints_the_exact_yield(R, alices, bob):
+    """``star``'s yield against exact arithmetic on the inputs that it
+    parsed: a normal yield prints as the exact value's 12-digit rounding or
+    one unit away, a yield below the normal range as null, and
+    ``log10_yield`` within one unit of the exact logarithm."""
+    flags = [text for pair in alices for text in ("--alice", *pair)]
+    record = printed("star", "--R", repr(R), *flags, "--bob", *bob)
+    spokes = [cli.parse_qubit(("V", "H"), pair, "--alice")[1:] for pair in alices]
+    exact = star_yield(R, spokes, *cli.parse_qubit(("P", "B"), bob, "--bob")[1:])
+    if exact == 0:
+        assert (record["yield"], record["log10_yield"]) == (0.0, None)
+        return
+    if exact >= sys.float_info.min:
+        assert within_one_unit(record["yield"], exact), (record["yield"], float(exact))
+    else:
+        assert record["yield"] is None
+    assert within_one_unit(record["log10_yield"], log10(exact)), (record["log10_yield"], float(log10(exact)))
 
 
 class TestScqkd:
@@ -290,7 +313,7 @@ class TestStar:
     def test_party_limit(self, capsys):
         top = cli.STAR_MAX_PARTIES
         record = run_json(capsys, "star", "--R", "0.5", "--N", str(top))
-        assert record["yield"] == 0.0  # below the double range
+        assert record["yield"] is None  # below the normal range: null, next to its log10
         # 12 printed significant digits
         assert record["log10_yield"] == pytest.approx(top * math.log10(0.125), rel=1e-11)
         assert record["cat_fidelity"] == pytest.approx(1.0, abs=1e-12)

@@ -116,6 +116,8 @@ COMMANDS = (
     "star --R 1e-315 --N 3",
     # both pass/block parties superposed with complex amplitudes
     "scqkd --R 0.37 --alice 0.6 0,0.8 --bob 0,0.6 0.8",
+    # a subnormal yield (exactly 9.828e-324) prints as null, next to its log10
+    "star --R 0.3 --N 330",
 )
 
 

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REFLECTANCES, random_amplitude_pair, run_star_reference, star_bruteforce, states_close
+from conftest import (
+    AMPLITUDES,
+    REFLECTANCES,
+    partial_propagator_reference,
+    random_amplitude_pair,
+    run_star_reference,
+    star_bruteforce,
+    states_close,
+)
 from cfqsim.michelson import BOB_DEVICE, BeamSplitter, RoundConfig, d1_state_closed_form
 from cfqsim.star import (
     StarConfig,
@@ -103,8 +111,9 @@ class TestPartialPropagator:
         return PureState(self.regs, {(b_sym, a_sym): 1.0})
 
     def test_compatible_pass_branch(self):
+        # the N09 maps' D1 factor: (i sqrt(R)) (i sqrt(T)) = -sqrt(R) sqrt(T)
         out = partial_propagator(self.one_component("P", "H"), 0, BeamSplitter(0.5))
-        assert out.amps == {("P", "H"): pytest.approx(0.5)}
+        assert out.amps == {("P", "H"): pytest.approx(-0.5)}
 
     def test_incompatible_branch_dropped(self):
         out = partial_propagator(self.one_component("P", "V"), 0, BeamSplitter(0.5))
@@ -113,11 +122,34 @@ class TestPartialPropagator:
     def test_compatible_block_branch_scales(self):
         s = PureState(self.regs, {("B", "V"): 0.3j})
         out = partial_propagator(s, 0, BeamSplitter(0.5))
-        assert out.amps[("B", "V")] == pytest.approx(0.15j)
+        assert out.amps[("B", "V")] == pytest.approx(-0.15j)
 
     def test_link_out_of_range(self):
         with pytest.raises(ValueError):
             partial_propagator(self.one_component("P", "H"), 3, BeamSplitter(0.5))
+
+
+# The four (device_b, device_a) pairs of one link.
+DEVICE_PAIRS = [(b, a) for b in ("P", "B") for a in ("V", "H")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(REFLECTANCES, st.integers(0, 3), st.dictionaries(st.sampled_from(DEVICE_PAIRS), AMPLITUDES, min_size=1))
+@example(0.5, 0, dict.fromkeys(DEVICE_PAIRS, 1.0))
+def test_propagator_matches_the_hand_written_table(R, link, amps):
+    """The link step read off the N09 maps keeps exactly the hand-written
+    table's labels, each at -1 times its amplitude (-sqrt(R) sqrt(T)
+    against +sqrt(RT)), within 4 ulp wherever the products are normal."""
+    state = PureState((BOB_DEVICE, alice_register(link)), amps)
+    got = partial_propagator(state, link, BeamSplitter(R))
+    want = partial_propagator_reference(state, link, BeamSplitter(R))
+    assert got.registers == want.registers
+    assert got.amps.keys() == want.amps.keys()
+    for label, w in want.amps.items():
+        g = got.amps[label]
+        for g_part, w_part in ((g.real, w.real), (g.imag, w.imag)):
+            if w_part == 0.0 or abs(w_part) >= sys.float_info.min:
+                assert abs(g_part + w_part) <= 4 * math.ulp(w_part), (label, g, w)
 
 
 class TestRunStar:
