@@ -3,8 +3,9 @@
 This is the only module that reads amplitudes from text or turns numbers
 into text: the engines take and return numbers, and every printed digit
 passes through ``emit``, at 12 significant digits, with amplitudes as
-'re' or 're,im' literals.  Every subcommand emits byte-deterministic JSON
-or CSV (``--format``).  A single result is a JSON object or one CSV row;
+'re' or 're,im' literals; an echoed reflectance ``R`` prints exactly as
+parsed.  Every subcommand emits byte-deterministic JSON or CSV
+(``--format``).  A single result is a JSON object or one CSV row;
 ``qst`` and the ``--sweep`` grids are a JSON list or one CSV row per
 entry, and ``table``'s JSON is one object holding its rows.  ``table``
 and the sweeps default to CSV, the rest to JSON.  Exit codes: 0 on
@@ -160,8 +161,13 @@ def emit(result, fmt: str) -> str:
     """One record (a dict) or a list of records, as sorted-key JSON or as
     CSV with a header line, nested dicts flattened into columns.  A missing
     or non-finite number is JSON null and an empty CSV cell; a complex
-    amplitude is a literal string."""
+    amplitude is a literal string.  A single record's ``R`` is the parsed
+    input, printed as its repr; the ``R`` of a sweep grid point is
+    rounded like any other number."""
+    echoed = result.get("R") if isinstance(result, dict) else None
     result = _round12(result)
+    if echoed is not None:
+        result["R"] = echoed if fmt == "json" else repr(echoed)
     if fmt == "json":
         import json
         return json.dumps(result, sort_keys=True, allow_nan=False) + "\n"

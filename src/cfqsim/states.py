@@ -22,9 +22,9 @@ plan cached per (register tuple, keep tuple).  Each value type
 built on ``ValidatedTuple`` (``Register``, ``Qubit``, the engines'
 configs) checks its fields in ``__new__``, which ``_replace``,
 ``_make``, copies and pickles go through too.  States derived from
-already-valid states (map results, sectors, scalings, tensor products,
-restrictions) are built with the trusted internal constructor
-``PureState._trusted``, which skips the label checks.  Both keep every
+already-valid states (map results, sectors, scalings, restrictions) are
+built with the trusted internal constructor ``PureState._trusted``,
+which skips the label checks.  Both keep every
 nonzero amplitude, however small.  Only a sum makes cancellation dust:
 ``apply_map`` (and ``zeno.chain_step``, through ``_drop_dust``) drops a
 label that received two or more terms if it ends at most ``PRUNE_TOL``
@@ -186,16 +186,6 @@ class PureState:
             raise ValueError("cannot normalize a zero state")
         n = math.sqrt(n2)
         return PureState._trusted(state.registers, {l: a / n for l, a in state.amps.items()})
-
-    def tensor(self, other: "PureState") -> "PureState":
-        if set(self.registers) & set(other.registers):
-            raise ValueError("tensor factors share registers")
-        amps = {
-            l1 + l2: a1 * a2
-            for l1, a1 in self.amps.items()
-            for l2, a2 in other.amps.items()
-        }
-        return PureState._trusted(self.registers + other.registers, amps)
 
     def restrict(self, keep: Sequence[Register]) -> "PureState":
         """Drop registers whose symbol is a function of the kept label.

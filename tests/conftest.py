@@ -89,6 +89,12 @@ def state_sum(s: PureState, t: PureState) -> PureState:
     return PureState(s.registers, amps)
 
 
+def tensor(s: PureState, t: PureState) -> PureState:
+    """The tensor product of two states over disjoint registers."""
+    amps = {l1 + l2: a1 * a2 for l1, a1 in s.amps.items() for l2, a2 in t.amps.items()}
+    return PureState(s.registers + t.registers, amps)
+
+
 def states_close(s: PureState, t: PureState, tol: float = 1e-12) -> bool:
     """Label-wise amplitude comparison (no phase freedom)."""
     if s.registers != t.registers:
@@ -323,7 +329,7 @@ def run_star_reference(config: StarConfig) -> CatResult:
     for j, q in enumerate(config.alices):
         state = _rescaled(state, exps, lift)
         spoke = product_state([(alice_register(j), q)])
-        state = partial_propagator(state.tensor(spoke), j, config.bs)
+        state = partial_propagator(tensor(state, spoke), j, config.bs)
         if not state.amps:
             return CatResult(0.0, PureState(kept, {}), -math.inf)
     state = _rescaled(state, exps, 0)

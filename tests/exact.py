@@ -32,6 +32,52 @@ def n09_round_probabilities(R: float, mu: complex, nu: complex, alpha: complex, 
     return {"P_D1": R * T * blocked, "P_D2": passing + R * R * blocked, "P_DB": T * blocked}
 
 
+def scqkd_round_probabilities(
+    R: float, a_pass: complex, a_block: complex, b_pass: complex, b_block: complex
+) -> dict[str, Fraction]:
+    """``P_D1``, ``P_D2`` and ``P_DB`` of a pass/block round with sender
+    amplitudes (a_pass, a_block) and receiver amplitudes (b_pass, b_block).
+
+    Both passing, the two arms interfere wholly into D2; both blocking,
+    the photon is absorbed.  When the receiver alone blocks, the channel
+    arm is absorbed (weight T) and the internal arm reaches D1 with weight
+    RT and D2 with weight R**2; when the sender alone blocks, the internal
+    arm is absorbed (weight R) and the channel arm reaches D1 with weight
+    RT and D2 with weight T**2.
+    """
+    R = Fraction(R)
+    T = 1 - R
+    pb, bp = abs2(a_pass) * abs2(b_block), abs2(a_block) * abs2(b_pass)
+    return {
+        "P_D1": R * T * (pb + bp),
+        "P_D2": abs2(a_pass) * abs2(b_pass) + R * R * pb + T * T * bp,
+        "P_DB": T * pb + R * bp + abs2(a_block) * abs2(b_block),
+    }
+
+
+def table_rows(R: float) -> dict[str, dict[str, Fraction]]:
+    """The ``table`` rows: an N09 round on the basis inputs (V, P), which
+    passes, and (V, B), which blocks."""
+    return {"VP|HB": n09_round_probabilities(R, 1, 0, 1, 0), "VB|HP": n09_round_probabilities(R, 1, 0, 0, 1)}
+
+
+def cost_columns(R: float) -> dict[str, Fraction]:
+    """The rational ``cost`` columns at reflectance R, both devices balanced:
+    P_D1 = RT/2, P_D2 = (1 + R**2)/2, P_DB = T/2, the announced-click share
+    p1' = RT/(1 + R) with p2' = 1 - p1', and C_q = 2/(RT) rounds per pair."""
+    R = Fraction(R)
+    T = 1 - R
+    p1 = R * T / (1 + R)
+    return {
+        "P_D1": R * T / 2,
+        "P_D2": (1 + R * R) / 2,
+        "P_DB": T / 2,
+        "p1_prime": p1,
+        "p2_prime": 1 - p1,
+        "C_q": 2 / (R * T),
+    }
+
+
 def star_yield(R: float, alices: list[tuple[complex, complex]], alpha: complex, beta: complex) -> Fraction:
     """The yield of a star with spoke amplitudes (mu_j, nu_j) on (V, H) and
     hub amplitudes (alpha, beta) on (P, B): every link clicks D1 with

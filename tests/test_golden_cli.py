@@ -118,6 +118,8 @@ COMMANDS = (
     "scqkd --R 0.37 --alice 0.6 0,0.8 --bob 0,0.6 0.8",
     # a subnormal yield (exactly 9.828e-324) prints as null, next to its log10
     "star --R 0.3 --N 330",
+    # an echoed R prints as parsed: 1 - 2**-53 is not 1.0
+    "cost --R 0.9999999999999999",
 )
 
 

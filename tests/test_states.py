@@ -17,6 +17,7 @@ from conftest import (
     restrict_reference,
     state_sum,
     states_close,
+    tensor,
     unitary_rules,
 )
 from cfqsim import cli
@@ -532,7 +533,7 @@ class TestEntropyAgainstSvd:
         factors = [random_state((reg,), rng) for reg in (A,) + WIDE_REGS]
         s = factors[0]
         for f in factors[1:]:
-            s = s.tensor(f)
+            s = tensor(s, f)
         for side in ((A,), WIDE_REGS):
             assert entanglement_entropy(s, side) == pytest.approx(0.0, abs=1e-12)
             assert entanglement_entropy(s, side) == pytest.approx(
@@ -593,14 +594,6 @@ class TestStateUtilities:
         s = PureState((A, DB), {("V", "0"): 0.6, ("H", "Y"): 0.8})
         with pytest.raises(ValueError, match="^sector reads a register absent from the state$"):
             postselect(s, B, "P")
-
-    def test_tensor(self):
-        s = PureState((A,), {("V",): 0.6, ("H",): 0.8})
-        t = PureState((B,), {("P",): 1.0})
-        st_ = s.tensor(t)
-        assert st_.amps == {("V", "P"): 0.6 + 0j, ("H", "P"): 0.8 + 0j}
-        with pytest.raises(ValueError):
-            s.tensor(s)
 
     def test_sector_is_unnormalized_projection(self):
         s = PureState((A,), {("V",): 0.6, ("H",): 0.8})
@@ -753,12 +746,6 @@ class TestTrustedPath:
         assert_publicly_valid(s * scalar)
         if s.amps:
             assert_publicly_valid(s.normalized())
-
-    @settings(max_examples=60, deadline=None)
-    @given(labeled_states((A, B)), labeled_states((DB, ARM_B, ARM_A)))
-    def test_tensor(self, s, t):
-        assert_publicly_valid(s.tensor(t))
-        assert_publicly_valid(t.tensor(s))
 
     def test_public_constructor_still_checks(self):
         with pytest.raises(ValueError, match="duplicate"):
