@@ -208,10 +208,12 @@ class PureState:
         return f"PureState({len(self.amps)} labels over {list(self.registers)})"
 
 
+@functools.lru_cache(maxsize=256)
 def _projection(idx: tuple[int, ...]) -> Callable[[Label], Label]:
     """The label's symbols at positions ``idx``, as a tuple, in C: a single
     position or none goes through a slice, where ``itemgetter`` would
-    return a bare symbol or refuse to be built."""
+    return a bare symbol or refuse to be built.  Cached per position
+    tuple, so the maps and the entropy build each projection once."""
     if len(idx) > 1:
         return itemgetter(*idx)
     return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0, 0))
@@ -321,11 +323,11 @@ def _check_patterns(alphabets: Sequence[Sequence[str]], rules: MapRules) -> None
 def _map_labels(state: PureState, idx: tuple[int, ...], rules: MapRules) -> PureState:
     """The label loop of ``apply_map`` over the registers at positions
     ``idx``, for rules whose patterns ``_check_patterns`` has passed."""
+    key = _projection(idx)
     out: dict[Label, complex] = {}
     summed: list[Label] = []  # labels that received a second term
     for label, amp in state.amps.items():
-        key = tuple(label[i] for i in idx)
-        branches = rules.get(key)
+        branches = rules.get(key(label))
         if branches is None:
             if label in out:
                 out[label] += amp
@@ -411,13 +413,12 @@ def entanglement_entropy(state: PureState, partition: Sequence[Register]) -> flo
     state, n2 = _rescued(state)
     if n2 == 0.0:
         raise ValueError("entropy of a zero state is undefined")
-    row_idx = [i for i, r in enumerate(state.registers) if r in part]
-    col_idx = [i for i, r in enumerate(state.registers) if r not in part]
+    row = _projection(tuple(i for i, r in enumerate(state.registers) if r in part))
+    col = _projection(tuple(i for i, r in enumerate(state.registers) if r not in part))
     rows: dict[Label, dict[Label, complex]] = {}
     cols: dict[Label, dict[Label, complex]] = {}
     for label, amp in state.amps.items():
-        r = tuple(label[i] for i in row_idx)
-        c = tuple(label[i] for i in col_idx)
+        r, c = row(label), col(label)
         rows.setdefault(r, {})[c] = amp
         cols.setdefault(c, {})[r] = amp
     # M M^dagger and M^T conj(M) share their nonzero eigenvalues: take the
