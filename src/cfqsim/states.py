@@ -28,7 +28,8 @@ which skips the label checks.  Both keep every
 nonzero amplitude, however small.  Only a sum makes cancellation dust:
 ``apply_map`` (and ``zeno.chain_step``, through ``_drop_dust``) drops a
 label that received two or more terms if it ends at most ``PRUNE_TOL``
-times the input norm.
+times the largest term that entered it, so a small sum of terms that add
+is kept however far below the input norm it lies.
 
 Every split the engines make has a side with at most two distinct labels,
 so ``entanglement_entropy`` needs one 2x2 rotation.  Amplitudes here are
@@ -45,8 +46,8 @@ from collections import namedtuple
 from operator import contains, itemgetter
 from typing import Callable, Mapping, Sequence, Union
 
-# A summed amplitude at most this times the input norm is cancellation
-# dust; Schmidt weights below it are dropped from the entropy.
+# A summed amplitude at most this times the largest of its terms is
+# cancellation dust; Schmidt weights below it are dropped from the entropy.
 PRUNE_TOL = 1e-15
 
 # Unit-norm tolerance for qubits and freshly built product states.
@@ -255,13 +256,12 @@ def _rescued(state: PureState) -> tuple[PureState, float]:
     return state, n2
 
 
-def _drop_dust(amps: dict[Label, complex], summed: list[Label], norm: Callable[[], float]) -> dict[Label, complex]:
-    """``amps`` less the ``summed`` labels at most ``PRUNE_TOL * norm()`` in size."""
-    if summed:
-        tol = PRUNE_TOL * norm()
-        for label in summed:
-            if label in amps and abs(amps[label]) <= tol:
-                del amps[label]
+def _drop_dust(amps: dict[Label, complex], summed: dict[Label, float]) -> dict[Label, complex]:
+    """``amps`` less each ``summed`` label at most ``PRUNE_TOL`` times the
+    largest term that entered it, which ``summed`` maps it to."""
+    for label, largest in summed.items():
+        if abs(amps[label]) <= PRUNE_TOL * largest:
+            del amps[label]
     return amps
 
 
@@ -325,13 +325,13 @@ def _map_labels(state: PureState, idx: tuple[int, ...], rules: MapRules) -> Pure
     ``idx``, for rules whose patterns ``_check_patterns`` has passed."""
     key = _projection(idx)
     out: dict[Label, complex] = {}
-    summed: list[Label] = []  # labels that received a second term
+    summed: dict[Label, float] = {}  # labels that received a second term: their largest term
     for label, amp in state.amps.items():
         branches = rules.get(key(label))
         if branches is None:
             if label in out:
+                summed[label] = max(summed.get(label, abs(out[label])), abs(amp))
                 out[label] += amp
-                summed.append(label)
             else:
                 out[label] = amp
             continue
@@ -340,12 +340,13 @@ def _map_labels(state: PureState, idx: tuple[int, ...], rules: MapRules) -> Pure
             for i, sym in zip(idx, out_pat):
                 new[i] = sym
             t = tuple(new)
+            term = amp * coeff
             if t in out:
-                out[t] += amp * coeff
-                summed.append(t)
+                summed[t] = max(summed.get(t, abs(out[t])), abs(term))
+                out[t] += term
             else:
-                out[t] = amp * coeff
-    return PureState._trusted(state.registers, _drop_dust(out, summed, state.norm))
+                out[t] = term
+    return PureState._trusted(state.registers, _drop_dust(out, summed))
 
 
 def sector(state: PureState, register: Register, symbols: Sequence[str]) -> PureState:

@@ -82,13 +82,14 @@ def chain_step(state: PureState, theta: float) -> PureState:
 
     Each obstacle branch b carries the 2x2 rotation R(theta) on its
     (b, "0") and (b, "1") amplitudes; other mode symbols pass through.
-    A label that sums two terms is dropped when it is cancellation dust.
+    A label that sums two terms is dropped as cancellation dust when it
+    ends at most ``PRUNE_TOL`` times the larger of them.
     """
     _check_one_layer(state)
     c, s = math.cos(theta), math.sin(theta)
     ns = -s
     out: dict[Label, complex] = {}
-    summed: list[Label] = []
+    summed: dict[Label, float] = {}  # each summed label's larger term
     for label, amp in state.amps.items():
         b, x = label
         if x == "0":
@@ -101,12 +102,13 @@ def chain_step(state: PureState, theta: float) -> PureState:
         l0, l1 = (b, "0"), (b, "1")
         # (b, "0") and (b, "1") always enter together, on the branch's first input
         if l0 in out:
+            summed[l0] = max(abs(out[l0]), abs(t0))
+            summed[l1] = max(abs(out[l1]), abs(t1))
             out[l0] += t0
             out[l1] += t1
-            summed += (l0, l1)
         else:
             out[l0], out[l1] = t0, t1
-    return PureState._trusted(state.registers, _drop_dust(out, summed, state.norm))
+    return PureState._trusted(state.registers, _drop_dust(out, summed))
 
 
 def obstacle_step(state: PureState) -> tuple[PureState, float]:

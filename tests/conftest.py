@@ -171,35 +171,33 @@ def restrict_reference(state: PureState, keep) -> PureState:
 
 def map_labels_reference(state: PureState, idx: tuple[int, ...], rules: MapRules) -> PureState:
     """``states._map_labels`` written out again, each label's rule key built
-    position by position: the reference that the label loop, and every map
-    built on it, must match bit for bit, from code that they do not share."""
+    position by position and every term's size listed per output label:
+    the reference that the label loop, and every map built on it, must
+    match bit for bit, from code that they do not share.  A label that
+    received two or more terms is dust when it ends at most ``PRUNE_TOL``
+    times the largest of them."""
     out = {}
-    summed = []  # labels that received a second term
+    terms = {}  # the size of every term each output label received
     for label, amp in state.amps.items():
         key = tuple(label[i] for i in idx)
         branches = rules.get(key)
-        if branches is None:
-            if label in out:
-                out[label] += amp
-                summed.append(label)
-            else:
-                out[label] = amp
-            continue
-        for out_pat, coeff in branches:
-            new = list(label)
-            for i, sym in zip(idx, out_pat):
-                new[i] = sym
-            t = tuple(new)
+        ins = [(label, amp)]  # a label that matches no rule passes
+        if branches is not None:
+            ins = []
+            for out_pat, coeff in branches:
+                new = list(label)
+                for i, sym in zip(idx, out_pat):
+                    new[i] = sym
+                ins.append((tuple(new), amp * coeff))
+        for t, term in ins:
             if t in out:
-                out[t] += amp * coeff
-                summed.append(t)
+                out[t] += term
             else:
-                out[t] = amp * coeff
-    if summed:
-        tol = PRUNE_TOL * state.norm()
-        for label in summed:
-            if label in out and abs(out[label]) <= tol:
-                del out[label]
+                out[t] = term
+            terms.setdefault(t, []).append(abs(term))
+    for label, sizes in terms.items():
+        if len(sizes) > 1 and abs(out[label]) <= PRUNE_TOL * max(sizes):
+            del out[label]
     return PureState._trusted(state.registers, out)
 
 
@@ -295,8 +293,8 @@ def pass_block_switches_reference(state: PureState) -> PureState:
 
 def chain_step_reference(state: PureState, theta: float) -> PureState:
     """One beam splitter passage as a rule table run through
-    ``apply_map_reference``: the reference that ``zeno.chain_step`` must
-    match bit for bit."""
+    ``apply_map_reference``, and so under its dust rule: the reference that
+    ``zeno.chain_step`` must match bit for bit."""
     _check_one_layer(state)
     c, s = math.cos(theta), math.sin(theta)
     rules = {("0",): [(("0",), c), (("1",), s)], ("1",): [(("0",), -s), (("1",), c)]}

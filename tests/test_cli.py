@@ -180,18 +180,18 @@ class TestRound:
 
 
 # R log-uniform down to 1e-100 and uniform; amplitude pairs whose smaller
-# magnitude is exactly 0 or at least 1e-7, with random phases.  Every
-# printed probability is then 0 or in the normal range.  Below 1e-7 a
-# passing pair's D2 amplitude can fall under the dust threshold, a defect
-# that ``test_round_keeps_a_small_d2_sum`` pins.
+# magnitude is exactly 0 or at least 1e-50, with random phases.  Every
+# printed probability is then 0 or in the normal range.  A passing pair's
+# D2 amplitude, a sum of two terms that add, can lie far below the input
+# norm; ``test_round_keeps_a_small_d2_sum`` pins one such sum.
 NORMAL_REFLECTANCES = st.one_of(
     st.floats(min_value=-100.0, max_value=0.0, exclude_max=True).map(lambda x: 10.0**x),
     st.floats(min_value=1e-100, max_value=1.0, exclude_max=True),
 ).filter(lambda R: R < 1.0)
 SMALLER_MAGNITUDES = st.one_of(
     st.just(0.0),
-    st.floats(min_value=-7.0, max_value=0.0).map(lambda x: 10.0**x),
-    st.floats(min_value=1e-7, max_value=1.0),
+    st.floats(min_value=-50.0, max_value=0.0).map(lambda x: 10.0**x),
+    st.floats(min_value=1e-50, max_value=1.0),
 ).map(lambda m: min(m, math.sqrt(0.5)))
 PHASES = st.floats(min_value=-math.pi, max_value=math.pi)
 # cost has no R**2 term, so its columns stay in the normal range for R
@@ -238,11 +238,10 @@ def test_round_prints_the_exact_probabilities(R, alice, bob):
         assert within_one_unit(record[name], value), (name, record[name], float(value))
 
 
-@pytest.mark.xfail(strict=True, reason="a two-term D2 sum below PRUNE_TOL times the norm is dropped as dust")
 def test_round_keeps_a_small_d2_sum():
-    """Known defect: the passing pairs' D2 amplitudes, 1e-16 here, are each
-    a sum of two same-sign terms, and the return map drops them as
-    cancellation dust, so P_D2 prints 1e-24 where it is 1.00000002e-24."""
+    """The passing pairs' D2 amplitudes, 1e-16 here, are each a sum of two
+    same-sign terms: far below the input norm, but no cancellation dust,
+    so P_D2 prints 1.00000002e-24, not 1e-24."""
     record = printed("round", "--R", "1e-12", "--alice", "1e-16", "1", "--bob", "1", "1e-16")
     assert within_one_unit(record["P_D2"], n09_round_probabilities(1e-12, 1e-16, 1.0, 1.0, 1e-16)["P_D2"])
 

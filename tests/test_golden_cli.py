@@ -120,6 +120,8 @@ COMMANDS = (
     "star --R 0.3 --N 330",
     # an echoed R prints as parsed: 1 - 2**-53 is not 1.0
     "cost --R 0.9999999999999999",
+    # a passing pair's D2 amplitude: two terms that add, far below the norm
+    "round --R 1e-12 --alice 1e-16 1 --bob 1 1e-16",
 )
 
 

@@ -813,7 +813,7 @@ def test_restrict_matches_its_reference(case):
 # ---- the label loop against its reference: rule keys built position by position
 
 # Values whose sums cancel: opposite terms to an exact zero, 1 against
-# -(1 + 2**-52) to 2**-52, dust below PRUNE_TOL times any norm near 1.
+# -(1 + 2**-52) to 2**-52, dust below PRUNE_TOL times either term.
 CANCELLING = st.sampled_from((1.0, -1.0, 1j, -1j, 0.5, 1.0 + 2.0**-52, -(1.0 + 2.0**-52)))
 MAP_VALUES = st.one_of(AMPLITUDES, CANCELLING)
 
@@ -854,3 +854,35 @@ LINK = PureState((B, ARM_B, DB), {("P", "H", "0"): 1e-300, ("B", "V", "0"): -1e-
 def test_map_labels_matches_its_reference(case):
     state, idx, rules = case
     assert mapped_exactly(_map_labels, state, idx, rules) == mapped_exactly(map_labels_reference, state, idx, rules)
+
+
+# ---- the dust rule: a sum is dust only against the terms that made it
+
+
+@st.composite
+def term_pairs(draw):
+    """Two terms a and b: each a nonzero amplitude down to 1e-300, b either
+    free, exactly -a, or -a * (1 + 2**-52), which leaves 2**-52 dust."""
+    a = draw(AMPLITUDES)
+    b = draw(st.one_of(AMPLITUDES, st.just(-a), st.just(-a * (1.0 + 2.0**-52))))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(term_pairs())
+@example((1e-20, 1e-20))  # a same-sign sum far below the input norm
+@example((1e-300, -1e-300))  # exact cancellation
+@example((1.0, -(1.0 + 2.0**-52)))  # cancellation to 2**-52
+@example((1e-300j, -(1.0 + 2.0**-52) * 1e-300j))
+def test_a_sum_is_dust_only_against_its_terms(pair):
+    """One rule fans the unit label out into the terms a and b on one
+    output label, which is kept iff |a + b| > PRUNE_TOL * max(|a|, |b|)."""
+    a, b = pair
+    state = PureState((A,), {("V",): 1.0})
+    out = apply_map(state, (A,), {("V",): [(("H",), a), (("H",), b)]})
+    total = (1 + 0j) * a
+    total += (1 + 0j) * b
+    if abs(total) > PRUNE_TOL * max(abs(a), abs(b)):
+        assert out.amps == {("H",): total}
+    else:
+        assert out.amps == {}
