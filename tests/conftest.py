@@ -181,8 +181,9 @@ def map_labels_reference(state: PureState, idx: tuple[int, ...], rules: MapRules
     for label, amp in state.amps.items():
         key = tuple(label[i] for i in idx)
         branches = rules.get(key)
-        ins = [(label, amp)]  # a label that matches no rule passes
-        if branches is not None:
+        if branches is None:
+            ins = [(label, amp)]  # a label that matches no rule passes
+        else:
             ins = []
             for out_pat, coeff in branches:
                 new = list(label)

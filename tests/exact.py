@@ -4,6 +4,9 @@ Every float input (R, and the real and imaginary part of each amplitude)
 is a dyadic rational, so ``fractions.Fraction`` gives the physics at those
 inputs exactly, with T taken as exactly 1 - R.  That can arbitrate a
 printed 12th digit, which a closed form evaluated in doubles cannot.
+The chain's trigonometry is not rational: ``cos_sin`` gives it, and
+``czqe_values`` the chain's readouts, to 40 digits, which arbitrate a
+12th digit as well.
 """
 
 from decimal import Decimal, localcontext
@@ -117,3 +120,78 @@ def within_one_unit(printed: float, value: Fraction, digits: int = 12) -> bool:
         ctx.prec = 4 * digits
         unit = Decimal(1).scaleb(min(want.adjusted(), got.adjusted()) - digits + 1)
         return abs(got - want) <= unit
+
+
+def pi(digits: int = 40) -> Decimal:
+    """pi to ``digits`` significant digits, as six times the arcsine series
+    at 1/2: 3 (1 + 1/24 + 1*9/(24*80) + ...)."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 5
+        total, term, n, d, dn, dd = Decimal(3), Decimal(3), 1, 0, 0, 24
+        while True:
+            n, dn = n + dn, dn + 8
+            d, dd = d + dd, dd + 32
+            term = term * n / d
+            if total + term == total:
+                break
+            total += term
+        ctx.prec = digits
+        return +total
+
+
+def _taylor(r: Decimal, k: int) -> Decimal:
+    """The sum over j of (-1)**j r**(2j+k) / (2j+k)!: cos r for k = 0, sin r
+    for k = 1, to the current precision, for |r| <= pi/4."""
+    total = term = r if k else Decimal(1)
+    while True:
+        term = -term * r * r / ((k + 1) * (k + 2))
+        k += 2
+        if total + term == total:
+            return total
+        total += term
+
+
+def cos_sin(x: Fraction, digits: int = 40) -> tuple[Decimal, Decimal]:
+    """cos x and sin x to ``digits`` significant digits for results down to
+    about 10**-digits: x, exact, is moved by a whole number of quarter
+    turns into [-pi/4, pi/4], at twice the digits plus those of x, and
+    summed as a Taylor series there."""
+    guard = 2 * digits + len(str(abs(x.numerator) // x.denominator))
+    with localcontext() as ctx:
+        ctx.prec = guard
+        quarter = pi(guard) / 2
+        r = Decimal(x.numerator) / Decimal(x.denominator)
+        k = int((r / quarter).to_integral_value())
+        r -= k * quarter
+        c, s = _taylor(r, 0), _taylor(r, 1)
+        c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[k % 4]
+        ctx.prec = digits
+        return +c, +s
+
+
+def czqe_values(L: int, theta: float, a: complex, b: complex, layers: int, readout: str) -> dict[str, Fraction]:
+    """``survival`` and ``fidelity_asymptote`` of ``czqe``: a chain of L
+    rotations by the double ``theta`` under an obstacle with amplitudes
+    (a, b) on (pass, block), stacked ``layers`` = K times, at 40 digits.
+
+    The pass branch leaves each layer in x = (cos L theta, sin L theta).
+    The block branch loses the upper arm at each obstacle, leaving
+    y = cos(theta)**(L-1) (cos theta, sin theta) after the final splitter,
+    or y = (cos(theta)**L, 0) after the final obstacle.  So survival =
+    |a|**2 |x|**(2K) + |b|**2 |y|**(2K), and the fidelity with the limit
+    state (pass: every layer in 1, block: in 0), whose norm and the
+    chain's are both |a|**2 + |b|**2, is
+    ||a|**2 x_1**K + |b|**2 y_0**K|**2 / (|a|**2 + |b|**2)**2.
+    """
+    c, s = cos_sin(Fraction(theta))
+    c_l, s_l = cos_sin(Fraction(theta) * L)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        A, B = (Decimal(w.numerator) / Decimal(w.denominator) for w in (abs2(a), abs2(b)))
+        decay = c ** (L - 1)
+        y = (decay * c, decay * s) if readout == "after_final_bs" else (decay * c, Decimal(0))
+        x2, y2 = c_l * c_l + s_l * s_l, y[0] * y[0] + y[1] * y[1]
+        survival = A * x2**layers + B * y2**layers
+        overlap = A * s_l**layers + B * y[0] ** layers
+        fidelity = (overlap / (A + B)) ** 2
+    return {"survival": Fraction(survival), "fidelity_asymptote": Fraction(fidelity)}
