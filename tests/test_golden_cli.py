@@ -122,6 +122,13 @@ COMMANDS = (
     "cost --R 0.9999999999999999",
     # a passing pair's D2 amplitude: two terms that add, far below the norm
     "round --R 1e-12 --alice 1e-16 1 --bob 1 1e-16",
+    # one chain step and no obstacle step: nothing is absorbed, and the
+    # absorbed label, exactly 0, is dropped
+    "czqe --L 1 --N 14",
+    # the longest chain CZQE_MAX_WORK allows
+    "czqe --L 59996",
+    # a mu*beta product that underflows to 0j
+    "round --R 0.5 --alice 1e-200 1 --bob 1 1e-200",
 )
 
 
