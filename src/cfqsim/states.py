@@ -24,7 +24,10 @@ configs) checks its fields in ``__new__``, which ``_replace``,
 ``_make``, copies and pickles go through too.  States derived from
 already-valid states (map results, sectors, scalings, restrictions) are
 built with the trusted internal constructor ``PureState._trusted``,
-which skips the label checks.  Both keep every
+which skips the label checks and takes ownership of the amplitude dict
+it is handed: every caller passes a dict it has just built, and the dict
+is copied only when an exact zero must go.  A caller that starts from
+another state's ``amps`` copies them first.  Both keep every
 nonzero amplitude, however small.  Only a sum makes cancellation dust:
 ``apply_map`` (and ``zeno.chain_step``, through ``_drop_dust``) drops a
 label that received two or more terms if it ends at most ``PRUNE_TOL``
@@ -167,12 +170,17 @@ class PureState:
         self.amps = clean
 
     @classmethod
-    def _trusted(cls, registers: tuple[Register, ...], amps: Mapping[Label, complex]) -> "PureState":
+    def _trusted(cls, registers: tuple[Register, ...], amps: dict[Label, complex]) -> "PureState":
         """Build from distinct registers and complex amplitudes on labels
-        already known to fit them; drops exact zeros like ``__init__``."""
+        already known to fit them; drops exact zeros like ``__init__``.
+
+        The state takes ownership of ``amps``: a dict with no exact zero
+        becomes its ``amps`` as it is, so the caller hands over a dict it
+        has just built and keeps no other reference to it.  Only a dict
+        with a zero is copied, without the zeros and in the same order."""
         state = cls.__new__(cls)
         state.registers = registers
-        state.amps = {l: a for l, a in amps.items() if a}
+        state.amps = amps if all(amps.values()) else {l: a for l, a in amps.items() if a}
         return state
 
     def norm2(self) -> float:

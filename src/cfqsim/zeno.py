@@ -116,9 +116,9 @@ def obstacle_step(state: PureState) -> tuple[PureState, float]:
     its ("block", "1") label and the mass that label carried.  Absorbed
     amplitudes never interfere again, so the chain keeps only their total."""
     _check_one_layer(state)
-    kept = PureState._trusted(state.registers, state.amps)  # a copy
-    lost = abs(kept.amps.pop(("block", "1"), 0j)) ** 2
-    return kept, lost
+    amps = dict(state.amps)  # _trusted keeps the dict it is handed
+    lost = abs(amps.pop(("block", "1"), 0j)) ** 2
+    return PureState._trusted(state.registers, amps), lost
 
 
 def run_chain(config: ChainConfig, readout: str = "after_final_bs") -> ChainResult:

@@ -691,21 +691,21 @@ COEFFS = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=F
 
 
 @st.composite
-def labeled_states(draw, registers=PROP_REGS):
+def labeled_states(draw, registers=PROP_REGS, coeffs=COEFFS):
     """Any sparse state over ``registers``, built through the public constructor."""
     labels = list(itertools.product(*(r.alphabet for r in registers)))
     chosen = draw(st.lists(st.sampled_from(labels), unique=True, max_size=len(labels)))
-    amps = draw(st.lists(COEFFS, min_size=len(chosen), max_size=len(chosen)))
+    amps = draw(st.lists(coeffs, min_size=len(chosen), max_size=len(chosen)))
     return PureState(registers, dict(zip(chosen, amps)))
 
 
 @st.composite
-def map_rules(draw):
+def map_rules(draw, coeffs=COEFFS):
     """Registers to act on and sparse rules over their joint alphabet."""
     on = tuple(draw(st.lists(st.sampled_from(PROP_REGS), unique=True, min_size=1, max_size=3)))
     patterns = list(itertools.product(*(r.alphabet for r in on)))
     inputs = draw(st.lists(st.sampled_from(patterns), unique=True, max_size=len(patterns)))
-    branch = st.tuples(st.sampled_from(patterns), COEFFS)
+    branch = st.tuples(st.sampled_from(patterns), coeffs)
     rules = {p: draw(st.lists(branch, max_size=3)) for p in inputs}
     return on, rules
 
@@ -759,6 +759,88 @@ class TestTrustedPath:
         s = PureState((A, B), {("V", "P"): 1.0})
         with pytest.raises(ValueError, match="duplicate"):
             s.restrict((A, A))
+
+
+# ---- ownership: PureState._trusted keeps the dict it is handed
+
+# Amplitudes with magnitudes log-uniform from 2**-1074 (5e-324, the smallest
+# subnormal) to 2: a product of two of them underflows to 0j, and so does
+# a quotient a / n of the smallest by a norm above 2.
+TINY_MAGNITUDES = st.floats(min_value=-1074.0, max_value=1.0).map(lambda e: 2.0**e)
+TINY_COEFFS = st.builds(
+    lambda m, phase: m * phase, TINY_MAGNITUDES, st.sampled_from((1 + 0j, -1 + 0j, 1j, -1j, 0.6 + 0.8j))
+)
+TINY_QUBITS = st.builds(
+    lambda m, phase, swap: (m * phase, complex(math.sqrt(1.0 - m * m)))[::swap],
+    TINY_MAGNITUDES.filter(lambda m: m <= 1.0),
+    st.sampled_from((1 + 0j, -1j, 0.6 + 0.8j)),
+    st.sampled_from((1, -1)),
+)
+
+
+def kernel_results(s, on_rules, scalar, data):
+    """For each kernel operation that derives a state from ``s``: its
+    name, whether it left its input as it was, whether its result shares
+    the input's amplitude dict, and the result."""
+    on, rules = on_rules
+    reg = data.draw(st.sampled_from(PROP_REGS))
+    symbols = data.draw(st.lists(st.sampled_from(reg.alphabet), unique=True, min_size=1))
+    fixed = sector(s, reg, symbols[:1])
+    ops = [
+        ("sector", s, lambda t: sector(t, reg, symbols)),
+        ("*", s, lambda t: t * scalar),
+        ("restrict", s, lambda t: t.restrict(data.draw(st.permutations(PROP_REGS)))),
+        ("restrict, one register dropped", fixed, lambda t: t.restrict([r for r in PROP_REGS if r != reg])),
+        ("apply_map", s, lambda t: apply_map(t, on, rules)),
+        ("postselect", s, lambda t: postselect(t, reg, symbols[0])[1]),
+    ]
+    if s.amps:
+        ops.append(("normalized", s, PureState.normalized))
+    results = []
+    for name, state, op in ops:
+        before = list(state.amps.items())
+        out = op(state)
+        results.append((name, list(state.amps.items()) == before, out.amps is state.amps, out))
+    return results
+
+
+def product_parts(qubits):
+    """``product_state`` parts: a device_a and a device_b qubit, then a fixed symbol."""
+    (a0, a1), (b0, b1) = qubits
+    return [(A, Qubit(("V", "H"), a0, a1)), (B, Qubit(("P", "B"), b0, b1)), (DB, "0")]
+
+
+OWNED = (
+    labeled_states(coeffs=TINY_COEFFS),
+    map_rules(coeffs=TINY_COEFFS),
+    TINY_COEFFS,
+    st.tuples(TINY_QUBITS, TINY_QUBITS),
+    st.data(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(*OWNED)
+def test_derived_states_own_their_amplitudes(s, on_rules, scalar, qubits, data):
+    # _trusted keeps the dict it is handed: an operation that passed on its
+    # input's amps would alias them, and one that edited them would mutate
+    # its input
+    for name, unchanged, shared, out in kernel_results(s, on_rules, scalar, data):
+        assert unchanged and not shared, name
+    parts = product_parts(qubits)
+    first, second = product_state(parts), product_state(parts)
+    assert first.amps is not second.amps
+    assert list(first.amps.items()) == list(second.amps.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(*OWNED)
+def test_derived_states_hold_no_exact_zero(s, on_rules, scalar, qubits, data):
+    # products that underflow to 0j and quotients a / n that round to 0
+    # must be dropped, as the public constructor drops an exact zero
+    for name, _, _, out in kernel_results(s, on_rules, scalar, data):
+        assert all(out.amps.values()), (name, out.amps)
+    assert all(product_state(product_parts(qubits)).amps.values())
 
 
 # ---- restrict against its reference: positions looked up on every call

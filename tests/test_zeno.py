@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import chain_step_reference, states_close
 from cfqsim import cli, zeno
+from cfqsim.michelson import BOB_DEVICE, BeamSplitter
+from cfqsim.star import alice_register, partial_propagator
 from cfqsim.states import (
     PureState,
     Qubit,
@@ -303,6 +305,67 @@ def test_chain_step_matches_reference(items, theta, cancel):
     got, want = chain_step(state, theta), chain_step_reference(state, theta)
     assert list(got.amps.items()) == list(want.amps.items())
     assert got.registers == want.registers
+
+
+# One-layer and one-link amplitudes with magnitudes log-uniform from
+# 2**-1074 (5e-324) to 2: a rotated or D1-weighted amplitude underflows to 0j.
+TINY_AMPS = st.builds(
+    lambda e, phase: 2.0**e * phase,
+    st.floats(min_value=-1074.0, max_value=1.0),
+    st.sampled_from((1 + 0j, -1 + 0j, 1j, 0.6 - 0.8j)),
+)
+LINK_LABELS = [(b, a) for b in ("P", "B") for a in ("V", "H")]
+LINK_REGISTERS = (BOB_DEVICE, alice_register(0))
+REFLECTANCES = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=-1074.0, max_value=0.0).map(lambda e: 2.0**e)
+)
+
+
+def sparse_states(registers, labels):
+    items = st.lists(st.tuples(st.sampled_from(labels), TINY_AMPS), unique_by=lambda t: t[0], max_size=len(labels))
+    return items.map(lambda items: PureState(registers, dict(items)))
+
+
+def step_results(one, theta, link, R):
+    """For each engine step built on the state kernel: its name, whether it
+    left its input as it was, whether its result shares the input's
+    amplitude dict, and the result."""
+    ops = [
+        ("chain_step", one, lambda s: chain_step(s, theta)),
+        ("obstacle_step", one, lambda s: obstacle_step(s)[0]),
+        ("partial_propagator", link, lambda s: partial_propagator(s, 0, BeamSplitter(R))),
+    ]
+    results = []
+    for name, state, op in ops:
+        before = list(state.amps.items())
+        out = op(state)
+        results.append((name, list(state.amps.items()) == before, out.amps is state.amps, out))
+    return results
+
+
+STEPS = (
+    sparse_states((OBSTACLE, MODE), ONE_LAYER_LABELS),
+    ANGLES,
+    sparse_states(LINK_REGISTERS, LINK_LABELS),
+    REFLECTANCES,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(*STEPS)
+def test_steps_own_their_amplitudes(one, theta, link, R):
+    # obstacle_step starts from its input's amps, so it must copy them
+    # before it drops the absorbed label
+    for name, unchanged, shared, out in step_results(one, theta, link, R):
+        assert unchanged and not shared, name
+
+
+@settings(max_examples=300, deadline=None)
+@given(*STEPS)
+def test_steps_hold_no_exact_zero(one, theta, link, R):
+    # a rotated or D1-weighted amplitude that underflows to 0j is dropped
+    for name, _, _, out in step_results(one, theta, link, R):
+        assert all(out.amps.values()), (name, out.amps)
 
 
 def _same_chain(config, readout):
