@@ -4,9 +4,10 @@ Every float input (R, and the real and imaginary part of each amplitude)
 is a dyadic rational, so ``fractions.Fraction`` gives the physics at those
 inputs exactly, with T taken as exactly 1 - R.  That can arbitrate a
 printed 12th digit, which a closed form evaluated in doubles cannot.
-The chain's trigonometry is not rational: ``cos_sin`` gives it, and
-``czqe_values`` the chain's readouts, to 40 digits, which arbitrate a
-12th digit as well.
+The chain's trigonometry and the announcement cost's logarithms are not
+rational: ``cos_sin`` gives the first, ``czqe_values`` the chain's
+readouts and ``cost_columns`` the costs ``C`` and ``total_qst_cost``, to
+40 digits, which arbitrate a 12th digit as well.
 """
 
 from decimal import Decimal, localcontext
@@ -65,12 +66,26 @@ def table_rows(R: float) -> dict[str, dict[str, Fraction]]:
 
 
 def cost_columns(R: float) -> dict[str, Fraction]:
-    """The rational ``cost`` columns at reflectance R, both devices balanced:
-    P_D1 = RT/2, P_D2 = (1 + R**2)/2, P_DB = T/2, the announced-click share
-    p1' = RT/(1 + R) with p2' = 1 - p1', and C_q = 2/(RT) rounds per pair."""
+    """The ``cost`` columns at reflectance R, both devices balanced.
+
+    The rational ones are exact: P_D1 = RT/2, P_D2 = (1 + R**2)/2,
+    P_DB = T/2, the announced-click share p = p1' = RT/(1 + R) with
+    p2' = 1 - p, and C_q = 2/(RT) rounds per pair.  The announcement cost
+    C = h(p)/p = -log2 p + (1 - p) S / ln 2 bits, with h the binary
+    entropy and S = -ln(1 - p)/p = sum p**k/(k + 1) (p is at most
+    3 - 2 sqrt 2), and total_qst_cost = C + 1, are taken to 40 digits."""
     R = Fraction(R)
     T = 1 - R
     p1 = R * T / (1 + R)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ln_p = Decimal(p1.numerator).ln() - Decimal(p1.denominator).ln()
+        p = Decimal(p1.numerator) / Decimal(p1.denominator)
+        series, term, k = Decimal(0), Decimal(1), 1
+        while series + term / k != series:
+            series += term / k
+            term, k = term * p, k + 1
+        cost = (-ln_p + (1 - p) * series) / Decimal(2).ln()
     return {
         "P_D1": R * T / 2,
         "P_D2": (1 + R * R) / 2,
@@ -78,6 +93,8 @@ def cost_columns(R: float) -> dict[str, Fraction]:
         "p1_prime": p1,
         "p2_prime": 1 - p1,
         "C_q": 2 / (R * T),
+        "C": Fraction(cost),
+        "total_qst_cost": Fraction(cost) + 1,
     }
 
 

@@ -298,8 +298,9 @@ def test_p_d2_below_the_normal_range(argv, exact):
 @example(0.9999999999999999)
 @example(1e-300)
 def test_cost_prints_the_exact_columns(R):
-    """``cost``'s rational columns against exact arithmetic, within one
-    unit in the last digit."""
+    """Every ``cost`` column against exact arithmetic (the rational ones
+    exactly, ``C`` and ``total_qst_cost`` to 40 digits), within one unit
+    in the last digit."""
     record = printed("cost", "--R", repr(R))
     for name, value in cost_columns(R).items():
         assert within_one_unit(record[name], value), (name, record[name], float(value))
