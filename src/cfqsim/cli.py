@@ -31,13 +31,15 @@ if TYPE_CHECKING:
 # untouched; beyond this deviation the pair is rejected as a probable typo.
 NORM_REJECT = 1e-6
 # Size caps, checked before any work starts; each work cap is sized so that
-# the largest allowed input takes about 1-2 s on a 2-vCPU Xeon host under
-# Python 3.11.
+# the largest allowed input takes at most about 1-2 s.  The times quoted
+# below are end to end, medians of 7 subprocess runs on a 2-vCPU Xeon host
+# under Python 3.11.7, where a bare `python -c pass` takes 26 ms.
 # Largest star, counting --N or the --alice pairs.  run_star is linear in
-# spokes (--N 5000 takes about 0.12-0.18 s end to end), but argparse's time
-# grows as the square of the --alice pairs: 5000 of them take 0.8-1.2 s.
+# spokes (--N 2000 takes about 57 ms and --N 5000 about 82 ms), but
+# argparse's time grows as the square of the --alice pairs: 5000 of them
+# take about 0.58 s.
 STAR_MAX_PARTIES = 5000
-# Most points in a --sweep grid: 100k cost-profile rows take about 0.8 s.
+# Most points in a --sweep grid: 100k cost-profile rows take about 1.1 s.
 SWEEP_MAX_POINTS = 100_000
 # Most mc --runs.  The draw's work does not grow with --runs, so this caps
 # the input range, not the work: the sampler's rejection test compares
@@ -45,7 +47,7 @@ SWEEP_MAX_POINTS = 100_000
 MC_MAX_RUNS = 5_000_000_000
 # Most czqe work, summed over the sweep points: L one-layer steps plus the
 # 2^(layers+1) labels of the layered output.  L = 59996 at one layer takes
-# about 0.55-0.7 s end to end, --N 14 (2^15 labels) at L = 1 about 0.12 s.
+# about 0.2 s, --N 14 (2^15 labels) at L = 1 about 0.1 s.
 # The cap sits below the 1-2 s budget of the other caps on purpose: the
 # chain composes L rotations one at a time, so its rounding error grows
 # with L, and near the cap the 12th printed digit can already be wrong.

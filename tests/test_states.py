@@ -770,6 +770,7 @@ TINY_MAGNITUDES = st.floats(min_value=-1074.0, max_value=1.0).map(lambda e: 2.0*
 TINY_COEFFS = st.builds(
     lambda m, phase: m * phase, TINY_MAGNITUDES, st.sampled_from((1 + 0j, -1 + 0j, 1j, -1j, 0.6 + 0.8j))
 )
+# A qubit with such a magnitude on either symbol, its partner making the pair unit norm.
 TINY_QUBITS = st.builds(
     lambda m, phase, swap: (m * phase, complex(math.sqrt(1.0 - m * m)))[::swap],
     TINY_MAGNITUDES.filter(lambda m: m <= 1.0),
