@@ -51,6 +51,29 @@ MAGNITUDES = st.floats(min_value=-300.0, max_value=0.0).map(lambda x: 10.0**x)
 _PARTS = st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda x: -x))
 AMPLITUDES = st.builds(complex, _PARTS, _PARTS).filter(bool)
 
+# Magnitudes log-uniform from 2**-1074 (5e-324, the smallest subnormal) to
+# 2, half of them at one of those two ends, and amplitudes of such a
+# magnitude at one of five phases: a product of two of them underflows to
+# 0j, and so does a quotient a / n of the smallest by a norm above 2.
+TINY_MAGNITUDES = st.one_of(
+    st.floats(min_value=-1074.0, max_value=1.0).map(lambda e: 2.0**e), st.sampled_from((2.0**-1074, 2.0))
+)
+TINY_AMPLITUDES = st.builds(
+    lambda m, phase: m * phase, TINY_MAGNITUDES, st.sampled_from((1 + 0j, -1 + 0j, 1j, -1j, 0.6 - 0.8j))
+)
+
+
+def applied(ops):
+    """For each ``(name, state, op)`` of ``ops``: the name, whether
+    ``op(state)`` left ``state`` as it was, whether its result shares
+    ``state``'s amplitude dict, and the result."""
+    results = []
+    for name, state, op in ops:
+        before = list(state.amps.items())
+        out = op(state)
+        results.append((name, list(state.amps.items()) == before, out.amps is state.amps, out))
+    return results
+
 
 def binary_entropy(x: float) -> float:
     """Shannon binary entropy in bits, continuously extended to h(0)=h(1)=0;

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     AMPLITUDES,
+    TINY_AMPLITUDES,
+    TINY_MAGNITUDES,
+    applied,
     map_labels_reference,
     random_state,
     random_unitary,
@@ -763,14 +766,8 @@ class TestTrustedPath:
 
 # ---- ownership: PureState._trusted keeps the dict it is handed
 
-# Amplitudes with magnitudes log-uniform from 2**-1074 (5e-324, the smallest
-# subnormal) to 2: a product of two of them underflows to 0j, and so does
-# a quotient a / n of the smallest by a norm above 2.
-TINY_MAGNITUDES = st.floats(min_value=-1074.0, max_value=1.0).map(lambda e: 2.0**e)
-TINY_COEFFS = st.builds(
-    lambda m, phase: m * phase, TINY_MAGNITUDES, st.sampled_from((1 + 0j, -1 + 0j, 1j, -1j, 0.6 + 0.8j))
-)
-# A qubit with such a magnitude on either symbol, its partner making the pair unit norm.
+# A qubit with a TINY_MAGNITUDES magnitude on either symbol, its partner
+# making the pair unit norm.
 TINY_QUBITS = st.builds(
     lambda m, phase, swap: (m * phase, complex(math.sqrt(1.0 - m * m)))[::swap],
     TINY_MAGNITUDES.filter(lambda m: m <= 1.0),
@@ -780,9 +777,7 @@ TINY_QUBITS = st.builds(
 
 
 def kernel_results(s, on_rules, scalar, data):
-    """For each kernel operation that derives a state from ``s``: its
-    name, whether it left its input as it was, whether its result shares
-    the input's amplitude dict, and the result."""
+    """``applied`` to each kernel operation that derives a state from ``s``."""
     on, rules = on_rules
     reg = data.draw(st.sampled_from(PROP_REGS))
     symbols = data.draw(st.lists(st.sampled_from(reg.alphabet), unique=True, min_size=1))
@@ -797,12 +792,7 @@ def kernel_results(s, on_rules, scalar, data):
     ]
     if s.amps:
         ops.append(("normalized", s, PureState.normalized))
-    results = []
-    for name, state, op in ops:
-        before = list(state.amps.items())
-        out = op(state)
-        results.append((name, list(state.amps.items()) == before, out.amps is state.amps, out))
-    return results
+    return applied(ops)
 
 
 def product_parts(qubits):
@@ -812,9 +802,9 @@ def product_parts(qubits):
 
 
 OWNED = (
-    labeled_states(coeffs=TINY_COEFFS),
-    map_rules(coeffs=TINY_COEFFS),
-    TINY_COEFFS,
+    labeled_states(coeffs=TINY_AMPLITUDES),
+    map_rules(coeffs=TINY_AMPLITUDES),
+    TINY_AMPLITUDES,
     st.tuples(TINY_QUBITS, TINY_QUBITS),
     st.data(),
 )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_step_reference, states_close
+from conftest import TINY_AMPLITUDES, TINY_MAGNITUDES, applied, chain_step_reference, states_close
 from cfqsim import cli, zeno
 from cfqsim.michelson import BOB_DEVICE, BeamSplitter
 from cfqsim.star import alice_register, partial_propagator
@@ -307,47 +307,33 @@ def test_chain_step_matches_reference(items, theta, cancel):
     assert got.registers == want.registers
 
 
-# One-layer and one-link amplitudes with magnitudes log-uniform from
-# 2**-1074 (5e-324) to 2: a rotated or D1-weighted amplitude underflows to 0j.
-TINY_AMPS = st.builds(
-    lambda e, phase: 2.0**e * phase,
-    st.floats(min_value=-1074.0, max_value=1.0),
-    st.sampled_from((1 + 0j, -1 + 0j, 1j, 0.6 - 0.8j)),
-)
+# One-link labels and reflectances down to 5e-324: with TINY_AMPLITUDES, a
+# rotated or D1-weighted amplitude underflows to 0j.
 LINK_LABELS = [(b, a) for b in ("P", "B") for a in ("V", "H")]
-LINK_REGISTERS = (BOB_DEVICE, alice_register(0))
-REFLECTANCES = st.one_of(
-    st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=-1074.0, max_value=0.0).map(lambda e: 2.0**e)
-)
+LINK_REFLECTANCES = st.one_of(st.floats(min_value=0.0, max_value=1.0), TINY_MAGNITUDES.filter(lambda R: R <= 1.0))
 
 
-def sparse_states(registers, labels):
-    items = st.lists(st.tuples(st.sampled_from(labels), TINY_AMPS), unique_by=lambda t: t[0], max_size=len(labels))
+def tiny_states(registers, labels):
+    items = st.lists(st.tuples(st.sampled_from(labels), TINY_AMPLITUDES), unique_by=lambda t: t[0], max_size=len(labels))
     return items.map(lambda items: PureState(registers, dict(items)))
 
 
 def step_results(one, theta, link, R):
-    """For each engine step built on the state kernel: its name, whether it
-    left its input as it was, whether its result shares the input's
-    amplitude dict, and the result."""
-    ops = [
-        ("chain_step", one, lambda s: chain_step(s, theta)),
-        ("obstacle_step", one, lambda s: obstacle_step(s)[0]),
-        ("partial_propagator", link, lambda s: partial_propagator(s, 0, BeamSplitter(R))),
-    ]
-    results = []
-    for name, state, op in ops:
-        before = list(state.amps.items())
-        out = op(state)
-        results.append((name, list(state.amps.items()) == before, out.amps is state.amps, out))
-    return results
+    """``applied`` to each engine step built on the state kernel."""
+    return applied(
+        [
+            ("chain_step", one, lambda s: chain_step(s, theta)),
+            ("obstacle_step", one, lambda s: obstacle_step(s)[0]),
+            ("partial_propagator", link, lambda s: partial_propagator(s, 0, BeamSplitter(R))),
+        ]
+    )
 
 
 STEPS = (
-    sparse_states((OBSTACLE, MODE), ONE_LAYER_LABELS),
+    tiny_states((OBSTACLE, MODE), ONE_LAYER_LABELS),
     ANGLES,
-    sparse_states(LINK_REGISTERS, LINK_LABELS),
-    REFLECTANCES,
+    tiny_states((BOB_DEVICE, alice_register(0)), LINK_LABELS),
+    LINK_REFLECTANCES,
 )
 
 
