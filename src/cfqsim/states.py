@@ -27,8 +27,8 @@ built with the trusted internal constructor ``PureState._trusted``,
 which skips the label checks and takes ownership of the amplitude dict
 it is handed: every caller passes a dict it has just built, and the dict
 is copied only when an exact zero must go.  A caller that starts from
-another state's ``amps`` copies them first.  Both keep every
-nonzero amplitude, however small.  Only a sum makes cancellation dust:
+another state's ``amps`` copies them first.  Both constructors keep
+every nonzero amplitude, however small.  Only a sum makes cancellation dust:
 ``apply_map`` (and ``zeno.chain_step``, through ``_drop_dust``) drops a
 label that received two or more terms if it ends at most ``PRUNE_TOL``
 times the largest term that entered it, so a small sum of terms that add
