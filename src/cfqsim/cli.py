@@ -47,7 +47,7 @@ SWEEP_MAX_POINTS = 100_000
 MC_MAX_RUNS = 5_000_000_000
 # Most czqe work, summed over the sweep points: L one-layer steps plus the
 # 2^(layers+1) labels of the layered output.  L = 59996 at one layer takes
-# about 0.2 s, --N 14 (2^15 labels) at L = 1 about 0.1 s.
+# about 0.15 s, --N 14 (2^15 labels) at L = 1 about 0.1 s.
 # The cap sits below the 1-2 s budget of the other caps on purpose: the
 # chain composes L rotations one at a time, so its rounding error grows
 # with L, and near the cap the 12th printed digit can already be wrong.

@@ -28,11 +28,12 @@ which skips the label checks and takes ownership of the amplitude dict
 it is handed: every caller passes a dict it has just built, and the dict
 is copied only when an exact zero must go.  A caller that starts from
 another state's ``amps`` copies them first.  Both constructors keep
-every nonzero amplitude, however small.  Only a sum makes cancellation dust:
-``apply_map`` (and ``zeno.chain_step``, through ``_drop_dust``) drops a
-label that received two or more terms if it ends at most ``PRUNE_TOL``
-times the largest term that entered it, so a small sum of terms that add
-is kept however far below the input norm it lies.
+every nonzero amplitude, however small.  Only a sum makes cancellation dust,
+and only ``apply_map``'s label loop, ``_map_labels``, drops it: a label that
+received two or more terms goes if it ends at most ``PRUNE_TOL`` times the
+largest term that entered it, so a small sum of terms that add is kept
+however far below the input norm it lies.  ``zeno.chain_step`` keeps
+every rotated amplitude.
 
 Every split the engines make has a side with at most two distinct labels,
 so ``entanglement_entropy`` needs one 2x2 rotation.  Amplitudes here are
@@ -49,8 +50,8 @@ from collections import namedtuple
 from operator import contains, itemgetter
 from typing import Callable, Mapping, Sequence, Union
 
-# A summed amplitude at most this times the largest of its terms is
-# cancellation dust; Schmidt weights below it are dropped from the entropy.
+# A sum built by ``_map_labels`` at most this times the largest of its terms
+# is cancellation dust; Schmidt weights below it are dropped from the entropy.
 PRUNE_TOL = 1e-15
 
 # Unit-norm tolerance for qubits and freshly built product states.
@@ -264,15 +265,6 @@ def _rescued(state: PureState) -> tuple[PureState, float]:
     return state, n2
 
 
-def _drop_dust(amps: dict[Label, complex], summed: dict[Label, float]) -> dict[Label, complex]:
-    """``amps`` less each ``summed`` label at most ``PRUNE_TOL`` times the
-    largest term that entered it, which ``summed`` maps it to."""
-    for label, largest in summed.items():
-        if abs(amps[label]) <= PRUNE_TOL * largest:
-            del amps[label]
-    return amps
-
-
 def product_state(parts: Sequence[tuple[Register, Union[Qubit, str]]]) -> PureState:
     """Tensor product of per-register qubits and fixed symbols."""
     registers = _checked_registers(r for r, _ in parts)
@@ -330,7 +322,8 @@ def _check_patterns(alphabets: Sequence[Sequence[str]], rules: MapRules) -> None
 
 def _map_labels(state: PureState, idx: tuple[int, ...], rules: MapRules) -> PureState:
     """The label loop of ``apply_map`` over the registers at positions
-    ``idx``, for rules whose patterns ``_check_patterns`` has passed."""
+    ``idx``, for rules whose patterns ``_check_patterns`` has passed, and
+    the one place that drops cancellation dust (see the module docstring)."""
     key = _projection(idx)
     out: dict[Label, complex] = {}
     summed: dict[Label, float] = {}  # labels that received a second term: their largest term
@@ -354,7 +347,10 @@ def _map_labels(state: PureState, idx: tuple[int, ...], rules: MapRules) -> Pure
                 out[t] += term
             else:
                 out[t] = term
-    return PureState._trusted(state.registers, _drop_dust(out, summed))
+    for label, largest in summed.items():
+        if abs(out[label]) <= PRUNE_TOL * largest:
+            del out[label]
+    return PureState._trusted(state.registers, out)
 
 
 def sector(state: PureState, register: Register, symbols: Sequence[str]) -> PureState:

@@ -21,7 +21,7 @@ from collections import namedtuple
 from itertools import product as iter_product
 from typing import NamedTuple
 
-from .states import Label, PureState, Qubit, Register, ValidatedTuple, _drop_dust
+from .states import Label, PureState, Qubit, Register, ValidatedTuple
 
 OBSTACLE = Register("pb_device", 0)
 _ONE_LAYER = (OBSTACLE, Register("zeno_mode", 0))  # the registers of every chain step
@@ -82,14 +82,13 @@ def chain_step(state: PureState, theta: float) -> PureState:
 
     Each obstacle branch b carries the 2x2 rotation R(theta) on its
     (b, "0") and (b, "1") amplitudes; other mode symbols pass through.
-    A label that sums two terms is dropped as cancellation dust when it
-    ends at most ``PRUNE_TOL`` times the larger of them.
+    Every rotated amplitude is kept, however small its sum: the residue
+    of a cancelling pair is a real amplitude, as in ``chain_closed_form``.
     """
     _check_one_layer(state)
     c, s = math.cos(theta), math.sin(theta)
     ns = -s
     out: dict[Label, complex] = {}
-    summed: dict[Label, float] = {}  # each summed label's larger term
     for label, amp in state.amps.items():
         b, x = label
         if x == "0":
@@ -100,15 +99,14 @@ def chain_step(state: PureState, theta: float) -> PureState:
             out[label] = amp
             continue
         l0, l1 = (b, "0"), (b, "1")
-        # (b, "0") and (b, "1") always enter together, on the branch's first input
+        # (b, "0") and (b, "1") always enter together; the branch's first input
+        # is assigned, as adding it to 0j would turn a -0.0 part into +0.0
         if l0 in out:
-            summed[l0] = max(abs(out[l0]), abs(t0))
-            summed[l1] = max(abs(out[l1]), abs(t1))
             out[l0] += t0
             out[l1] += t1
         else:
             out[l0], out[l1] = t0, t1
-    return PureState._trusted(state.registers, _drop_dust(out, summed))
+    return PureState._trusted(state.registers, out)
 
 
 def obstacle_step(state: PureState) -> tuple[PureState, float]:

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 from hypothesis import strategies as st
@@ -316,13 +318,24 @@ def pass_block_switches_reference(state: PureState) -> PureState:
 
 
 def chain_step_reference(state: PureState, theta: float) -> PureState:
-    """One beam splitter passage as a rule table run through
-    ``apply_map_reference``, and so under its dust rule: the reference that
-    ``zeno.chain_step`` must match bit for bit."""
+    """One beam splitter passage as plain rotation sums per obstacle branch
+    b: (b, "0") gets a0 cos - a1 sin and (b, "1") gets a0 sin + a1 cos, over
+    the inputs present, and other mode symbols pass.  No sum is dropped,
+    however small: the reference that ``zeno.chain_step`` must match bit
+    for bit, each branch's labels in the place its first input holds."""
     _check_one_layer(state)
     c, s = math.cos(theta), math.sin(theta)
-    rules = {("0",): [(("0",), c), (("1",), s)], ("1",): [(("0",), -s), (("1",), c)]}
-    return apply_map_reference(state, state.registers[1:], rules)
+    out = {}
+    for (b, x), amp in state.amps.items():
+        if x not in ("0", "1"):
+            out[(b, x)] = amp
+        elif (b, "0") not in out:
+            a0, a1 = state.amps.get((b, "0")), state.amps.get((b, "1"))
+            for y, k0, k1 in (("0", c, -s), ("1", s, c)):
+                terms = [a * k for a, k in ((a0, k0), (a1, k1)) if a is not None]
+                # a lone term is the sum: 0j + it would turn a -0.0 part into +0.0
+                out[(b, y)] = functools.reduce(operator.add, terms)
+    return PureState(state.registers, out)
 
 
 def partial_propagator_reference(state: PureState, link: int, bs: BeamSplitter) -> PureState:

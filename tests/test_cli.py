@@ -389,12 +389,15 @@ def test_czqe_long_chain_drift(argv):
         assert within_one_unit(record[name], value), (name, record[name], float(value))
 
 
-@pytest.mark.xfail(strict=True, reason="past a quarter turn the drift swamps a small sin(L theta)")
+@pytest.mark.xfail(strict=True, reason="the pass branch's '1' sum cancels to exactly 0.0 at every 5-step node")
 def test_czqe_past_a_quarter_turn():
     """Known defect: at theta = pi/5 (the double) and L = 1000 the pass
-    branch ends at sin(L theta), about 3.9e-15, below the drift; its residue
-    at each 5-step node, about 2e-17, is dropped as dust, so the fidelity
-    prints 2.06e-185 where it is 1.4998e-28."""
+    branch ends at sin(L theta), about 3.9e-15.  The rounded rotation
+    cannot carry it: at each of the 200 five-step nodes the two terms of
+    the pass branch's "1" amplitude cancel exactly in floating point, to
+    0.0, so no residue is left to keep, and the fidelity prints
+    2.05697579218e-185 where it is 1.4998e-28.  Dropping cancellation dust
+    plays no part: the chain step keeps every nonzero sum."""
     flags = ["--L", "1000", "--theta", "0.6283185307179586"]
     record = printed("czqe", *flags)
     value = czqe_exact(flags)["fidelity_asymptote"]

@@ -15,6 +15,7 @@ from conftest import (
     star_bruteforce,
     states_close,
 )
+from cfqsim import star
 from cfqsim.michelson import BOB_DEVICE, BeamSplitter, RoundConfig, d1_state_closed_form
 from cfqsim.star import (
     StarConfig,
@@ -27,6 +28,7 @@ from cfqsim.star import (
 from cfqsim.states import (
     PureState,
     Qubit,
+    _map_labels,
     entanglement_entropy,
     fidelity_up_to_phase,
     product_state,
@@ -150,6 +152,51 @@ def test_propagator_matches_the_hand_written_table(R, link, amps):
         for g_part, w_part in ((g.real, w.real), (g.imag, w.imag)):
             if w_part == 0.0 or abs(w_part) >= sys.float_info.min:
                 assert abs(g_part + w_part) <= 4 * math.ulp(w_part), (label, g, w)
+
+
+def term_landings(state, idx, rules):
+    """The label that each term of ``_map_labels(state, idx, rules)``
+    lands on, one entry per term; a label that matches no rule passes."""
+    landings = []
+    for label in state.amps:
+        key = tuple(label[i] for i in idx)
+        for out_pat, _ in rules.get(key, [(key, 1.0)]):
+            new = list(label)
+            for i, sym in zip(idx, out_pat):
+                new[i] = sym
+            landings.append(tuple(new))
+    return landings
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    REFLECTANCES,
+    st.integers(1, 40),
+    st.integers(0, 3),
+    st.dictionaries(st.sampled_from(DEVICE_PAIRS), AMPLITUDES, min_size=1),
+)
+def test_no_propagator_call_sums_two_terms(seed, R, n, link, amps):
+    """Each term of a propagator call lands on a label of its own, so the
+    cancellation-dust rule of ``_map_labels`` never acts on the star: it
+    serves the rounds and transfers alone."""
+    calls = []
+
+    def recording(state, idx, rules):
+        calls.append(term_landings(state, idx, rules))
+        return _map_labels(state, idx, rules)
+
+    rng = np.random.default_rng(seed)
+    p_pinned = rng.choice([0.0, 1.0 / n, 2.0 / n])
+    alices = tuple(pinned_or_tiny_qubit(rng, ("V", "H"), p_pinned) for _ in range(n))
+    cfg = StarConfig(BeamSplitter(R), alices, pinned_or_tiny_qubit(rng, ("P", "B"), 0.1))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(star, "_map_labels", recording)
+        partial_propagator(PureState((BOB_DEVICE, alice_register(link)), amps), link, cfg.bs)
+        run_star(cfg)
+    assert 2 <= len(calls) <= n + 1  # a dead star stops at the spoke that kills it
+    for landings in calls:
+        assert len(set(landings)) == len(landings), landings
 
 
 class TestRunStar:
@@ -324,8 +371,6 @@ class TestRunStar:
             assert fidelity_up_to_phase(got.state, want.state) >= 1.0 - 1e-13
 
     def test_every_propagator_call_sees_at_most_four_labels(self, monkeypatch):
-        import cfqsim.star as star
-
         seen = []
         original = star.partial_propagator
 

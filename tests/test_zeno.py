@@ -290,11 +290,11 @@ ANGLES = st.one_of(
 )
 def test_chain_step_matches_reference(items, theta, cancel):
     # with `cancel`, the smaller of each branch's two amplitudes is reset
-    # so that its rotated "0" amplitude a0 c - a1 s cancels, leaving dust
-    # that both steps must drop
+    # so that its rotated "0" amplitude a0 c - a1 s cancels, leaving a
+    # residue that both steps keep unless it is exactly 0
     amps = dict(items)
+    c, s = math.cos(theta), math.sin(theta)
     if cancel:
-        c, s = math.cos(theta), math.sin(theta)
         for b in ("pass", "block"):
             if (b, "0") in amps and (b, "1") in amps:
                 if s <= c:
@@ -305,6 +305,10 @@ def test_chain_step_matches_reference(items, theta, cancel):
     got, want = chain_step(state, theta), chain_step_reference(state, theta)
     assert list(got.amps.items()) == list(want.amps.items())
     assert got.registers == want.registers
+    for b in ("pass", "block"):
+        if (b, "0") in state.amps and (b, "1") in state.amps:
+            residue = state.amps[(b, "0")] * c + state.amps[(b, "1")] * -s
+            assert got.amps.get((b, "0"), 0j) == residue
 
 
 # One-link labels and reflectances down to 5e-324: with TINY_AMPLITUDES, a
@@ -379,12 +383,16 @@ def test_run_chain_matches_reference_stepping(angle, phase, L, theta, layers, re
     _same_chain(ChainConfig(L=L, theta=theta, obstacle=obstacle, layers=layers), readout)
 
 
-def test_default_angle_drops_pass_branch_dust():
+def test_default_angle_keeps_pass_branch_residue():
     # theta = pi / (2 L) turns the pass branch fully into "1": its "0"
-    # label sums to about 8e-17 and both steps drop it
+    # label sums to about 8e-17, a real amplitude that the closed form
+    # holds too, as cos(L theta) = cos(pi / 2)
+    config = ChainConfig(L=10)
     for readout in ("after_final_bs", "after_final_obstacle"):
-        result = _same_chain(ChainConfig(L=10), readout)
-        assert ("pass", "0") not in result.final.amps
+        result = _same_chain(config, readout)
+        oracle = chain_closed_form(config.obstacle, config.L, config.resolved_theta, 1, readout)
+        assert ("pass", "0") in oracle.amps
+        assert ("pass", "0") in result.final.amps
         assert ("pass", "1") in result.final.amps
 
 
