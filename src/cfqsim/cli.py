@@ -37,7 +37,8 @@ NORM_REJECT = 1e-6
 # Largest star, counting --N or the --alice pairs.  run_star is linear in
 # spokes (--N 2000 takes about 57 ms and --N 5000 about 82 ms), but
 # argparse's time grows as the square of the --alice pairs: 5000 of them
-# take about 0.58 s.
+# take about 0.58 s.  So ``main`` counts the --alice options before
+# argparse reads them, and refuses 20,000 pairs in about 0.1 s.
 STAR_MAX_PARTIES = 5000
 # Most points in a --sweep grid: 100k cost-profile rows take about 1.1 s.
 SWEEP_MAX_POINTS = 100_000
@@ -218,14 +219,25 @@ def cmd_round(args) -> str:
     return emit(record, args.format)
 
 
+def _check_star_parties(parties: int | None) -> None:
+    if parties is not None and parties > STAR_MAX_PARTIES:
+        raise ValueError(f"star has {parties} spoke parties; at most {STAR_MAX_PARTIES} are supported")
+
+
+def _alice_options(argv: list[str]) -> int:
+    """How many ``--alice`` options argparse would read from a ``star``
+    command line: the tokens that name ``--alice`` or an abbreviation of it
+    (``--a`` and longer; no other star option starts so), with or without
+    an ``=value``.  argparse reads no such token as a value."""
+    return sum(len(name) >= 3 and "--alice".startswith(name) for name in (t.split("=", 1)[0] for t in argv))
+
+
 def cmd_star(args) -> str:
     from .michelson import BeamSplitter
     from .star import StarConfig, alice_register, cat_fidelity, run_star
     from .states import Qubit, entanglement_entropy
 
-    parties = len(args.alice) if args.alice else args.N
-    if parties is not None and parties > STAR_MAX_PARTIES:
-        raise ValueError(f"star has {parties} spoke parties; at most {STAR_MAX_PARTIES} are supported")
+    _check_star_parties(len(args.alice) if args.alice else args.N)
     if args.alice:
         alices = tuple(parse_qubit(("V", "H"), pair, "--alice") for pair in args.alice)
         if args.N is not None and args.N != len(alices):
@@ -435,9 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if argv[:1] == ["star"]:  # before argparse, whose time grows as the square of the --alice pairs
+            _check_star_parties(_alice_options(argv[1:]))
+        args = build_parser().parse_args(argv)
         text = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,8 +20,12 @@ The maps' rule patterns depend on neither R nor the link, so they are
 checked once, at import, by the checker that ``states.apply_map`` runs on
 every call; a call binds sqrt(R) and sqrt(T) into the rules, finds its
 link's registers in the state (built once per link) and runs
-``apply_map``'s label loop alone.  ``run_round`` reads all three outcomes
-off the evolved N09 state, ``transfer`` its D1 sector alone.
+``apply_map``'s label loop alone.  ``initial_round_state`` builds the N09
+round's four input labels directly, as ``product_state`` would, checking
+only the two qubits.  ``run_round`` reads all three outcomes off the
+evolved state in one scan that sorts each label into its outcome's
+sector; each sector's norm**2 is both its probability and its posterior's
+normaliser.  ``transfer`` reads the D1 sector alone.
 
 Beam splitter phase convention: reflection picks up a factor i on the way
 out, transmission stays real; on the return pass the roles swap so that a
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -48,7 +53,6 @@ from .states import (
     _restricted,
     entanglement_entropy,
     product_state,
-    sector,
 )
 
 # Registers of the standard bipartite round (link index 0).
@@ -104,17 +108,28 @@ class RoundOutcome(NamedTuple):
     posterior: PureState
 
 
+# The N09 round's registers, in ``initial_round_state``'s label order.
+_ROUND_REGISTERS = _checked_registers((ALICE_DEVICE, BOB_DETECTOR, BOB_DEVICE, ARM_ALICE, ARM_BOB, DETECTOR))
+
+
 def initial_round_state(alice: Qubit, bob: Qubit) -> PureState:
-    return product_state(
-        [
-            (ALICE_DEVICE, alice),
-            (BOB_DETECTOR, "0"),
-            (BOB_DEVICE, bob),
-            (ARM_ALICE, "vac"),
-            (ARM_BOB, "vac"),
-            (DETECTOR, "none"),
-        ]
-    )
+    """The N09 round's input: the two device qubits, every other register
+    at rest.  It is ``product_state`` over the six parts, built from its
+    four labels directly: the same label order and the same products,
+    ``1+0j`` times each register's factor in turn, so every amplitude is
+    bit-identical (a ``1+0j`` factor can flip a signed zero).  Only the
+    qubits' symbols are checked, with ``product_state``'s message."""
+    for reg, qubit in ((ALICE_DEVICE, alice), (BOB_DEVICE, bob)):
+        for sym in qubit.basis:
+            if sym not in reg.alphabet:
+                raise ValueError(f"qubit symbol {sym!r} outside alphabet of {reg!r}")
+    one = 1.0 + 0j
+    amps = {}
+    for a_sym, a in alice.amplitudes().items():
+        head = one * a * one
+        for b_sym, b in bob.amplitudes().items():
+            amps[(a_sym, "0", b_sym, "vac", "vac", "none")] = head * b * one * one * one
+    return PureState._trusted(_ROUND_REGISTERS, amps)
 
 
 @functools.lru_cache(maxsize=16)
@@ -197,8 +212,10 @@ def _pass_block_switches(state: PureState) -> PureState:
     return state
 
 
-# Polarization-summed clicks: one outcome per output detector.
-_CLICKS = [("D1", ("D1V", "D1H")), ("D2", ("D2V", "D2H"))]
+# Each ``DETECTOR`` symbol's outcome, in outcome order: one per output
+# detector, polarization summed, or one per tag; then DB, the silent detector.
+_CLICKS = {"D1V": "D1", "D1H": "D1", "D2V": "D2", "D2H": "D2", "none": "DB"}
+_SPLIT_CLICKS = {"D1V": "D1V", "D1H": "D1H", "D2V": "D2V", "D2H": "D2H", "none": "DB"}
 
 # The registers each variant's posteriors keep, checked once here, since
 # ``_outcomes`` restricts to them without the checks of ``restrict``.
@@ -210,22 +227,34 @@ _SWITCHES_ABSORBERS = _checked_registers((*_SWITCHES, ABSORBER_ALICE, ABSORBER_B
 
 def _outcomes(
     state: PureState,
-    clicks: list[tuple[str, tuple[str, ...]]],
+    clicks: dict[str, str],
     tagged: tuple[Register, ...],
     blocked_keep: tuple[Register, ...],
 ) -> list[RoundOutcome]:
-    """One outcome per ``clicks`` entry (a name and its ``DETECTOR`` tags,
-    posterior on ``tagged``), then DB, the silent detector (posterior on
-    ``blocked_keep``); both keep tuples are checked module constants.
-    Each is the sector's norm**2 and its normalized posterior; every kept
-    amplitude is nonzero, so a sector with labels has a posterior even
-    where its probability underflows."""
+    """One outcome per name in ``clicks`` (a ``DETECTOR`` symbol's
+    outcome), in its order: the clicks' posteriors keep ``tagged``, DB's
+    ``blocked_keep``; both are checked module constants.  One scan sorts
+    the labels into the outcomes' sectors, in state order.  Each outcome
+    is its sector's norm**2 and the sector divided by its root; a norm**2
+    below the normal range goes through ``normalized``, which rescales
+    first.  Every kept amplitude is nonzero, so a sector with labels has a
+    posterior even where its probability underflows."""
+    i = state.registers.index(DETECTOR)
+    parts: dict[str, dict] = {name: {} for name in clicks.values()}
+    for label, amp in state.amps.items():
+        parts[clicks[label[i]]][label] = amp
     outcomes = []
-    for name, syms in [*clicks, ("DB", ("none",))]:
-        part = sector(state, DETECTOR, syms)
+    for name, amps in parts.items():
         keep = blocked_keep if name == "DB" else tagged
-        posterior = _restricted(part.normalized(), keep) if part.amps else PureState(keep, {})
-        outcomes.append(RoundOutcome(name, part.norm2(), posterior))
+        n2 = float(sum(abs(a) ** 2 for a in amps.values()))
+        if n2 >= sys.float_info.min:
+            n = math.sqrt(n2)
+            posterior = _restricted(PureState._trusted(state.registers, {l: a / n for l, a in amps.items()}), keep)
+        elif amps:
+            posterior = _restricted(PureState._trusted(state.registers, amps).normalized(), keep)
+        else:
+            posterior = PureState._trusted(keep, {})
+        outcomes.append(RoundOutcome(name, n2, posterior))
     return outcomes
 
 
@@ -248,10 +277,7 @@ def run_round(
         return run_scqkd_round(alice, bob, config.bs)
     state = _n09_state(config.bs, config.alice, config.bob)
 
-    if split_detector_polarization:
-        clicks = [(sym, (sym,)) for sym in ("D1V", "D1H", "D2V", "D2H")]
-    else:
-        clicks = _CLICKS
+    clicks = _SPLIT_CLICKS if split_detector_polarization else _CLICKS
     return _outcomes(state, clicks, _TAGGED_DEVICES, _DEVICES)
 
 

@@ -15,10 +15,13 @@ constructor, ``product_state``, the rule patterns of ``apply_map`` and
 the ``keep`` registers of ``PureState.restrict`` check every register and
 symbol they are given on every call.  ``michelson``'s maps, whose
 patterns are fixed, run ``apply_map``'s pattern checker over them once,
-at import, and then only its label loop; likewise the rounds and
-transfers restrict to fixed keep tuples checked once, at import, through
-``_restricted``, which reads the kept and dropped label positions from a
-plan cached per (register tuple, keep tuple).  Each value type
+at import, and then only its label loop.  The N09 round builds its input
+over registers fixed at import, so ``michelson.initial_round_state``
+checks only its two qubits' symbols; the pass/block round still builds
+its input through ``product_state``.  The rounds and transfers restrict
+to fixed keep tuples checked once, at import, through ``_restricted``,
+which reads the kept and dropped label positions from a plan cached per
+(register tuple, keep tuple).  Each value type
 built on ``ValidatedTuple`` (``Register``, ``Qubit``, the engines'
 configs) checks its fields in ``__new__``, which ``_replace``,
 ``_make``, copies and pickles go through too.  States derived from

@@ -12,10 +12,12 @@ from cfqsim.michelson import (
     ARM_ALICE,
     ARM_BOB,
     BOB_DEVICE,
+    DETECTOR,
     SWITCH_ALICE,
     SWITCH_BOB,
     BeamSplitter,
     RoundConfig,
+    RoundOutcome,
     forward_beamsplitter,
     return_beamsplitter,
     run_round,
@@ -264,6 +266,31 @@ def steer_reference(payload: Qubit, bs: BeamSplitter, sender: Register, branches
         received = _restricted(post, _ALONE[receiver])
         results.append((prob, [received.amps.get((sym,), 0j) for sym in receiver.alphabet]))
     return shared, receiver, results
+
+
+# Each round outcome's ``alice_detector`` symbols, by the outcome's name.
+OUTCOME_SYMBOLS = {
+    "D1": ("D1V", "D1H"),
+    "D2": ("D2V", "D2H"),
+    **{sym: (sym,) for sym in ("D1V", "D1H", "D2V", "D2H")},
+    "DB": ("none",),
+}
+
+
+def outcomes_reference(state: PureState, names, tagged, blocked_keep) -> list[RoundOutcome]:
+    """The outcomes ``names`` of an evolved round, each read apart: its
+    ``sector``, that sector's ``norm2`` as the probability and its
+    ``normalized`` posterior, restricted to ``tagged`` or, for DB, to
+    ``blocked_keep``.  The reference that ``michelson._outcomes``, which
+    sorts the labels into every sector in one scan and divides each by the
+    root of the norm**2 it reports, must match bit for bit."""
+    outcomes = []
+    for name in names:
+        part = sector(state, DETECTOR, OUTCOME_SYMBOLS[name])
+        keep = blocked_keep if name == "DB" else tagged
+        posterior = _restricted(part.normalized(), keep) if part.amps else PureState(keep, {})
+        outcomes.append(RoundOutcome(name, part.norm2(), posterior))
+    return outcomes
 
 
 # The Michelson maps as rule dicts rebuilt, and checked, on every call, and

@@ -6,8 +6,9 @@ inputs exactly, with T taken as exactly 1 - R.  That can arbitrate a
 printed 12th digit, which a closed form evaluated in doubles cannot.
 The chain's trigonometry and the announcement cost's logarithms are not
 rational: ``cos_sin`` gives the first, ``czqe_values`` the chain's
-readouts and ``cost_columns`` the costs ``C`` and ``total_qst_cost``, to
-40 digits, which arbitrate a 12th digit as well.
+readouts, ``cost_columns`` the costs ``C`` and ``total_qst_cost`` and
+``entropy_bits`` the rounds' ``entropy_D1`` from their rational Schmidt
+weights, to 40 digits, which arbitrate a 12th digit as well.
 """
 
 from decimal import Decimal, localcontext
@@ -65,6 +66,12 @@ def table_rows(R: float) -> dict[str, dict[str, Fraction]]:
     return {"VP|HB": n09_round_probabilities(R, 1, 0, 1, 0), "VB|HP": n09_round_probabilities(R, 1, 0, 0, 1)}
 
 
+def ln(value: Fraction) -> Decimal:
+    """The natural logarithm of a positive ``value``, from those of its
+    numerator and denominator, at the current precision."""
+    return Decimal(value.numerator).ln() - Decimal(value.denominator).ln()
+
+
 def cost_columns(R: float) -> dict[str, Fraction]:
     """The ``cost`` columns at reflectance R, both devices balanced.
 
@@ -79,7 +86,7 @@ def cost_columns(R: float) -> dict[str, Fraction]:
     p1 = R * T / (1 + R)
     with localcontext() as ctx:
         ctx.prec = 40
-        ln_p = Decimal(p1.numerator).ln() - Decimal(p1.denominator).ln()
+        ln_p = ln(p1)
         p = Decimal(p1.numerator) / Decimal(p1.denominator)
         series, term, k = Decimal(0), Decimal(1), 1
         while series + term / k != series:
@@ -212,3 +219,35 @@ def czqe_values(L: int, theta: float, a: complex, b: complex, layers: int, reado
         overlap = A * s_l**layers + B * y[0] ** layers
         fidelity = (overlap / (A + B)) ** 2
     return {"survival": Fraction(survival), "fidelity_asymptote": Fraction(fidelity)}
+
+
+def entropy_bits(weights: tuple[Fraction, ...], digits: int = 40) -> Fraction:
+    """The base-2 entropy -sum p log2 p of the distribution proportional to
+    ``weights``, to ``digits`` digits; zero weights add nothing, and no
+    weight at all gives 0.  Each ln p is taken at enough digits that its
+    error stays below 10**-digits of the smallest p, and so of the
+    entropy, which is at least that p when it is below 1/2."""
+    total = sum(weights)
+    ps = [Fraction(w) / total for w in weights if w]
+    if not ps:
+        return Fraction(0)
+    with localcontext() as ctx:
+        ctx.prec = digits + 10 + len(str(min(ps).denominator))
+        h = -sum(Decimal(p.numerator) / Decimal(p.denominator) * ln(p) for p in ps) / Decimal(2).ln()
+        return Fraction(+h)
+
+
+def n09_d1_weights(mu: complex, nu: complex, alpha: complex, beta: complex) -> tuple[Fraction, Fraction]:
+    """The Schmidt weights, up to one factor, of an N09 round's D1 pair:
+    the blocked pairs (H, P) and (V, B) each reach D1 with amplitude
+    -sqrt(RT) times their input product, so they are |nu alpha|**2 and
+    |mu beta|**2, whatever R."""
+    return abs2(nu) * abs2(alpha), abs2(mu) * abs2(beta)
+
+
+def scqkd_d1_weights(a_pass: complex, a_block: complex, b_pass: complex, b_block: complex) -> tuple[Fraction, Fraction]:
+    """The Schmidt weights, up to one factor, of a pass/block round's D1
+    pair: where one party alone blocks, the photon reaches D1 with
+    amplitude sqrt(RT) times the input product, up to sign, so they are
+    |a_pass b_block|**2 and |a_block b_pass|**2."""
+    return abs2(a_pass) * abs2(b_block), abs2(a_block) * abs2(b_pass)

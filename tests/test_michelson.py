@@ -1,5 +1,7 @@
 import itertools
 import math
+import operator
+import re
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,7 @@ from conftest import (
     MAGNITUDES,
     REFLECTANCES,
     forward_beamsplitter_reference,
+    outcomes_reference,
     pass_block_switches_reference,
     random_amplitude_pair,
     restrict_reference,
@@ -655,6 +658,100 @@ def test_rounds_and_transfers_match_the_reference_restrict(R, alice, bob, varian
         transfer, "_restricted", restrict_reference
     ):
         assert results() == new
+
+
+# ---- the round's input and its outcome read against their generic forms
+
+# Amplitude parts: a signed zero, or a magnitude log-uniform from 2**-1074
+# (5e-324) to 2**-0.5, either end included, of either sign.
+_SMALL = st.one_of(
+    st.floats(min_value=-1074.0, max_value=-0.5).map(lambda e: 2.0**e), st.sampled_from((2.0**-1074, 2.0**-0.5))
+)
+_SMALL_PARTS = st.one_of(st.sampled_from((0.0, -0.0)), _SMALL, _SMALL.map(operator.neg))
+# Phases of the larger amplitude, signed-zero parts included.
+_PHASES = st.sampled_from(((1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (-0.0, -1.0), (0.0, 1.0), (0.6, -0.8)))
+# Bases with a symbol outside a device's alphabet.
+_OFF_BASES = st.sampled_from((("P", "V"), ("V", "B"), ("pass", "block"), ("H", "X")))
+
+
+@st.composite
+def round_qubits(draw, basis):
+    """A unit qubit over ``basis``, its reverse or an off basis: one
+    amplitude has parts drawn from ``_SMALL_PARTS``, the other makes up the
+    norm at one of ``_PHASES``, in either order."""
+    small = complex(draw(_SMALL_PARTS), draw(_SMALL_PARTS))
+    m = math.sqrt(max(0.0, 1.0 - abs(small) ** 2))
+    c, s = draw(_PHASES)
+    pair = (small, complex(m * c, m * s))
+    basis = draw(st.one_of(st.sampled_from((basis, basis[::-1])), _OFF_BASES))
+    return Qubit(basis, *(pair if draw(st.booleans()) else pair[::-1]))
+
+
+def hex_items(state):
+    """Registers and amplitudes in order, each part as ``float.hex``, so a
+    signed zero counts."""
+    return state.registers, [(label, a.real.hex(), a.imag.hex()) for label, a in state.amps.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(round_qubits(("V", "H")), round_qubits(("P", "B")))
+@example(Qubit(("V", "H"), complex(-0.0, -1.0), 0j), Qubit(("P", "B"), 2.0**-1074, complex(-0.0, -1.0)))
+@example(Qubit(("H", "V"), 1.0, 0.0), Qubit(("V", "B"), 1.0, 0.0))
+def test_initial_round_state_is_the_product_state(alice, bob):
+    """``initial_round_state`` builds its labels directly: the same state as
+    ``product_state`` over the six parts, every bit of every amplitude
+    included, and the same error for a qubit outside its device's alphabet."""
+    parts = [
+        (ALICE_DEVICE, alice),
+        (BOB_DETECTOR, "0"),
+        (BOB_DEVICE, bob),
+        (ARM_ALICE, "vac"),
+        (ARM_BOB, "vac"),
+        (DETECTOR, "none"),
+    ]
+    try:
+        want = hex_items(product_state(parts))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            initial_round_state(alice, bob)
+    else:
+        assert hex_items(initial_round_state(alice, bob)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(REFLECTANCES, unit_pairs_down_to_tiny(), unit_pairs_down_to_tiny())
+@example(1e-300, (1.0, 1e-20), (1.0, 0.0))  # D1's norm**2, about 1e-340, underflows
+@example(1e-300, (SQ2, SQ2), (SQ2, SQ2))
+@example(0.37, (0.6, 0.8j), (0.6j, 0.8))
+def test_rounds_match_the_reference_outcomes(R, alice, bob):
+    """Both round variants, split and unsplit, read their outcomes as the
+    reference does, each sector apart, bit for bit."""
+    bs = BeamSplitter(R)
+    config = RoundConfig(bs, Qubit(("V", "H"), *alice), Qubit(("P", "B"), *bob))
+    pass_block = Qubit(("pass", "block"), *alice), Qubit(("pass", "block"), *bob)
+
+    def results():
+        rounds = [run_round(config), run_round(config, split_detector_polarization=True)]
+        return [outcomes_exact(r) for r in [*rounds, run_scqkd_round(*pass_block, bs)]]
+
+    def reference(state, clicks, tagged, blocked_keep):
+        return outcomes_reference(state, list(dict.fromkeys(clicks.values())), tagged, blocked_keep)
+
+    new = results()
+    with mock.patch.object(michelson, "_outcomes", reference):
+        assert results() == new
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_an_underflowed_sector_keeps_its_posterior(variant):
+    """D1's one amplitude, about 1e-170, squares to below the smallest
+    float: its probability is 0.0, and its posterior the one label at unit
+    magnitude."""
+    config = RoundConfig(BeamSplitter(1e-300), Qubit(("V", "H"), 1.0, 1e-20), Qubit(("P", "B"), 1.0, 0.0), variant)
+    d1 = run_round(config)[0]
+    assert d1.probability == 0.0
+    [amp] = d1.posterior.amps.values()
+    assert abs(abs(amp) - 1.0) <= 1e-15
 
 
 # ---- the checks every call still makes
