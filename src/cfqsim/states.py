@@ -38,9 +38,20 @@ largest term that entered it, so a small sum of terms that add is kept
 however far below the input norm it lies.  ``zeno.chain_step`` keeps
 every rotated amplitude.
 
+``_map_labels`` builds each output label in two C calls: it joins the
+input label and the branch's output pattern, and reads the result through
+a projection cached per (register count, positions), ``_splice``, which
+takes each mapped position's symbol from the pattern and every other one
+from the label.  A register named twice in ``apply_map``'s ``on`` would
+get two output symbols, one of which would silently win, so ``apply_map``
+refuses it, and an output pattern that is not a tuple, which cannot be
+joined.
+
 Every split the engines make has a side with at most two distinct labels,
-so ``entanglement_entropy`` needs one 2x2 rotation.  Amplitudes here are
-numbers only; ``cli`` reads and prints them as text.
+so ``entanglement_entropy`` needs one 2x2 rotation.  It takes both entropy
+terms from the smaller Schmidt weight, the larger's through ``log1p``, and
+keeps that weight however small.  Amplitudes here are numbers only;
+``cli`` reads and prints them as text.
 """
 
 from __future__ import annotations
@@ -54,7 +65,8 @@ from operator import contains, itemgetter
 from typing import Callable, Mapping, Sequence, Union
 
 # A sum built by ``_map_labels`` at most this times the largest of its terms
-# is cancellation dust; Schmidt weights below it are dropped from the entropy.
+# is cancellation dust.  A Schmidt weight is no sum: ``entanglement_entropy``
+# keeps it however small.
 PRUNE_TOL = 1e-15
 
 # Unit-norm tolerance for qubits and freshly built product states.
@@ -232,6 +244,16 @@ def _projection(idx: tuple[int, ...]) -> Callable[[Label], Label]:
     return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0, 0))
 
 
+@functools.lru_cache(maxsize=256)
+def _splice(n: int, idx: tuple[int, ...]) -> Callable[[Label], Label]:
+    """The projection that reads an ``n``-symbol label with the symbols of
+    an output pattern over positions ``idx`` written in, from the label and
+    the pattern joined: position i reads ``n + idx.index(i)`` where i is in
+    ``idx``, else i.  ``_map_labels`` builds each output label as
+    ``splice(label + out_pat)``, two C calls."""
+    return _projection(tuple(n + idx.index(i) if i in idx else i for i in range(n)))
+
+
 @functools.lru_cache(maxsize=64)
 def _restrict_plan(
     registers: tuple[Register, ...], keep: tuple[Register, ...]
@@ -299,6 +321,8 @@ def apply_map(state: PureState, on: Sequence[Register], rules: MapRules) -> Pure
     the amplitude, so non-unitary (norm-decreasing) maps are expressible.
     """
     idx = _positions(state, on)
+    if len(set(idx)) != len(idx):
+        raise ValueError("duplicate registers in map")
     _check_patterns([state.registers[i].alphabet for i in idx], rules)
     return _map_labels(state, idx, rules)
 
@@ -313,12 +337,15 @@ def _positions(state: PureState, on: Sequence[Register]) -> tuple[int, ...]:
 
 def _check_patterns(alphabets: Sequence[Sequence[str]], rules: MapRules) -> None:
     """Raise ``ValueError`` unless every input and output pattern of
-    ``rules`` has one symbol per alphabet, each inside its alphabet."""
+    ``rules`` has one symbol per alphabet, each inside its alphabet, and
+    every output pattern is a tuple, which ``_map_labels`` joins to a label."""
     n = len(alphabets)
     for pattern, branches in rules.items():
         if len(pattern) != n or not all(map(contains, alphabets, pattern)):
             raise ValueError(f"input pattern {pattern} outside register alphabets")
         for out_pat, _ in branches:
+            if not isinstance(out_pat, tuple):
+                raise ValueError(f"output pattern {out_pat!r} is not a tuple")
             if len(out_pat) != n or not all(map(contains, alphabets, out_pat)):
                 raise ValueError(f"output pattern {out_pat} outside register alphabets")
 
@@ -328,6 +355,7 @@ def _map_labels(state: PureState, idx: tuple[int, ...], rules: MapRules) -> Pure
     ``idx``, for rules whose patterns ``_check_patterns`` has passed, and
     the one place that drops cancellation dust (see the module docstring)."""
     key = _projection(idx)
+    splice = _splice(len(state.registers), idx)
     out: dict[Label, complex] = {}
     summed: dict[Label, float] = {}  # labels that received a second term: their largest term
     for label, amp in state.amps.items():
@@ -340,10 +368,7 @@ def _map_labels(state: PureState, idx: tuple[int, ...], rules: MapRules) -> Pure
                 out[label] = amp
             continue
         for out_pat, coeff in branches:
-            new = list(label)
-            for i, sym in zip(idx, out_pat):
-                new[i] = sym
-            t = tuple(new)
+            t = splice(label + out_pat)
             term = amp * coeff
             if t in out:
                 summed[t] = max(summed.get(t, abs(out[t])), abs(term))
@@ -409,8 +434,11 @@ def entanglement_entropy(state: PureState, partition: Sequence[Register]) -> flo
     the two-term cat) has a side with at most two distinct labels, so the
     reduced state has rank at most two: its Schmidt weights are the
     eigenvalues of that side's 2x2 Gram matrix / norm**2, which one Jacobi
-    rotation gives.  Symmetric under complementing the partition; raises
-    ``ValueError`` when both sides have more than two distinct labels.
+    rotation gives.  The entropy is then that of the smaller weight's
+    share w, -(w log2 w + (1 - w) log2(1 - w)), the second term by
+    ``log1p``; a share of no more than 0 gives 0.  Symmetric under
+    complementing the partition; raises ``ValueError`` when both sides
+    have more than two distinct labels.
     """
     part = set(partition)
     regs = set(state.registers)
@@ -446,7 +474,9 @@ def entanglement_entropy(state: PureState, partition: Sequence[Register]) -> flo
         theta = (c - a) / (2.0 * b)
         t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
         a, c = a - t * b, c + t * b
-    p = [w for w in (a, c) if w > PRUNE_TOL]
-    total = sum(p)
-    p = [w / total for w in p]
-    return -sum(w * math.log2(w) for w in p) + 0.0  # +0.0 folds -0.0 into 0.0
+    # Both terms from the smaller weight w: log2(1 - w) by log1p keeps the
+    # digits that log2 of a number near 1 would lose when w is tiny.
+    w = min(a, c) / (a + c)
+    if w <= 0.0:
+        return 0.0
+    return -(w * math.log2(w) + (1.0 - w) * math.log1p(-w) / math.log(2.0))

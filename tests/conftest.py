@@ -197,8 +197,10 @@ def restrict_reference(state: PureState, keep) -> PureState:
 
 
 def map_labels_reference(state: PureState, idx: tuple[int, ...], rules: MapRules) -> PureState:
-    """``states._map_labels`` written out again, each label's rule key built
-    position by position and every term's size listed per output label:
+    """``states._map_labels`` written out again, each label's rule key and
+    each output label built position by position, the output by the
+    per-symbol loop that the kernel's splice replaced, and every term's
+    size listed per output label:
     the reference that the label loop, and every map built on it, must
     match bit for bit, from code that they do not share.  A label that
     received two or more terms is dust when it ends at most ``PRUNE_TOL``

@@ -7,8 +7,9 @@ printed 12th digit, which a closed form evaluated in doubles cannot.
 The chain's trigonometry and the announcement cost's logarithms are not
 rational: ``cos_sin`` gives the first, ``czqe_values`` the chain's
 readouts, ``cost_columns`` the costs ``C`` and ``total_qst_cost`` and
-``entropy_bits`` the rounds' ``entropy_D1`` from their rational Schmidt
-weights, to 40 digits, which arbitrate a 12th digit as well.
+``entropy_bits`` the rounds' ``entropy_D1`` and the star's
+``entropy_any_bipartition`` from their rational Schmidt weights, to 40
+digits, which arbitrate a 12th digit as well.
 """
 
 from decimal import Decimal, localcontext
@@ -224,17 +225,59 @@ def czqe_values(L: int, theta: float, a: complex, b: complex, layers: int, reado
 def entropy_bits(weights: tuple[Fraction, ...], digits: int = 40) -> Fraction:
     """The base-2 entropy -sum p log2 p of the distribution proportional to
     ``weights``, to ``digits`` digits; zero weights add nothing, and no
-    weight at all gives 0.  Each ln p is taken at enough digits that its
-    error stays below 10**-digits of the smallest p, and so of the
-    entropy, which is at least that p when it is below 1/2."""
+    weight at all gives 0.  Every term is positive, so it is enough that
+    each is right to ``digits`` + 10 digits: a p of at most 1/2, whose
+    |ln p| is at least ln 2, is rounded to that many digits before its
+    logarithm; a larger p's logarithm is the series ln(1 - q) =
+    -sum q**k / k in its exact complement q, so that it keeps its digits
+    however small q is, and no huge denominator sets the precision."""
     total = sum(weights)
     ps = [Fraction(w) / total for w in weights if w]
-    if not ps:
-        return Fraction(0)
     with localcontext() as ctx:
-        ctx.prec = digits + 10 + len(str(min(ps).denominator))
-        h = -sum(Decimal(p.numerator) / Decimal(p.denominator) * ln(p) for p in ps) / Decimal(2).ln()
-        return Fraction(+h)
+        ctx.prec = digits + 10
+        h = Decimal(0)
+        for p in ps:
+            d = Decimal(p.numerator) / Decimal(p.denominator)
+            if p <= Fraction(1, 2):
+                h -= d * d.ln()
+                continue
+            q = Decimal((1 - p).numerator) / Decimal((1 - p).denominator)
+            series, power, k = Decimal(0), q, 1
+            while series + power / k != series:
+                series += power / k
+                power, k = power * q, k + 1
+            h += d * series
+        return Fraction(h / Decimal(2).ln())
+
+
+def _gaussian(z: complex) -> tuple[Fraction, Fraction]:
+    """A float or complex as its exact (real, imaginary) parts."""
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _times(u: tuple[Fraction, Fraction], v: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    """The complex product of two exact (real, imaginary) pairs."""
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def star_cat_values(alices: list[tuple[complex, complex]], alpha: complex, beta: complex) -> dict[str, Fraction]:
+    """``cat_fidelity`` and ``entropy_any_bipartition`` of a star with spoke
+    amplitudes (mu_j, nu_j) on (V, H) and hub amplitudes (alpha, beta) on
+    (P, B).  Up to the factor (-sqrt(RT))**N, the cat is
+    p |H..HP> + b |V..VB> with p = alpha prod nu_j and b = beta prod mu_j:
+    two terms that differ on every register, so on any bipartition its
+    Schmidt weights are |p|**2 and |b|**2.  Its fidelity with the balanced
+    cat (|V..VB> + |H..HP>)/sqrt 2 is |p + b|**2 / (2 (|p|**2 + |b|**2)).
+    Both are 0 at zero yield."""
+    p, b = _gaussian(alpha), _gaussian(beta)
+    for mu, nu in alices:
+        p, b = _times(p, _gaussian(nu)), _times(b, _gaussian(mu))
+    wp, wb = p[0] ** 2 + p[1] ** 2, b[0] ** 2 + b[1] ** 2
+    if wp + wb == 0:
+        return {"cat_fidelity": Fraction(0), "entropy_any_bipartition": Fraction(0)}
+    fidelity = ((p[0] + b[0]) ** 2 + (p[1] + b[1]) ** 2) / (2 * (wp + wb))
+    return {"cat_fidelity": fidelity, "entropy_any_bipartition": entropy_bits((wp, wb))}
 
 
 def n09_d1_weights(mu: complex, nu: complex, alpha: complex, beta: complex) -> tuple[Fraction, Fraction]:

@@ -23,6 +23,7 @@ from conftest import (
     tensor,
     unitary_rules,
 )
+from exact import abs2, entropy_bits, within_one_unit
 from cfqsim import cli
 from cfqsim.costs import cost_profile, monte_carlo
 from cfqsim.michelson import BeamSplitter, RoundConfig, run_round
@@ -271,6 +272,21 @@ class TestApplyMap:
         s = product_state([(A, "V")])
         with pytest.raises(ValueError):
             apply_map(s, (B,), {})
+
+    def test_duplicate_register(self):
+        """A register named twice in ``on`` would get two output symbols,
+        one of which must silently win: refused, as ``restrict`` does."""
+        s = product_state([(A, "V"), (B, "P")])
+        with pytest.raises(ValueError, match="duplicate"):
+            apply_map(s, (A, A), {("V", "V"): [(("V", "H"), 1.0)]})
+        with pytest.raises(ValueError, match="duplicate"):
+            apply_map(s, (A, B, ("device_a", 0)), {})
+
+    @pytest.mark.parametrize("out_pat", [["H"], "H"])
+    def test_output_pattern_not_a_tuple(self, out_pat):
+        s = product_state([(A, "V")])
+        with pytest.raises(ValueError, match="not a tuple"):
+            apply_map(s, (A,), {("V",): [(out_pat, 1.0)]})
 
     @settings(max_examples=40, deadline=None)
     @given(amplitudes(), amplitudes())
@@ -554,11 +570,10 @@ class TestEntropyAgainstSvd:
             if d > 2:
                 assert_rank_above_two_rejected(s, s.registers[:1])
                 continue
-            kept = [w for w in weights if w > PRUNE_TOL]
-            expected = -sum(w / sum(kept) * math.log2(w / sum(kept)) for w in kept)
             got = entanglement_entropy(s, s.registers[:1])
-            # the tiny weight adds about 5e-14 bits: kept above PRUNE_TOL only
-            assert got == pytest.approx(expected, abs=1e-14)
+            # the tiny weight, no cancellation dust, adds about 5e-14 bits on
+            # either side of PRUNE_TOL: the state's own weights, exactly
+            assert within_one_unit(got, entropy_bits(tuple(abs2(a) for a in s.amps.values())))
             assert got == pytest.approx(svd_entropy(s, s.registers[:1]), abs=1e-12)
             rotated = schmidt_state(weights, np.random.default_rng(9))
             assert entanglement_entropy(rotated, rotated.registers[:1]) == pytest.approx(
@@ -894,14 +909,15 @@ MAP_VALUES = st.one_of(AMPLITUDES, CANCELLING)
 @st.composite
 def map_label_cases(draw):
     """A sparse state over 1-6 registers in random order, amplitudes down
-    to 1e-300 or from ``CANCELLING``; 0-3 distinct positions in any order;
-    and rules on some patterns there, mostly ones the labels carry, each
-    fanning out into 0-4 branches.  Labels that match no rule pass."""
+    to 1e-300 or from ``CANCELLING``; distinct positions in any order,
+    from none to all of them; and rules on some patterns there, mostly ones
+    the labels carry, each fanning out into 0-4 branches.  Labels that
+    match no rule pass."""
     registers = tuple(draw(st.lists(st.sampled_from(RESTRICT_REGS), unique=True, min_size=1, max_size=6)))
     label = st.tuples(*(st.sampled_from(r.alphabet) for r in registers))
     labels = draw(st.lists(label, unique=True, min_size=1, max_size=12))
     state = PureState(registers, {l: draw(MAP_VALUES) for l in labels})
-    idx = tuple(draw(st.permutations(range(len(registers))))[: draw(st.integers(0, min(3, len(registers))))])
+    idx = tuple(draw(st.permutations(range(len(registers))))[: draw(st.integers(0, len(registers)))])
     any_pattern = st.tuples(*(st.sampled_from(registers[i].alphabet) for i in idx))
     pattern = st.one_of(st.sampled_from([tuple(l[i] for i in idx) for l in labels]), any_pattern)
     rules = draw(st.dictionaries(pattern, st.lists(st.tuples(pattern, MAP_VALUES), max_size=4), max_size=6))
@@ -909,13 +925,15 @@ def map_label_cases(draw):
 
 
 def mapped_exactly(loop, state, idx, rules):
-    """Registers and amplitude items in order, every float bit included."""
+    """Registers, and the labels in order with both parts of each amplitude
+    as ``float.hex``, so that every bit and the sign of a zero count."""
     out = loop(state, idx, rules)
-    return out.registers, repr(list(out.amps.items()))
+    return out.registers, [(label, a.real.hex(), a.imag.hex()) for label, a in out.amps.items()]
 
 
 TWO = PureState((A,), {("V",): 1.0, ("H",): 1.0})
 LINK = PureState((B, ARM_B, DB), {("P", "H", "0"): 1e-300, ("B", "V", "0"): -1e-300j, ("P", "vac", "Y"): 1e-300})
+FOUR = PureState((A, B, ARM_B, DB), {("V", "P", "H", "0"): 0.6, ("H", "B", "vac", "0"): -0.8j})
 
 
 @settings(max_examples=400, deadline=None)
@@ -924,7 +942,12 @@ LINK = PureState((B, ARM_B, DB), {("P", "H", "0"): 1e-300, ("B", "V", "0"): -1e-
 @example((TWO, (0,), {("V",): [(("V",), 1.0)], ("H",): [(("V",), -(1.0 + 2.0**-52))]}))  # to dust
 @example((TWO, (), {(): [((), 1j), ((), 0.5)]}))  # no positions: one rule for every label
 @example((LINK, (2, 0, 1), {("0", "P", "H"): [(("Y", "P", "vac"), -1.0)], ("0", "B", "V"): [(("Y", "P", "vac"), 1j)]}))
+@example((FOUR, (3, 1, 0, 2), {("0", "P", "V", "H"): [(("Y", "B", "H", "vac"), 1.0), (("0", "P", "V", "V"), -0.5j)]}))  # all positions, unsorted
+@example((FOUR, (2,), {("vac",): [(("H",), 1j)], ("H",): [(("vac",), 1.0)]}))  # one position
 def test_map_labels_matches_its_reference(case):
+    """``_map_labels``, which splices each output label from the input
+    label and the output pattern, against the reference's symbol-by-symbol
+    build: the same labels in the same order, every amplitude bit for bit."""
     state, idx, rules = case
     assert mapped_exactly(_map_labels, state, idx, rules) == mapped_exactly(map_labels_reference, state, idx, rules)
 
