@@ -20,12 +20,17 @@ The maps' rule patterns depend on neither R nor the link, so they are
 checked once, at import, by the checker that ``states.apply_map`` runs on
 every call; a call binds sqrt(R) and sqrt(T) into the rules, finds its
 link's registers in the state (built once per link) and runs
-``apply_map``'s label loop alone.  ``initial_round_state`` builds the N09
-round's four input labels directly, as ``product_state`` would, checking
-only the two qubits.  ``run_round`` reads all three outcomes off the
-evolved state in one scan that sorts each label into its outcome's
-sector; each sector's norm**2 is both its probability and its posterior's
-normaliser.  ``transfer`` reads the D1 sector alone.
+``apply_map``'s label loop alone.
+
+A round superposes after the maps: by linearity it is its four classical
+device pairs' rounds, each weighted by the pair's two amplitudes.  So
+``_round_table`` runs the maps once per (beam splitter, variant) on the
+four pairs at unit weight, where every cancellation is exact, and each
+call weights its rows (``_round_state``); ``star`` reads its D1 rows.
+``run_round`` reads all three outcomes off the weighted state in one scan
+that sorts each label into its outcome's sector; each sector's norm**2 is
+both its probability and its posterior's normaliser.  ``transfer`` reads
+the D1 sector alone.
 
 Beam splitter phase convention: reflection picks up a factor i on the way
 out, transmission stays real; on the return pass the roles swap so that a
@@ -42,6 +47,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .states import (
+    Label,
     PureState,
     Qubit,
     Register,
@@ -52,7 +58,6 @@ from .states import (
     _positions,
     _restricted,
     entanglement_entropy,
-    product_state,
 )
 
 # Registers of the standard bipartite round (link index 0).
@@ -108,28 +113,17 @@ class RoundOutcome(NamedTuple):
     posterior: PureState
 
 
-# The N09 round's registers, in ``initial_round_state``'s label order.
+# Each variant's four device pairs at unit weight, every other register at
+# rest; the pass/block round holds device_a at V.
 _ROUND_REGISTERS = _checked_registers((ALICE_DEVICE, BOB_DETECTOR, BOB_DEVICE, ARM_ALICE, ARM_BOB, DETECTOR))
-
-
-def initial_round_state(alice: Qubit, bob: Qubit) -> PureState:
-    """The N09 round's input: the two device qubits, every other register
-    at rest.  It is ``product_state`` over the six parts, built from its
-    four labels directly: the same label order and the same products,
-    ``1+0j`` times each register's factor in turn, so every amplitude is
-    bit-identical (a ``1+0j`` factor can flip a signed zero).  Only the
-    qubits' symbols are checked, with ``product_state``'s message."""
-    for reg, qubit in ((ALICE_DEVICE, alice), (BOB_DEVICE, bob)):
-        for sym in qubit.basis:
-            if sym not in reg.alphabet:
-                raise ValueError(f"qubit symbol {sym!r} outside alphabet of {reg!r}")
-    one = 1.0 + 0j
-    amps = {}
-    for a_sym, a in alice.amplitudes().items():
-        head = one * a * one
-        for b_sym, b in bob.amplitudes().items():
-            amps[(a_sym, "0", b_sym, "vac", "vac", "none")] = head * b * one * one * one
-    return PureState._trusted(_ROUND_REGISTERS, amps)
+_N09_PAIRS = PureState(
+    _ROUND_REGISTERS,
+    {(a, "0", b, "vac", "vac", "none"): 1.0 for a in ALICE_DEVICE.alphabet for b in BOB_DEVICE.alphabet},
+)
+_SCQKD_PAIRS = PureState(
+    (ALICE_DEVICE, SWITCH_ALICE, SWITCH_BOB, ARM_ALICE, ARM_BOB, ABSORBER_ALICE, ABSORBER_BOB, DETECTOR),
+    {("V", a, b, "vac", "vac", "0", "0", "none"): 1.0 for a in SWITCH_ALICE.alphabet for b in SWITCH_BOB.alphabet},
+)
 
 
 @functools.lru_cache(maxsize=16)
@@ -225,6 +219,33 @@ _SWITCHES = _checked_registers((SWITCH_ALICE, SWITCH_BOB))
 _SWITCHES_ABSORBERS = _checked_registers((*_SWITCHES, ABSORBER_ALICE, ABSORBER_BOB))
 
 
+@functools.lru_cache(maxsize=1)
+def _round_table(bs: BeamSplitter, variant: str) -> tuple[tuple[Label, int, int, complex], ...]:
+    """The three maps run on ``variant``'s unit device pairs at ``bs``, as
+    one row per output label, in state order: the label, the indices of its
+    sender's and its receiver's symbols in their devices' alphabets, and
+    its amplitude.  Each label keeps its pair's device symbols, and the
+    passing pairs' D1 terms, -r*t and t*r, cancel to an exact zero."""
+    n09 = variant == "N09"
+    state = forward_beamsplitter(_N09_PAIRS if n09 else _SCQKD_PAIRS, bs)
+    state = return_beamsplitter(switch_interaction(state) if n09 else _pass_block_switches(state), bs)
+    sender, receiver = _DEVICES if n09 else _SWITCHES
+    s, r = _positions(state, (sender, receiver))
+    return tuple((l, sender.alphabet.index(l[s]), receiver.alphabet.index(l[r]), c) for l, c in state.amps.items())
+
+
+def _round_state(bs: BeamSplitter, variant: str, sender: Qubit, receiver: Qubit) -> PureState:
+    """The round of ``variant`` with both devices superposed: by linearity,
+    each row of ``_round_table`` weighted by its sender's and its
+    receiver's amplitude, over qubits declared in their devices' order."""
+    if not 0.0 < bs.R < 1.0:
+        raise ValueError("degenerate beam splitter: R must lie strictly inside (0, 1)")
+    mu = (complex(sender.amp0), complex(sender.amp1))
+    alpha = (complex(receiver.amp0), complex(receiver.amp1))
+    registers = (_N09_PAIRS if variant == "N09" else _SCQKD_PAIRS).registers
+    return PureState._trusted(registers, {label: mu[i] * alpha[j] * c for label, i, j, c in _round_table(bs, variant)})
+
+
 def _outcomes(
     state: PureState,
     clicks: dict[str, str],
@@ -275,18 +296,9 @@ def run_round(
         alice = Qubit(("pass", "block"), config.alice.amp0, config.alice.amp1)
         bob = Qubit(("pass", "block"), config.bob.amp0, config.bob.amp1)
         return run_scqkd_round(alice, bob, config.bs)
-    state = _n09_state(config.bs, config.alice, config.bob)
-
+    state = _round_state(config.bs, "N09", config.alice, config.bob)
     clicks = _SPLIT_CLICKS if split_detector_polarization else _CLICKS
     return _outcomes(state, clicks, _TAGGED_DEVICES, _DEVICES)
-
-
-def _n09_state(bs: BeamSplitter, alice: Qubit, bob: Qubit) -> PureState:
-    """The N09 round of (V, H) and (P, B) qubits, evolved up to its detectors."""
-    if not 0.0 < bs.R < 1.0:
-        raise ValueError("degenerate beam splitter: R must lie strictly inside (0, 1)")
-    state = forward_beamsplitter(initial_round_state(alice, bob), bs)
-    return return_beamsplitter(switch_interaction(state), bs)
 
 
 class ClosedFormProbs(NamedTuple):
@@ -340,25 +352,7 @@ def run_scqkd_round(
     """
     if tuple(alice.basis) != ("pass", "block") or tuple(bob.basis) != ("pass", "block"):
         raise ValueError("pass/block round needs qubits declared over (pass, block)")
-    if not 0.0 < bs.R < 1.0:
-        raise ValueError("degenerate beam splitter: R must lie strictly inside (0, 1)")
-    state = product_state(
-        [
-            (ALICE_DEVICE, "V"),
-            (SWITCH_ALICE, alice),
-            (SWITCH_BOB, bob),
-            (ARM_ALICE, "vac"),
-            (ARM_BOB, "vac"),
-            (ABSORBER_ALICE, "0"),
-            (ABSORBER_BOB, "0"),
-            (DETECTOR, "none"),
-        ]
-    )
-    state = forward_beamsplitter(state, bs)
-    state = _pass_block_switches(state)
-    state = return_beamsplitter(state, bs)
-
-    return _outcomes(state, _CLICKS, _SWITCHES, _SWITCHES_ABSORBERS)
+    return _outcomes(_round_state(bs, "ScQKD", alice, bob), _CLICKS, _SWITCHES, _SWITCHES_ABSORBERS)
 
 
 def round_record(config: RoundConfig) -> dict:

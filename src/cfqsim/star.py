@@ -4,9 +4,10 @@ One hub party holds a single switch device whose choice acts jointly on N
 separate links, one per spoke party.  Conditioning every link on its
 counterfactual detector click projects the N+1 devices onto a cat-type
 superposition; the per-link evolution restricted to that sector is a
-simple non-unitary "keep the compatible branch" map, read off one real
-N09 round per beam splitter: its D1 factor is -sqrt(R)*sqrt(T) on (H, P)
-and (V, B), so the cat carries a global phase (-1)**N.
+simple non-unitary "keep the compatible branch" map, read off the D1
+rows of the N09 round's unit-pair table (``michelson._round_table``): its
+factor is -sqrt(R)*sqrt(T) on (H, P) and (V, B), so the cat carries a
+global phase (-1)**N.
 
 Given the hub's setting the links are independent, so ``run_star``
 carries only the live hub branches.  Per spoke it builds their (hub,
@@ -27,9 +28,8 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .michelson import ALICE_DEVICE, BOB_DEVICE, DETECTOR, BeamSplitter, initial_round_state
-from .michelson import forward_beamsplitter, return_beamsplitter, switch_interaction
-from .states import PureState, Qubit, Register, ValidatedTuple, _map_labels, _positions, fidelity_up_to_phase, sector
+from .michelson import ALICE_DEVICE, BOB_DEVICE, DETECTOR, BeamSplitter, _ROUND_REGISTERS, _round_table
+from .states import PureState, Qubit, Register, ValidatedTuple, _map_labels, _positions, fidelity_up_to_phase
 
 
 def alice_register(link: int) -> Register:
@@ -61,19 +61,18 @@ class CatResult(NamedTuple):
     log10_yield: float  # log10 of the yield; finite where the float underflows, -inf at zero yield
 
 
-# One link-0 round state holding every (device_a, device_b) pair at amplitude 1.
-_PAIRS = initial_round_state(Qubit.balanced(("V", "H")), Qubit.balanced(("P", "B")))
-_PAIRS = PureState(_PAIRS.registers, dict.fromkeys(_PAIRS.amps, 1.0))
-
-
 @functools.lru_cache(maxsize=1)
 def _d1_rules(bs: BeamSplitter) -> dict:
-    """Each (device_b, device_a) pair's D1 factor in the N09 round of
-    ``_PAIRS`` as a rule on those registers; a pair without D1 maps to none."""
-    round_ = return_beamsplitter(switch_interaction(forward_beamsplitter(_PAIRS, bs)), bs)
-    a, b = _positions(_PAIRS, (ALICE_DEVICE, BOB_DEVICE))
-    d1 = {(l[b], l[a]): amp for l, amp in sector(round_, DETECTOR, ("D1V", "D1H")).amps.items()}
-    return {p: [(p, d1[p])] if p in d1 else [] for p in ((l[b], l[a]) for l in _PAIRS.amps)}
+    """Each (device_b, device_a) pair's D1 factor, read off the D1 rows of
+    the N09 round's unit-pair table, as a rule on those registers; a pair
+    without D1 maps to none."""
+    rules = {(b, a): [] for a in ALICE_DEVICE.alphabet for b in BOB_DEVICE.alphabet}
+    d = _ROUND_REGISTERS.index(DETECTOR)
+    for label, i, j, c in _round_table(bs, "N09"):
+        if label[d] in ("D1V", "D1H"):
+            pair = (BOB_DEVICE.alphabet[j], ALICE_DEVICE.alphabet[i])
+            rules[pair] = [(pair, c)]
+    return rules
 
 
 def partial_propagator(state: PureState, link: int, bs: BeamSplitter) -> PureState:

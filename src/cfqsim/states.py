@@ -15,14 +15,14 @@ constructor, ``product_state``, the rule patterns of ``apply_map`` and
 the ``keep`` registers of ``PureState.restrict`` check every register and
 symbol they are given on every call.  ``michelson``'s maps, whose
 patterns are fixed, run ``apply_map``'s pattern checker over them once,
-at import, and then only its label loop.  The N09 round builds its input
-over registers fixed at import, so ``michelson.initial_round_state``
-checks only its two qubits' symbols; the pass/block round still builds
-its input through ``product_state``.  The rounds and transfers restrict
-to fixed keep tuples checked once, at import, through ``_restricted``,
-which reads the kept and dropped label positions from a plan cached per
-(register tuple, keep tuple).  Each value type
-built on ``ValidatedTuple`` (``Register``, ``Qubit``, the engines'
+at import, and then only its label loop.  The rounds build no input
+state per call: the maps run once per beam splitter on unit device pairs
+built at import, and each call weights the result by its qubits'
+amplitudes (``michelson._round_table``).  The rounds and transfers
+restrict to fixed keep tuples checked once, at import, through
+``_restricted``, which reads the kept and dropped label positions from a
+plan cached per (register tuple, keep tuple).  Each value type built on
+``ValidatedTuple`` (``Register``, ``Qubit``, the engines'
 configs) checks its fields in ``__new__``, which ``_replace``,
 ``_make``, copies and pickles go through too.  States derived from
 already-valid states (map results, sectors, scalings, restrictions) are
@@ -30,13 +30,9 @@ built with the trusted internal constructor ``PureState._trusted``,
 which skips the label checks and takes ownership of the amplitude dict
 it is handed: every caller passes a dict it has just built, and the dict
 is copied only when an exact zero must go.  A caller that starts from
-another state's ``amps`` copies them first.  Both constructors keep
-every nonzero amplitude, however small.  Only a sum makes cancellation dust,
-and only ``apply_map``'s label loop, ``_map_labels``, drops it: a label that
-received two or more terms goes if it ends at most ``PRUNE_TOL`` times the
-largest term that entered it, so a small sum of terms that add is kept
-however far below the input norm it lies.  ``zeno.chain_step`` keeps
-every rotated amplitude.
+another state's ``amps`` copies them first.  Both constructors, and so
+every operation, keep every nonzero amplitude, however small: nothing is
+pruned but exact zeros.
 
 ``_map_labels`` builds each output label in two C calls: it joins the
 input label and the branch's output pattern, and reads the result through
@@ -63,11 +59,6 @@ import sys
 from collections import namedtuple
 from operator import contains, itemgetter
 from typing import Callable, Mapping, Sequence, Union
-
-# A sum built by ``_map_labels`` at most this times the largest of its terms
-# is cancellation dust.  A Schmidt weight is no sum: ``entanglement_entropy``
-# keeps it however small.
-PRUNE_TOL = 1e-15
 
 # Unit-norm tolerance for qubits and freshly built product states.
 NORM_TOL = 1e-12
@@ -352,17 +343,15 @@ def _check_patterns(alphabets: Sequence[Sequence[str]], rules: MapRules) -> None
 
 def _map_labels(state: PureState, idx: tuple[int, ...], rules: MapRules) -> PureState:
     """The label loop of ``apply_map`` over the registers at positions
-    ``idx``, for rules whose patterns ``_check_patterns`` has passed, and
-    the one place that drops cancellation dust (see the module docstring)."""
+    ``idx``, for rules whose patterns ``_check_patterns`` has passed.  A
+    sum that cancels to an exact zero goes; any other is kept."""
     key = _projection(idx)
     splice = _splice(len(state.registers), idx)
     out: dict[Label, complex] = {}
-    summed: dict[Label, float] = {}  # labels that received a second term: their largest term
     for label, amp in state.amps.items():
         branches = rules.get(key(label))
         if branches is None:
             if label in out:
-                summed[label] = max(summed.get(label, abs(out[label])), abs(amp))
                 out[label] += amp
             else:
                 out[label] = amp
@@ -371,13 +360,9 @@ def _map_labels(state: PureState, idx: tuple[int, ...], rules: MapRules) -> Pure
             t = splice(label + out_pat)
             term = amp * coeff
             if t in out:
-                summed[t] = max(summed.get(t, abs(out[t])), abs(term))
                 out[t] += term
             else:
                 out[t] = term
-    for label, largest in summed.items():
-        if abs(out[label]) <= PRUNE_TOL * largest:
-            del out[label]
     return PureState._trusted(state.registers, out)
 
 

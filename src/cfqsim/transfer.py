@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .michelson import ALICE_DEVICE, BOB_DEVICE, DETECTOR, BeamSplitter, _n09_state
+from .michelson import ALICE_DEVICE, BOB_DEVICE, DETECTOR, BeamSplitter, _round_state
 from .states import PureState, Qubit, Register, _checked_registers, _restricted, apply_map, postselect, sector
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -55,7 +55,7 @@ def _steer(
     else:
         receiver, minus, plus = ALICE_DEVICE, "B", "P"
         alice, bob = Qubit.balanced(("V", "H")), payload
-    d1 = sector(_n09_state(bs, alice, bob), DETECTOR, ("D1V", "D1H"))
+    d1 = sector(_round_state(bs, "N09", alice, bob), DETECTOR, ("D1V", "D1H"))
     if not d1.amps:
         raise ValueError("configuration admits no counterfactual branch")
     shared = _restricted(d1.normalized(), _PAIR)

@@ -25,7 +25,6 @@ from cfqsim.michelson import (
 )
 from cfqsim.star import CatResult, StarConfig, alice_register, partial_propagator
 from cfqsim.states import (
-    PRUNE_TOL,
     MapRules,
     PureState,
     Qubit,
@@ -199,14 +198,10 @@ def restrict_reference(state: PureState, keep) -> PureState:
 def map_labels_reference(state: PureState, idx: tuple[int, ...], rules: MapRules) -> PureState:
     """``states._map_labels`` written out again, each label's rule key and
     each output label built position by position, the output by the
-    per-symbol loop that the kernel's splice replaced, and every term's
-    size listed per output label:
-    the reference that the label loop, and every map built on it, must
-    match bit for bit, from code that they do not share.  A label that
-    received two or more terms is dust when it ends at most ``PRUNE_TOL``
-    times the largest of them."""
+    per-symbol loop that the kernel's splice replaced: the reference that
+    the label loop, and every map built on it, must match bit for bit,
+    from code that they do not share.  Only an exact zero is dropped."""
     out = {}
-    terms = {}  # the size of every term each output label received
     for label, amp in state.amps.items():
         key = tuple(label[i] for i in idx)
         branches = rules.get(key)
@@ -224,10 +219,6 @@ def map_labels_reference(state: PureState, idx: tuple[int, ...], rules: MapRules
                 out[t] += term
             else:
                 out[t] = term
-            terms.setdefault(t, []).append(abs(term))
-    for label, sizes in terms.items():
-        if len(sizes) > 1 and abs(out[label]) <= PRUNE_TOL * max(sizes):
-            del out[label]
     return PureState._trusted(state.registers, out)
 
 

@@ -300,7 +300,7 @@ def test_rounds_print_the_exact_entropy(R, alice, bob, command):
 def test_entropy_of_a_small_schmidt_weight(command, alice):
     """The smaller of the D1 pair's Schmidt weights is here 5.6e-9 or
     5.6e-21 of both.  Both entropy terms come from that weight, the larger
-    weight's through log1p, and a weight below ``PRUNE_TOL`` is kept, so
+    weight's through log1p, and a weight below 1e-15 is kept, so
     the first prints 1.62271096393e-07 and the second 3.87e-19, not 0.0."""
     bob = ["0.6", "0.8"]
     record = printed(command, "--R", "0.5", "--alice", *alice, "--bob", *bob)
@@ -437,14 +437,30 @@ def test_star_prints_the_exact_cat(R, alices, bob):
 
 
 @pytest.mark.xfail(strict=True, reason="cat_fidelity sums two rounded terms that nearly cancel")
-def test_cat_fidelity_near_a_cancellation():
-    """Known defect: against the balanced cat the cat's two terms, 0.48 and
-    -0.48 to six digits, nearly cancel, so each term's rounding error,
-    about 1e-16, is 1e-10 of their sum: ``cat_fidelity`` prints
-    1.08507007723e-12 for 1.08507007742e-12."""
-    alice, bob = ["0.5999991999997", "0.8000005999996"], ["0.6", "-0.8"]
-    record = printed("star", "--R", "0.5", "--alice", *alice, "--bob", *bob)
-    spokes = [cli.parse_qubit(("V", "H"), alice, "--alice")[1:]]
+@pytest.mark.parametrize(
+    "R, alices, bob",
+    [
+        ("0.5", [["0.5999991999997", "0.8000005999996"]], ["0.6", "-0.8"]),
+        (
+            "0.1",
+            [
+                ["0.7071067811865476,0.0", "0.7071067811865475,0.0"],
+                ["0.7071067811865476,0.0", "-0.7071067811865475,8.659560562354932e-17"],
+            ],
+            ["0.7071067811865476,0.0", "0.7071067811865475,0.0"],
+        ),
+    ],
+)
+def test_cat_fidelity_near_a_cancellation(R, alices, bob):
+    """Known defect: against the balanced cat the cat's two terms nearly
+    cancel, so each term's rounding error shows in their sum.  At 0.48
+    and -0.48 to six digits it is 1e-10 of the sum: ``cat_fidelity``
+    prints 1.08507007723e-12 for 1.08507007742e-12.  Where the terms
+    cancel to one rounding step it is all of it: 1.60753511007e-32 for
+    9.91e-33, an example that ``test_star_prints_the_exact_cat`` drew."""
+    flags = [text for pair in alices for text in ("--alice", *pair)]
+    record = printed("star", "--R", R, *flags, "--bob", *bob)
+    spokes = [cli.parse_qubit(("V", "H"), pair, "--alice")[1:] for pair in alices]
     want = star_cat_values(spokes, *parsed_hub(bob))["cat_fidelity"]
     assert within_one_unit(record["cat_fidelity"], want), (record["cat_fidelity"], float(want))
 
@@ -762,6 +778,25 @@ class TestQst:
         assert [r["fidelity"] for r in records] == [1.0, 1.0]
 
 
+# Reflectances log-uniform from 2**-1074 (5e-324) to 1.
+SUBNORMAL_REFLECTANCES = st.floats(min_value=-1074.0, max_value=0.0).map(lambda e: 2.0**e).filter(lambda R: R < 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SUBNORMAL_REFLECTANCES, amplitude_literals())
+@example(5e-324, ["0.6", "0.8"])
+@example(0.37, ["0.6", "0,0.8"])
+@example(0.5, ["1", "0"])
+def test_qst_prints_the_exact_fidelity(R, payload):
+    """Both of ``qst``'s branches land the payload exactly: each printed
+    ``fidelity`` is within one unit in the 12th digit of 1, however small
+    R, since the shared pair's yield only scales out."""
+    records = printed("qst", "--R", repr(R), "--payload", *payload)
+    assert [r["branch"] for r in records] == ["V", "H"]
+    for record in records:
+        assert within_one_unit(record["fidelity"], Fraction(1)), record
+
+
 class TestCost:
     def test_single(self, capsys):
         record = run_json(capsys, "cost", "--R", "0.5")
@@ -820,6 +855,20 @@ class TestCostMin:
         assert record["R_classical"] == pytest.approx(math.sqrt(2) - 1, abs=1e-6)
         assert record["C_min"] == pytest.approx(3.85, abs=0.01)
         assert record["total_qst_cost_min"] == pytest.approx(4.85, abs=0.01)
+
+
+def test_cost_min_prints_the_exact_minimum():
+    """``cost-min``'s classical minimum against exact arithmetic at the
+    reflectance it computes, the double nearest sqrt(2) - 1: ``C_min`` and
+    ``total_qst_cost_min`` are ``cost``'s ``C`` and ``total_qst_cost``
+    there, to 40 digits, within one unit in the 12th."""
+    record = printed("cost-min")
+    R = math.sqrt(2.0) - 1.0
+    assert within_one_unit(record["R_classical"], Fraction(R))
+    columns = cost_columns(R)
+    assert within_one_unit(record["C_min"], columns["C"]), (record["C_min"], float(columns["C"]))
+    want = columns["total_qst_cost"]
+    assert within_one_unit(record["total_qst_cost_min"], want), (record["total_qst_cost_min"], float(want))
 
 
 class TestMc:

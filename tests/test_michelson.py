@@ -1,7 +1,5 @@
 import itertools
 import math
-import operator
-import re
 from unittest import mock
 
 import numpy as np
@@ -22,7 +20,7 @@ from conftest import (
     states_close,
     switch_interaction_reference,
 )
-from cfqsim import michelson, transfer
+from cfqsim import michelson, star, transfer
 from cfqsim.michelson import (
     ALICE_DEVICE,
     ARM_ALICE,
@@ -38,7 +36,6 @@ from cfqsim.michelson import (
     closed_form_probs,
     d1_state_closed_form,
     forward_beamsplitter,
-    initial_round_state,
     return_beamsplitter,
     round_record,
     run_round,
@@ -62,6 +59,12 @@ SQ2 = 1.0 / math.sqrt(2.0)
 
 def basis_qubit(basis, symbol):
     return Qubit(tuple(basis), 1.0 if symbol == basis[0] else 0.0, 1.0 if symbol == basis[1] else 0.0)
+
+
+def n09_input(alice, bob):
+    """The N09 round's input: the two device qubits, every other register at rest."""
+    parts = [(ALICE_DEVICE, alice), (BOB_DETECTOR, "0"), (BOB_DEVICE, bob)]
+    return product_state(parts + [(ARM_ALICE, "vac"), (ARM_BOB, "vac"), (DETECTOR, "none")])
 
 
 def balanced_config(R):
@@ -186,7 +189,7 @@ class TestRunRound:
     def test_postselect_on_mid_round_state(self):
         # absorption probability read directly off the pre-return state
         cfg = balanced_config(0.5)
-        state = initial_round_state(cfg.alice, cfg.bob)
+        state = n09_input(cfg.alice, cfg.bob)
         state = forward_beamsplitter(state, cfg.bs)
         state = switch_interaction(state)
         p, _ = postselect(state, BOB_DETECTOR, "Y")
@@ -238,6 +241,30 @@ class TestRunRound:
             run_round(balanced_config(1.0))
         with pytest.raises(ValueError):
             run_round(balanced_config(0.0))
+
+    def test_errors_keep_their_order(self):
+        """Each entry point checks its qubits, then R; run_round checks R
+        before the split flag."""
+        degenerate = "^degenerate beam splitter: R must lie strictly inside \\(0, 1\\)$"
+        pb, vh = Qubit.balanced(("pass", "block")), Qubit.balanced(("V", "H"))
+        for R in (0.0, 1.0):
+            bs = BeamSplitter(R)
+            with pytest.raises(ValueError, match="^pass/block round needs qubits declared over"):
+                run_scqkd_round(vh, pb, bs)
+            with pytest.raises(ValueError, match="^payload must be declared over"):
+                transfer_alice_to_bob(pb, bs, "V")
+            with pytest.raises(ValueError, match="^sender branch must be"):
+                transfer_alice_to_bob(vh, bs, "P")
+            for call in (
+                lambda: run_scqkd_round(pb, pb, bs),
+                lambda: transfer_alice_to_bob(vh, bs, "V"),
+                lambda: transfer_bob_to_alice(Qubit.balanced(("P", "B")), bs, "B"),
+                lambda: run_round(balanced_config(R)._replace(variant="ScQKD"), split_detector_polarization=True),
+            ):
+                with pytest.raises(ValueError, match=degenerate):
+                    call()
+        with pytest.raises(ValueError, match="^the pass/block variant has no polarization-resolved detectors$"):
+            run_round(balanced_config(0.5)._replace(variant="ScQKD"), split_detector_polarization=True)
 
     def test_polarization_resolved_outcomes(self):
         outcomes = run_round(balanced_config(0.5), split_detector_polarization=True)
@@ -480,7 +507,7 @@ def test_scqkd_matches_closed_form(R, alice, bob):
 def test_silent_detector_is_the_absorbed_sector(R, alice, bob):
     # DB is read as the silent output detector; that is the absorbed sector.
     config = RoundConfig(BeamSplitter(R), Qubit(("V", "H"), *alice), Qubit(("P", "B"), *bob))
-    state = initial_round_state(config.alice, config.bob)
+    state = n09_input(config.alice, config.bob)
     state = forward_beamsplitter(state, config.bs)
     state = switch_interaction(state)
     state = return_beamsplitter(state, config.bs)
@@ -606,15 +633,65 @@ def test_rounds_match_the_reference_maps(R, alice, bob, variant):
             rounds.append(run_round(config, split_detector_polarization=True))
         return [outcomes_exact(r) for r in rounds], repr(list(round_record(config).items()))
 
+    def counted(name, reference):
+        def run(*args):
+            ran.append(name)
+            return reference(*args)
+
+        return run
+
+    def clear_caches():
+        michelson._round_table.cache_clear()
+        star._d1_rules.cache_clear()
+
     new = results()
+    ran = []
     with mock.patch.multiple(
         michelson,
-        forward_beamsplitter=forward_beamsplitter_reference,
-        switch_interaction=switch_interaction_reference,
-        return_beamsplitter=return_beamsplitter_reference,
-        _pass_block_switches=pass_block_switches_reference,
+        forward_beamsplitter=counted("forward", forward_beamsplitter_reference),
+        switch_interaction=counted("switch", switch_interaction_reference),
+        return_beamsplitter=counted("return", return_beamsplitter_reference),
+        _pass_block_switches=counted("pass_block", pass_block_switches_reference),
     ):
-        assert results() == new
+        clear_caches()  # else the table cached above would answer for the references
+        try:
+            assert results() == new
+        finally:
+            clear_caches()  # nor may a table of the references outlive the patch
+    # both variants' tables ran on the references; the N09 one only if a round needed it
+    assert {"forward", "return", "pass_block"} <= set(ran)
+    assert ("switch" in ran) == (variant == "N09")
+
+
+# Each variant's D1 pairs, as (sender, receiver) symbols, with the sign of
+# their D1 coefficient, sqrt(R) sqrt(T) times it: the closed forms'.
+D1_SIGNS = {
+    "N09": {("V", "B"): -1.0, ("H", "P"): -1.0},
+    "ScQKD": {("pass", "block"): -1.0, ("block", "pass"): 1.0},
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-1074.0, max_value=0.0).map(lambda e: 2.0**e).filter(lambda R: R < 1.0))
+@example(5e-324)
+@example(0.37)
+@example(0.5)
+def test_the_table_clicks_d1_only_where_the_closed_forms_allow(R):
+    """The unit-pair table of each variant holds D1 rows on the closed
+    forms' pairs alone, each at exactly +-sqrt(R) sqrt(T): the passing
+    pairs' two D1 terms cancel to an exact zero, so no residue row is left
+    for a rule to drop, at R down to 5e-324."""
+    bs = BeamSplitter(R)
+    s = math.sqrt(bs.R) * math.sqrt(bs.T)
+    for variant, signs in D1_SIGNS.items():
+        sender, receiver = (ALICE_DEVICE, BOB_DEVICE) if variant == "N09" else (SWITCH_ALICE, SWITCH_BOB)
+        rows = [
+            ((sender.alphabet[i], receiver.alphabet[j]), c)
+            for label, i, j, c in michelson._round_table(bs, variant)
+            if label[-1] in ("D1V", "D1H")
+        ]
+        assert len(rows) == len(signs), (variant, rows)
+        assert dict(rows) == {pair: complex(sign * s) for pair, sign in signs.items()}, (variant, rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -660,62 +737,7 @@ def test_rounds_and_transfers_match_the_reference_restrict(R, alice, bob, varian
         assert results() == new
 
 
-# ---- the round's input and its outcome read against their generic forms
-
-# Amplitude parts: a signed zero, or a magnitude log-uniform from 2**-1074
-# (5e-324) to 2**-0.5, either end included, of either sign.
-_SMALL = st.one_of(
-    st.floats(min_value=-1074.0, max_value=-0.5).map(lambda e: 2.0**e), st.sampled_from((2.0**-1074, 2.0**-0.5))
-)
-_SMALL_PARTS = st.one_of(st.sampled_from((0.0, -0.0)), _SMALL, _SMALL.map(operator.neg))
-# Phases of the larger amplitude, signed-zero parts included.
-_PHASES = st.sampled_from(((1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (-0.0, -1.0), (0.0, 1.0), (0.6, -0.8)))
-# Bases with a symbol outside a device's alphabet.
-_OFF_BASES = st.sampled_from((("P", "V"), ("V", "B"), ("pass", "block"), ("H", "X")))
-
-
-@st.composite
-def round_qubits(draw, basis):
-    """A unit qubit over ``basis``, its reverse or an off basis: one
-    amplitude has parts drawn from ``_SMALL_PARTS``, the other makes up the
-    norm at one of ``_PHASES``, in either order."""
-    small = complex(draw(_SMALL_PARTS), draw(_SMALL_PARTS))
-    m = math.sqrt(max(0.0, 1.0 - abs(small) ** 2))
-    c, s = draw(_PHASES)
-    pair = (small, complex(m * c, m * s))
-    basis = draw(st.one_of(st.sampled_from((basis, basis[::-1])), _OFF_BASES))
-    return Qubit(basis, *(pair if draw(st.booleans()) else pair[::-1]))
-
-
-def hex_items(state):
-    """Registers and amplitudes in order, each part as ``float.hex``, so a
-    signed zero counts."""
-    return state.registers, [(label, a.real.hex(), a.imag.hex()) for label, a in state.amps.items()]
-
-
-@settings(max_examples=300, deadline=None)
-@given(round_qubits(("V", "H")), round_qubits(("P", "B")))
-@example(Qubit(("V", "H"), complex(-0.0, -1.0), 0j), Qubit(("P", "B"), 2.0**-1074, complex(-0.0, -1.0)))
-@example(Qubit(("H", "V"), 1.0, 0.0), Qubit(("V", "B"), 1.0, 0.0))
-def test_initial_round_state_is_the_product_state(alice, bob):
-    """``initial_round_state`` builds its labels directly: the same state as
-    ``product_state`` over the six parts, every bit of every amplitude
-    included, and the same error for a qubit outside its device's alphabet."""
-    parts = [
-        (ALICE_DEVICE, alice),
-        (BOB_DETECTOR, "0"),
-        (BOB_DEVICE, bob),
-        (ARM_ALICE, "vac"),
-        (ARM_BOB, "vac"),
-        (DETECTOR, "none"),
-    ]
-    try:
-        want = hex_items(product_state(parts))
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            initial_round_state(alice, bob)
-    else:
-        assert hex_items(initial_round_state(alice, bob)) == want
+# ---- the round's outcome read against its generic form
 
 
 @settings(max_examples=300, deadline=None)

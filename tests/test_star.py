@@ -177,9 +177,8 @@ def term_landings(state, idx, rules):
     st.dictionaries(st.sampled_from(DEVICE_PAIRS), AMPLITUDES, min_size=1),
 )
 def test_no_propagator_call_sums_two_terms(seed, R, n, link, amps):
-    """Each term of a propagator call lands on a label of its own, so the
-    cancellation-dust rule of ``_map_labels`` never acts on the star: it
-    serves the rounds and transfers alone."""
+    """Each term of a propagator call lands on a label of its own, so no
+    star amplitude is ever a sum of terms."""
     calls = []
 
     def recording(state, idx, rules):
