@@ -3,10 +3,7 @@
 One round: a sender device chooses (possibly in superposition) the photon
 polarization, the photon splits over an internal arm and a channel arm,
 the receiver's switch passes or absorbs it depending on polarization, and
-the returning amplitudes interfere back onto two output detectors.  The
-three maps take a ``link`` operand and act on that link's registers
-``Register(kind, link)``; every link shares the hub switch ``BOB_DEVICE``,
-so a multi-link setup composes them on one joint state.
+the returning amplitudes interfere back onto two output detectors.
 
 The pass/block variant runs on the same link with a fixed-polarization
 source: the sender device is held at V, and the receiver's polarization
@@ -16,21 +13,22 @@ shared.  DB is the ``none`` sector of ``alice_detector`` in both
 variants: an absorbed photon leaves both arms empty, which the return
 beam splitter leaves alone.
 
-The maps' rule patterns depend on neither R nor the link, so they are
-checked once, at import, by the checker that ``states.apply_map`` runs on
-every call; a call binds sqrt(R) and sqrt(T) into the rules, finds its
-link's registers in the state (built once per link) and runs
-``apply_map``'s label loop alone.
+The maps act on fixed registers with rule patterns that do not depend on
+R, so the patterns are checked once, at import, by the checker that
+``states.apply_map`` runs on every call; a call binds sqrt(R) and sqrt(T)
+into the rules, finds its registers in the state and runs ``apply_map``'s
+label loop alone.
 
 A round superposes after the maps: by linearity it is its four classical
 device pairs' rounds, each weighted by the pair's two amplitudes.  So
 ``_round_table`` runs the maps once per (beam splitter, variant) on the
-four pairs at unit weight, where every cancellation is exact, and each
-call weights its rows (``_round_state``); ``star`` reads its D1 rows.
-``run_round`` reads all three outcomes off the weighted state in one scan
-that sorts each label into its outcome's sector; each sector's norm**2 is
-both its probability and its posterior's normaliser.  ``transfer`` reads
-the D1 sector alone.
+four pairs at unit weight, where every cancellation is exact, and tags
+each row with its detector symbol.  ``_outcomes`` is the table's one
+reader for the rounds and transfers: one scan weights the rows whose
+symbol it is asked for and sorts them into their outcomes' sectors; each
+sector's norm**2 is both its probability and its posterior's normaliser.
+``run_round`` reads all three outcomes, ``transfer`` the D1 sector alone,
+and ``star`` takes its D1 factors from the table's D1 rows.
 
 Beam splitter phase convention: reflection picks up a factor i on the way
 out, transmission stays real; on the return pass the roles swap so that a
@@ -115,9 +113,8 @@ class RoundOutcome(NamedTuple):
 
 # Each variant's four device pairs at unit weight, every other register at
 # rest; the pass/block round holds device_a at V.
-_ROUND_REGISTERS = _checked_registers((ALICE_DEVICE, BOB_DETECTOR, BOB_DEVICE, ARM_ALICE, ARM_BOB, DETECTOR))
 _N09_PAIRS = PureState(
-    _ROUND_REGISTERS,
+    (ALICE_DEVICE, BOB_DETECTOR, BOB_DEVICE, ARM_ALICE, ARM_BOB, DETECTOR),
     {(a, "0", b, "vac", "vac", "none"): 1.0 for a in ALICE_DEVICE.alphabet for b in BOB_DEVICE.alphabet},
 )
 _SCQKD_PAIRS = PureState(
@@ -126,15 +123,11 @@ _SCQKD_PAIRS = PureState(
 )
 
 
-@functools.lru_cache(maxsize=16)
-def _link_registers(link: int) -> tuple[tuple[Register, ...], ...]:
-    """The registers that the forward splitter, the switch and the return
-    splitter act on at ``link``, in that order."""
-    return (
-        (Register("device_a", link), Register("arm_a", link), Register("arm_b", link)),
-        (BOB_DEVICE, Register("arm_b", link), Register("bob_detector", link)),
-        (Register("arm_a", link), Register("arm_b", link), Register("alice_detector", link)),
-    )
+# The registers that the forward splitter, the switch and the return
+# splitter act on, in their rules' order.
+_FORWARD_REGISTERS = (ALICE_DEVICE, ARM_ALICE, ARM_BOB)
+_SWITCH_REGISTERS = (BOB_DEVICE, ARM_BOB, BOB_DETECTOR)
+_RETURN_REGISTERS = (ARM_ALICE, ARM_BOB, DETECTOR)
 
 
 def _forward_rules(r: float, t: float) -> dict:
@@ -162,22 +155,24 @@ def _return_rules(r: float, t: float) -> dict:
 _PASS_BLOCK_RULES = {("block", "V", "0"): [(("block", "vac", "Y"), 1.0)]}
 _PASS_BLOCK_REGISTERS = ((SWITCH_ALICE, ARM_ALICE, ABSORBER_ALICE), (SWITCH_BOB, ARM_BOB, ABSORBER_BOB))
 
-# The patterns depend on neither R nor the link, so this one check covers every call.
+# The patterns do not depend on R, so this one check covers every call.
 for _on, _rules in [
-    *zip(_link_registers(0), [_forward_rules(1.0, 1.0), _SWITCH_RULES, _return_rules(1.0, 1.0)]),
+    (_FORWARD_REGISTERS, _forward_rules(1.0, 1.0)),
+    (_SWITCH_REGISTERS, _SWITCH_RULES),
+    (_RETURN_REGISTERS, _return_rules(1.0, 1.0)),
     *zip(_PASS_BLOCK_REGISTERS, [_PASS_BLOCK_RULES] * 2),
 ]:
     _check_patterns([reg.alphabet for reg in _on], _rules)
 del _on, _rules
 
 
-def forward_beamsplitter(state: PureState, bs: BeamSplitter, link: int = 0) -> PureState:
+def forward_beamsplitter(state: PureState, bs: BeamSplitter) -> PureState:
     """Emit the photon with the device's polarization and split it over the arms."""
-    on = _link_registers(link)[0]
-    return _map_labels(state, _positions(state, on), _forward_rules(math.sqrt(bs.R), math.sqrt(bs.T)))
+    idx = _positions(state, _FORWARD_REGISTERS)
+    return _map_labels(state, idx, _forward_rules(math.sqrt(bs.R), math.sqrt(bs.T)))
 
 
-def switch_interaction(state: PureState, link: int = 0) -> PureState:
+def switch_interaction(state: PureState) -> PureState:
     """Polarization-dependent pass/absorb at the receiver.
 
     Setting P passes V and absorbs H, setting B the reverse.  Absorption
@@ -186,17 +181,17 @@ def switch_interaction(state: PureState, link: int = 0) -> PureState:
     can be read off as sector norms.  Passed photons match no rule and
     are left alone.
     """
-    return _map_labels(state, _positions(state, _link_registers(link)[1]), _SWITCH_RULES)
+    return _map_labels(state, _positions(state, _SWITCH_REGISTERS), _SWITCH_RULES)
 
 
-def return_beamsplitter(state: PureState, bs: BeamSplitter, link: int = 0) -> PureState:
+def return_beamsplitter(state: PureState, bs: BeamSplitter) -> PureState:
     """Recombine the returning arms onto the two output detectors.
 
     Acts only where a photon is in an arm; the absorbed sector has both
     arms empty and is left untouched.
     """
-    on = _link_registers(link)[2]
-    return _map_labels(state, _positions(state, on), _return_rules(math.sqrt(bs.R), math.sqrt(bs.T)))
+    idx = _positions(state, _RETURN_REGISTERS)
+    return _map_labels(state, idx, _return_rules(math.sqrt(bs.R), math.sqrt(bs.T)))
 
 
 def _pass_block_switches(state: PureState) -> PureState:
@@ -220,59 +215,59 @@ _SWITCHES_ABSORBERS = _checked_registers((*_SWITCHES, ABSORBER_ALICE, ABSORBER_B
 
 
 @functools.lru_cache(maxsize=1)
-def _round_table(bs: BeamSplitter, variant: str) -> tuple[tuple[Label, int, int, complex], ...]:
+def _round_table(bs: BeamSplitter, variant: str) -> tuple[tuple[Label, str, int, int, complex], ...]:
     """The three maps run on ``variant``'s unit device pairs at ``bs``, as
-    one row per output label, in state order: the label, the indices of its
-    sender's and its receiver's symbols in their devices' alphabets, and
-    its amplitude.  Each label keeps its pair's device symbols, and the
-    passing pairs' D1 terms, -r*t and t*r, cancel to an exact zero."""
+    one row per output label, in state order: the label, its ``DETECTOR``
+    symbol, the indices of its sender's and its receiver's symbols in their
+    devices' alphabets, and its amplitude.  Each label keeps its pair's
+    device symbols, and the passing pairs' D1 terms, -r*t and t*r, cancel
+    to an exact zero."""
     n09 = variant == "N09"
     state = forward_beamsplitter(_N09_PAIRS if n09 else _SCQKD_PAIRS, bs)
     state = return_beamsplitter(switch_interaction(state) if n09 else _pass_block_switches(state), bs)
     sender, receiver = _DEVICES if n09 else _SWITCHES
-    s, r = _positions(state, (sender, receiver))
-    return tuple((l, sender.alphabet.index(l[s]), receiver.alphabet.index(l[r]), c) for l, c in state.amps.items())
-
-
-def _round_state(bs: BeamSplitter, variant: str, sender: Qubit, receiver: Qubit) -> PureState:
-    """The round of ``variant`` with both devices superposed: by linearity,
-    each row of ``_round_table`` weighted by its sender's and its
-    receiver's amplitude, over qubits declared in their devices' order."""
-    if not 0.0 < bs.R < 1.0:
-        raise ValueError("degenerate beam splitter: R must lie strictly inside (0, 1)")
-    mu = (complex(sender.amp0), complex(sender.amp1))
-    alpha = (complex(receiver.amp0), complex(receiver.amp1))
-    registers = (_N09_PAIRS if variant == "N09" else _SCQKD_PAIRS).registers
-    return PureState._trusted(registers, {label: mu[i] * alpha[j] * c for label, i, j, c in _round_table(bs, variant)})
+    s, r, d = _positions(state, (sender, receiver, DETECTOR))
+    return tuple(
+        (l, l[d], sender.alphabet.index(l[s]), receiver.alphabet.index(l[r]), c) for l, c in state.amps.items()
+    )
 
 
 def _outcomes(
-    state: PureState,
-    clicks: dict[str, str],
-    tagged: tuple[Register, ...],
-    blocked_keep: tuple[Register, ...],
+    bs: BeamSplitter, variant: str, sender: Qubit, receiver: Qubit, clicks: dict[str, str]
 ) -> list[RoundOutcome]:
-    """One outcome per name in ``clicks`` (a ``DETECTOR`` symbol's
-    outcome), in its order: the clicks' posteriors keep ``tagged``, DB's
-    ``blocked_keep``; both are checked module constants.  One scan sorts
-    the labels into the outcomes' sectors, in state order.  Each outcome
-    is its sector's norm**2 and the sector divided by its root; a norm**2
-    below the normal range goes through ``normalized``, which rescales
-    first.  Every kept amplitude is nonzero, so a sector with labels has a
-    posterior even where its probability underflows."""
-    i = state.registers.index(DETECTOR)
+    """The round of ``variant`` with both devices superposed (qubits
+    declared in their devices' order) as one outcome per name in ``clicks``
+    (a ``DETECTOR`` symbol's outcome), in its order.  One scan weights each
+    row of ``_round_table`` that ``clicks`` names by its sender's and its
+    receiver's amplitude and sorts it into its outcome's sector, in table
+    order, dropping exact zeros.  Each outcome is its sector's norm**2 and
+    the sector divided by its root, restricted to the variant's kept
+    registers; a norm**2 below the normal range goes through
+    ``normalized``, which rescales first.  Every kept amplitude is nonzero,
+    so a sector with labels has a posterior even where its probability
+    underflows."""
+    if not 0.0 < bs.R < 1.0:
+        raise ValueError("degenerate beam splitter: R must lie strictly inside (0, 1)")
+    n09 = variant == "N09"
+    registers = (_N09_PAIRS if n09 else _SCQKD_PAIRS).registers
+    tagged, blocked_keep = (_TAGGED_DEVICES, _DEVICES) if n09 else (_SWITCHES, _SWITCHES_ABSORBERS)
+    mu = (complex(sender.amp0), complex(sender.amp1))
+    alpha = (complex(receiver.amp0), complex(receiver.amp1))
     parts: dict[str, dict] = {name: {} for name in clicks.values()}
-    for label, amp in state.amps.items():
-        parts[clicks[label[i]]][label] = amp
+    for label, symbol, i, j, c in _round_table(bs, variant):
+        if symbol in clicks:
+            amp = mu[i] * alpha[j] * c
+            if amp:
+                parts[clicks[symbol]][label] = amp
     outcomes = []
     for name, amps in parts.items():
         keep = blocked_keep if name == "DB" else tagged
         n2 = float(sum(abs(a) ** 2 for a in amps.values()))
         if n2 >= sys.float_info.min:
             n = math.sqrt(n2)
-            posterior = _restricted(PureState._trusted(state.registers, {l: a / n for l, a in amps.items()}), keep)
+            posterior = _restricted(PureState._trusted(registers, {l: a / n for l, a in amps.items()}), keep)
         elif amps:
-            posterior = _restricted(PureState._trusted(state.registers, amps).normalized(), keep)
+            posterior = _restricted(PureState._trusted(registers, amps).normalized(), keep)
         else:
             posterior = PureState._trusted(keep, {})
         outcomes.append(RoundOutcome(name, n2, posterior))
@@ -288,17 +283,11 @@ def run_round(
     (device_a, device_b, detector-tag) registers, the DB posterior keeps
     only the two devices.  Probabilities sum to 1.
     """
-    if not 0.0 < config.bs.R < 1.0:
-        raise ValueError("degenerate beam splitter: R must lie strictly inside (0, 1)")
-    if config.variant == "ScQKD":
-        if split_detector_polarization:
-            raise ValueError("the pass/block variant has no polarization-resolved detectors")
-        alice = Qubit(("pass", "block"), config.alice.amp0, config.alice.amp1)
-        bob = Qubit(("pass", "block"), config.bob.amp0, config.bob.amp1)
-        return run_scqkd_round(alice, bob, config.bs)
-    state = _round_state(config.bs, "N09", config.alice, config.bob)
     clicks = _SPLIT_CLICKS if split_detector_polarization else _CLICKS
-    return _outcomes(state, clicks, _TAGGED_DEVICES, _DEVICES)
+    outcomes = _outcomes(config.bs, config.variant, config.alice, config.bob, clicks)  # checks R first
+    if split_detector_polarization and config.variant == "ScQKD":
+        raise ValueError("the pass/block variant has no polarization-resolved detectors")
+    return outcomes
 
 
 class ClosedFormProbs(NamedTuple):
@@ -352,7 +341,7 @@ def run_scqkd_round(
     """
     if tuple(alice.basis) != ("pass", "block") or tuple(bob.basis) != ("pass", "block"):
         raise ValueError("pass/block round needs qubits declared over (pass, block)")
-    return _outcomes(_round_state(bs, "ScQKD", alice, bob), _CLICKS, _SWITCHES, _SWITCHES_ABSORBERS)
+    return _outcomes(bs, "ScQKD", alice, bob, _CLICKS)
 
 
 def round_record(config: RoundConfig) -> dict:

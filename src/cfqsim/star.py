@@ -28,7 +28,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .michelson import ALICE_DEVICE, BOB_DEVICE, DETECTOR, BeamSplitter, _ROUND_REGISTERS, _round_table
+from .michelson import ALICE_DEVICE, BOB_DEVICE, BeamSplitter, _round_table
 from .states import PureState, Qubit, Register, ValidatedTuple, _map_labels, _positions, fidelity_up_to_phase
 
 
@@ -67,9 +67,8 @@ def _d1_rules(bs: BeamSplitter) -> dict:
     the N09 round's unit-pair table, as a rule on those registers; a pair
     without D1 maps to none."""
     rules = {(b, a): [] for a in ALICE_DEVICE.alphabet for b in BOB_DEVICE.alphabet}
-    d = _ROUND_REGISTERS.index(DETECTOR)
-    for label, i, j, c in _round_table(bs, "N09"):
-        if label[d] in ("D1V", "D1H"):
+    for _, symbol, i, j, c in _round_table(bs, "N09"):
+        if symbol in ("D1V", "D1H"):
             pair = (BOB_DEVICE.alphabet[j], ALICE_DEVICE.alphabet[i])
             rules[pair] = [(pair, c)]
     return rules

@@ -193,9 +193,6 @@ class PureState:
     def norm2(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amps.values()))
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm2())
-
     def normalized(self) -> "PureState":
         state, n2 = _rescued(self)
         if n2 == 0.0:

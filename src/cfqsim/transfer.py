@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .michelson import ALICE_DEVICE, BOB_DEVICE, DETECTOR, BeamSplitter, _round_state
-from .states import PureState, Qubit, Register, _checked_registers, _restricted, apply_map, postselect, sector
+from .michelson import ALICE_DEVICE, BOB_DEVICE, BeamSplitter, _outcomes
+from .states import PureState, Qubit, Register, _checked_registers, _restricted, apply_map, postselect
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -55,10 +55,10 @@ def _steer(
     else:
         receiver, minus, plus = ALICE_DEVICE, "B", "P"
         alice, bob = Qubit.balanced(("V", "H")), payload
-    d1 = sector(_round_state(bs, "N09", alice, bob), DETECTOR, ("D1V", "D1H"))
-    if not d1.amps:
+    [d1] = _outcomes(bs, "N09", alice, bob, {"D1V": "D1", "D1H": "D1"})
+    if not d1.posterior.amps:
         raise ValueError("configuration admits no counterfactual branch")
-    shared = _restricted(d1.normalized(), _PAIR)
+    shared = _restricted(d1.posterior, _PAIR)
     hadamard = {
         (plus,): [((plus,), _SQRT_HALF), ((minus,), _SQRT_HALF)],
         (minus,): [((plus,), _SQRT_HALF), ((minus,), -_SQRT_HALF)],

@@ -18,10 +18,7 @@ from cfqsim.michelson import (
     BeamSplitter,
     RoundConfig,
     RoundOutcome,
-    forward_beamsplitter,
-    return_beamsplitter,
     run_round,
-    switch_interaction,
 )
 from cfqsim.star import CatResult, StarConfig, alice_register, partial_propagator
 from cfqsim.states import (
@@ -150,7 +147,8 @@ def star_bruteforce(config: StarConfig):
 
     Independent oracle for the star engine: the joint state of the hub and
     all N links runs the complete three-map round of each link in turn,
-    and after each round that link's detector is projected onto the
+    through the reference maps, which act on any link's registers, and
+    after each round that link's detector is projected onto the
     counterfactual tags.  Nothing is factorised per hub branch.
     """
     n = config.n_links
@@ -166,9 +164,9 @@ def star_bruteforce(config: StarConfig):
         ]
     state = product_state(parts)
     for j in range(n):
-        state = forward_beamsplitter(state, config.bs, j)
-        state = switch_interaction(state, j)
-        state = return_beamsplitter(state, config.bs, j)
+        state = forward_beamsplitter_reference(state, config.bs, j)
+        state = switch_interaction_reference(state, j)
+        state = return_beamsplitter_reference(state, config.bs, j)
         state = sector(state, Register("alice_detector", j), ("D1V", "D1H"))
     yield_probability = state.norm2()
     if yield_probability == 0.0:
@@ -275,8 +273,9 @@ def outcomes_reference(state: PureState, names, tagged, blocked_keep) -> list[Ro
     ``sector``, that sector's ``norm2`` as the probability and its
     ``normalized`` posterior, restricted to ``tagged`` or, for DB, to
     ``blocked_keep``.  The reference that ``michelson._outcomes``, which
-    sorts the labels into every sector in one scan and divides each by the
-    root of the norm**2 it reports, must match bit for bit."""
+    weights the unit-pair table's rows and sorts them into every sector in
+    one scan, and divides each by the root of the norm**2 it reports, must
+    match bit for bit."""
     outcomes = []
     for name in names:
         part = sector(state, DETECTOR, OUTCOME_SYMBOLS[name])

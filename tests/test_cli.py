@@ -858,10 +858,12 @@ class TestCostMin:
 
 
 def test_cost_min_prints_the_exact_minimum():
-    """``cost-min``'s classical minimum against exact arithmetic at the
-    reflectance it computes, the double nearest sqrt(2) - 1: ``C_min`` and
-    ``total_qst_cost_min`` are ``cost``'s ``C`` and ``total_qst_cost``
-    there, to 40 digits, within one unit in the 12th."""
+    """``cost-min``'s two minima against exact arithmetic.  The classical
+    one sits at the reflectance it computes, the double nearest
+    sqrt(2) - 1: ``C_min`` and ``total_qst_cost_min`` are ``cost``'s ``C``
+    and ``total_qst_cost`` there, to 40 digits, within one unit in the
+    12th.  The quantum one sits at R = 1/2, where ``C_q_min`` is ``cost``'s
+    ``C_q``, 8 rounds per pair."""
     record = printed("cost-min")
     R = math.sqrt(2.0) - 1.0
     assert within_one_unit(record["R_classical"], Fraction(R))
@@ -869,6 +871,9 @@ def test_cost_min_prints_the_exact_minimum():
     assert within_one_unit(record["C_min"], columns["C"]), (record["C_min"], float(columns["C"]))
     want = columns["total_qst_cost"]
     assert within_one_unit(record["total_qst_cost_min"], want), (record["total_qst_cost_min"], float(want))
+    assert within_one_unit(record["R_quantum"], Fraction(1, 2)), record["R_quantum"]
+    want = cost_columns(0.5)["C_q"]
+    assert within_one_unit(record["C_q_min"], want), (record["C_q_min"], float(want))
 
 
 class TestMc:

@@ -22,6 +22,8 @@ from conftest import (
 )
 from cfqsim import michelson, star, transfer
 from cfqsim.michelson import (
+    ABSORBER_ALICE,
+    ABSORBER_BOB,
     ALICE_DEVICE,
     ARM_ALICE,
     ARM_BOB,
@@ -514,37 +516,6 @@ def test_silent_detector_is_the_absorbed_sector(R, alice, bob):
     assert sector(state, DETECTOR, ("none",)).amps == sector(state, BOB_DETECTOR, ("Y",)).amps
 
 
-def test_maps_at_link_one_leave_link_zero_alone():
-    bs = BeamSplitter(0.3)
-    kinds = ("device_a", "arm_a", "arm_b", "bob_detector", "alice_detector")
-    link0, link1 = ([Register(kind, j) for kind in kinds] for j in (0, 1))
-    parts = [(BOB_DEVICE, Qubit(("P", "B"), 0.6, 0.8))]
-    for regs in (link0, link1):
-        parts += [(regs[0], Qubit(("V", "H"), 0.8, 0.6j)), (regs[1], "vac"), (regs[2], "vac")]
-        parts += [(regs[3], "0"), (regs[4], "none")]
-    # Link 0 mid-round: its photon sits in its arms, where any link-0 map would move it.
-    before = forward_beamsplitter(product_state(parts), bs, 0)
-    after = return_beamsplitter(switch_interaction(forward_beamsplitter(before, bs, 1), 1), bs, 1)
-
-    def link0_weights(state):
-        idx = [state.registers.index(r) for r in (BOB_DEVICE, *link0)]
-        weights = {}
-        for label, amp in state.amps.items():
-            key = tuple(label[i] for i in idx)
-            weights[key] = weights.get(key, 0.0) + abs(amp) ** 2
-        return weights
-
-    want = link0_weights(before)
-    got = link0_weights(after)
-    assert got.keys() == want.keys()
-    for key, w in want.items():
-        assert got[key] == pytest.approx(w, abs=1e-12)
-    # Link 1 ran its whole round: both arms empty, a click or an absorption.
-    assert all(label[after.registers.index(r)] == "vac" for label in after.amps for r in link1[1:3])
-    assert sector(after, link1[4], ("none",)).amps == sector(after, link1[3], ("Y",)).amps
-    assert sector(after, link1[3], ("Y",)).amps
-
-
 # ---- the maps against their references: rules rebuilt and checked on every
 # call, and run through the reference label loop
 
@@ -558,13 +529,12 @@ def link_registers(link):
 
 @st.composite
 def link_states(draw):
-    """A link index in 0-3 and a state on a random subset of that link's
-    labels (registers in random order), amplitudes down to 1e-300."""
-    link = draw(st.integers(min_value=0, max_value=3))
-    registers = tuple(draw(st.permutations(link_registers(link))))
+    """A state on a random subset of the labels of the maps' link (link 0;
+    registers in random order), amplitudes down to 1e-300."""
+    registers = tuple(draw(st.permutations(link_registers(0))))
     labels = list(itertools.product(*(r.alphabet for r in registers)))
     chosen = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=60, unique=True))
-    return link, PureState(registers, {label: draw(AMPLITUDES) for label in chosen})
+    return PureState(registers, {label: draw(AMPLITUDES) for label in chosen})
 
 
 def exact(state):
@@ -587,14 +557,13 @@ def run_recording_rules(fn, loop, state, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(link_states(), MAP_REFLECTANCES)
-@example((0, PureState(link_registers(0), {("P", "V", "vac", "vac", "0", "none"): 1e-300j})), 1e-300)
-def test_maps_match_their_references(case, R):
-    link, state = case
+@example(PureState(link_registers(0), {("P", "V", "vac", "vac", "0", "none"): 1e-300j}), 1e-300)
+def test_maps_match_their_references(state, R):
     bs = BeamSplitter(R)
     pairs = [
-        (forward_beamsplitter, forward_beamsplitter_reference, (bs, link)),
-        (switch_interaction, switch_interaction_reference, (link,)),
-        (return_beamsplitter, return_beamsplitter_reference, (bs, link)),
+        (forward_beamsplitter, forward_beamsplitter_reference, (bs,)),
+        (switch_interaction, switch_interaction_reference, ()),
+        (return_beamsplitter, return_beamsplitter_reference, (bs,)),
     ]
     new = ref = state
     for fast, slow, args in pairs:
@@ -685,10 +654,12 @@ def test_the_table_clicks_d1_only_where_the_closed_forms_allow(R):
     s = math.sqrt(bs.R) * math.sqrt(bs.T)
     for variant, signs in D1_SIGNS.items():
         sender, receiver = (ALICE_DEVICE, BOB_DEVICE) if variant == "N09" else (SWITCH_ALICE, SWITCH_BOB)
+        table = michelson._round_table(bs, variant)
+        assert all(symbol == label[-1] for label, symbol, *_ in table)  # the row's DETECTOR symbol
         rows = [
             ((sender.alphabet[i], receiver.alphabet[j]), c)
-            for label, i, j, c in michelson._round_table(bs, variant)
-            if label[-1] in ("D1V", "D1H")
+            for _, symbol, i, j, c in table
+            if symbol in ("D1V", "D1H")
         ]
         assert len(rows) == len(signs), (variant, rows)
         assert dict(rows) == {pair: complex(sign * s) for pair, sign in signs.items()}, (variant, rows)
@@ -739,6 +710,15 @@ def test_rounds_and_transfers_match_the_reference_restrict(R, alice, bob, varian
 
 # ---- the round's outcome read against its generic form
 
+# The transfers' read: D1 alone, every other detector symbol skipped.
+D1_CLICKS = {"D1V": "D1", "D1H": "D1"}
+
+# Each variant's posterior registers: the clicks' and DB's.
+KEEPS = {
+    "N09": ((ALICE_DEVICE, BOB_DEVICE, DETECTOR), (ALICE_DEVICE, BOB_DEVICE)),
+    "ScQKD": ((SWITCH_ALICE, SWITCH_BOB), (SWITCH_ALICE, SWITCH_BOB, ABSORBER_ALICE, ABSORBER_BOB)),
+}
+
 
 @settings(max_examples=300, deadline=None)
 @given(REFLECTANCES, unit_pairs_down_to_tiny(), unit_pairs_down_to_tiny())
@@ -746,7 +726,8 @@ def test_rounds_and_transfers_match_the_reference_restrict(R, alice, bob, varian
 @example(1e-300, (SQ2, SQ2), (SQ2, SQ2))
 @example(0.37, (0.6, 0.8j), (0.6j, 0.8))
 def test_rounds_match_the_reference_outcomes(R, alice, bob):
-    """Both round variants, split and unsplit, read their outcomes as the
+    """Both round variants, split and unsplit, and the transfers' D1 read,
+    which skips every other detector symbol, read their outcomes as the
     reference does, each sector apart, bit for bit."""
     bs = BeamSplitter(R)
     config = RoundConfig(bs, Qubit(("V", "H"), *alice), Qubit(("P", "B"), *bob))
@@ -754,13 +735,20 @@ def test_rounds_match_the_reference_outcomes(R, alice, bob):
 
     def results():
         rounds = [run_round(config), run_round(config, split_detector_polarization=True)]
-        return [outcomes_exact(r) for r in [*rounds, run_scqkd_round(*pass_block, bs)]]
+        d1_only = michelson._outcomes(bs, "N09", config.alice, config.bob, D1_CLICKS)
+        rounds += [run_scqkd_round(*pass_block, bs), d1_only]
+        transfers = [transfer_alice_to_bob(config.alice, bs, "V"), transfer_bob_to_alice(config.bob, bs, "B")]
+        return [outcomes_exact(r) for r in rounds], [exact(t.shared) for t in transfers]
 
-    def reference(state, clicks, tagged, blocked_keep):
-        return outcomes_reference(state, list(dict.fromkeys(clicks.values())), tagged, blocked_keep)
+    def reference(bs, variant, sender, receiver, clicks):
+        mu, alpha = list(sender.amplitudes().values()), list(receiver.amplitudes().values())
+        registers = (michelson._N09_PAIRS if variant == "N09" else michelson._SCQKD_PAIRS).registers
+        rows = michelson._round_table(bs, variant)
+        state = PureState(registers, {label: mu[i] * alpha[j] * c for label, _, i, j, c in rows})
+        return outcomes_reference(state, list(dict.fromkeys(clicks.values())), *KEEPS[variant])
 
     new = results()
-    with mock.patch.object(michelson, "_outcomes", reference):
+    with mock.patch.object(michelson, "_outcomes", reference), mock.patch.object(transfer, "_outcomes", reference):
         assert results() == new
 
 
@@ -780,9 +768,9 @@ def test_an_underflowed_sector_keeps_its_posterior(variant):
 
 BS = BeamSplitter(0.3)
 MAPS = {
-    "forward": (lambda state, link: forward_beamsplitter(state, BS, link), ("device_a", "arm_a", "arm_b")),
+    "forward": (lambda state: forward_beamsplitter(state, BS), ("device_a", "arm_a", "arm_b")),
     "switch": (switch_interaction, ("device_b", "arm_b", "bob_detector")),
-    "return": (lambda state, link: return_beamsplitter(state, BS, link), ("arm_a", "arm_b", "alice_detector")),
+    "return": (lambda state: return_beamsplitter(state, BS), ("arm_a", "arm_b", "alice_detector")),
 }
 
 
@@ -791,24 +779,16 @@ def full_link_state(registers):
 
 
 @pytest.mark.parametrize("name", MAPS)
-@pytest.mark.parametrize("link", [0, 2])
-def test_map_rejects_a_state_without_one_of_its_registers(name, link):
+def test_map_rejects_a_state_without_one_of_its_registers(name):
     apply, kinds = MAPS[name]
-    registers = link_registers(link)
-    apply(full_link_state(registers), link)  # the whole link: fine
+    registers = link_registers(0)
+    apply(full_link_state(registers))  # the whole link: fine
     for kind in kinds:
         partial = [r for r in registers if r.kind != kind]
         with pytest.raises(ValueError, match="^map touches a register absent from the state$"):
-            apply(full_link_state(partial), link)
+            apply(full_link_state(partial))
     with pytest.raises(ValueError, match="^map touches a register absent from the state$"):
-        apply(full_link_state(registers), link + 1)  # another link's registers
-
-
-@pytest.mark.parametrize("name", MAPS)
-def test_map_rejects_a_negative_link(name):
-    apply, _ = MAPS[name]
-    with pytest.raises(ValueError, match="^register index must be nonnegative$"):
-        apply(full_link_state(link_registers(0)), -1)
+        apply(full_link_state(link_registers(1)))  # another link's registers
 
 
 def test_pass_block_switches_reject_a_state_without_an_absorber():
