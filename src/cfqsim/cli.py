@@ -32,13 +32,16 @@ if TYPE_CHECKING:
 NORM_REJECT = 1e-6
 # Size caps, checked before any work starts; each work cap is sized so that
 # the largest allowed input takes at most about 1-2 s.  The times quoted
-# below are end to end, medians of 7 subprocess runs on a 2-vCPU Xeon host
-# under Python 3.11.7, where a bare `python -c pass` takes 26 ms.
-# Largest star, counting --N or the --alice pairs.  run_star is linear in
-# spokes (--N 2000 takes about 57 ms and --N 5000 about 82 ms), but
-# argparse's time grows as the square of the --alice pairs: 5000 of them
-# take about 0.58 s.  So ``main`` counts the --alice options before
-# argparse reads them, and refuses 20,000 pairs in about 0.1 s.
+# below are end to end, medians of 7 subprocess runs on a shared 2-vCPU
+# host under Python 3.11.7, where a bare `python -c pass` took about 40 ms.
+# Largest star, counting --N or the --alice pairs.  run_star and the exact
+# cat columns are linear in spokes, up to the columns' product tree
+# (--N 2000 takes about 90 ms and --N 5000 about 165 ms, of which the
+# columns take about 55 ms), but argparse's time grows as the square of the
+# --alice pairs: 5000 of them take about 0.83 s.  So ``main`` counts the
+# --alice options before argparse reads them, and refuses 20,000 pairs in
+# about 0.14 s.  Spokes whose amplitude parts differ in scale by hundreds
+# of bits widen the columns' products: see ``star.EXACT_BITS``.
 STAR_MAX_PARTIES = 5000
 # Most points in a --sweep grid: 100k cost-profile rows take about 1.1 s.
 SWEEP_MAX_POINTS = 100_000
@@ -48,7 +51,7 @@ SWEEP_MAX_POINTS = 100_000
 MC_MAX_RUNS = 5_000_000_000
 # Most czqe work, summed over the sweep points: L one-layer steps plus the
 # 2^(layers+1) labels of the layered output.  L = 59996 at one layer takes
-# about 0.15 s, --N 14 (2^15 labels) at L = 1 about 0.1 s.
+# about 0.21 s, --N 14 (2^15 labels) at L = 1 about 0.1 s.
 # The cap sits below the 1-2 s budget of the other caps on purpose: the
 # chain composes L rotations one at a time, so its rounding error grows
 # with L, and near the cap the 12th printed digit can already be wrong.
@@ -234,8 +237,8 @@ def _alice_options(argv: list[str]) -> int:
 
 def cmd_star(args) -> str:
     from .michelson import BeamSplitter
-    from .star import StarConfig, alice_register, cat_fidelity, run_star
-    from .states import Qubit, entanglement_entropy
+    from .star import StarConfig, exact_cat_columns, run_star
+    from .states import Qubit
 
     _check_star_parties(len(args.alice) if args.alice else args.N)
     if args.alice:
@@ -246,15 +249,16 @@ def cmd_star(args) -> str:
         n = args.N if args.N is not None else 2
         alices = tuple(Qubit.balanced(("V", "H")) for _ in range(n))
     bob = parse_qubit(("P", "B"), args.bob, "--bob") if args.bob else Qubit.balanced(("P", "B"))
-    result = run_star(StarConfig(BeamSplitter(args.R), alices, bob))
-    entropy = entanglement_entropy(result.state, [alice_register(0)]) if result.state.amps else 0.0
+    config = StarConfig(BeamSplitter(args.R), alices, bob)
+    result = run_star(config)
+    fidelity, entropy = exact_cat_columns(config)
     y = result.yield_probability  # null below the normal range, where it has lost digits; 0 only if exact
     record = {
         "N": len(alices),
         "R": args.R,
         "yield": y if y >= sys.float_info.min or result.log10_yield == -math.inf else None,
         "log10_yield": result.log10_yield,
-        "cat_fidelity": cat_fidelity(result),
+        "cat_fidelity": fidelity,
         "entropy_any_bipartition": entropy,
     }
     return emit(record, args.format)

@@ -19,6 +19,13 @@ to a magnitude near 2**54/sqrt(RT), so no amplitude, and no ratio of the
 two, leaves the double range, however small the yield, R or the spoke
 amplitudes.  The two-term cat over the devices (a_1..a_N, b), the yield
 and its base-10 logarithm are built once, at the end.
+
+``cat_fidelity`` reads the cat's two terms against the balanced cat's
+constant amplitude, so its cost does not grow with N.  The CLI's cat
+columns come from ``exact_cat_columns`` instead: both depend only on the
+branch amplitudes p = alpha prod nu_j and b = beta prod mu_j, which it
+multiplies exactly, as Gaussian integers over a power of two, and rounds
+once.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .michelson import ALICE_DEVICE, BOB_DEVICE, BeamSplitter, _round_table
-from .states import PureState, Qubit, Register, ValidatedTuple, _map_labels, _positions, fidelity_up_to_phase
+from .states import PureState, Qubit, Register, ValidatedTuple, _map_labels, _positions, _rescued
 
 
 def alice_register(link: int) -> Register:
@@ -131,8 +138,121 @@ def ideal_cat(n_links: int) -> PureState:
     )
 
 
+# Widest product parts, in bits, that ``exact_cat_columns`` keeps whole.
+# A factor with parts of like scale adds about 53 bits, so 5000 such spokes
+# stay near 265,000 bits, exact.  A part far below its partner widens its
+# factor to up to about 1100 bits (0.6 + 1e-300i: 1049); past this width a
+# product keeps its top bits, so 5000 such spokes take about 6 s end to
+# end, not 17.
+EXACT_BITS = 2**19
+
+# ``ideal_cat``'s amplitude on each of its two labels, and its norm**2 as
+# ``PureState.norm2`` sums it: the same for every N.
+_CAT_AMP = complex(1.0 / math.sqrt(2.0))
+_CAT_NORM2 = 2 * abs(_CAT_AMP) ** 2
+
+
 def cat_fidelity(result: CatResult) -> float:
     """Overlap-squared of the post-selected state with the balanced cat;
-    0 at zero yield."""
-    n = sum(1 for r in result.state.registers if r.kind == "device_a")
-    return fidelity_up_to_phase(result.state, ideal_cat(n))
+    0 at zero yield.
+
+    The state's (at most two) labels are the balanced cat's, so this is
+    ``fidelity_up_to_phase(result.state, ideal_cat(N))`` with the same
+    operations in the same order, without building the (N+1)-register cat."""
+    state, n2 = _rescued(result.state)
+    acc = sum((a.conjugate() * _CAT_AMP for a in state.amps.values()), 0j)
+    return float(abs(acc) ** 2 / n2 / _CAT_NORM2) if n2 else 0.0
+
+
+def exact_cat_columns(config: StarConfig) -> tuple[float, float]:
+    """The cat's fidelity with the balanced cat and its entropy across any
+    bipartition, from the exact inputs, each correctly rounded; both 0 at
+    zero yield.
+
+    Up to the common factor (-sqrt(RT))**N the cat is p|H..HP> + b|V..VB>
+    with p = alpha prod nu_j and b = beta prod mu_j.  Every float is a
+    dyadic rational, so p and b are Gaussian integers over a power of two,
+    multiplied in a balanced product tree.  The fidelity
+    |p + b|**2 / (2 (|p|**2 + |b|**2)) is one int division, which rounds
+    correctly.  The two terms differ on every register, so the entropy is
+    h(w) of the smaller Schmidt share w = min(|p|**2, |b|**2) /
+    (|p|**2 + |b|**2), taken in ``decimal`` at 40 digits from the top 256
+    bits of each weight.  Only products wider than ``EXACT_BITS`` are
+    rounded before that, to their top bits.
+    """
+    p = _product([_gaussian(config.bob.amp0), *(_gaussian(q.amp1) for q in config.alices)])
+    b = _product([_gaussian(config.bob.amp1), *(_gaussian(q.amp0) for q in config.alices)])
+    wp, wb = p[0] ** 2 + p[1] ** 2, b[0] ** 2 + b[1] ** 2  # |p|**2 * 4**p[2], |b|**2 * 4**b[2]
+    if not (wp and wb):
+        return (0.5 if wp or wb else 0.0), 0.0
+    # log2(|p|**2 / |b|**2), to within one
+    gap = (wp.bit_length() - 2 * p[2]) - (wb.bit_length() - 2 * b[2])
+    if abs(gap) > 130:
+        # the smaller term is below 2**-64 of the larger, so the fidelity,
+        # 1/2 + Re(p conj(b)) / (|p|**2 + |b|**2), rounds to 1/2
+        fidelity = 0.5
+    else:
+        up_p, up_b = max(0, b[2] - p[2]), max(0, p[2] - b[2])  # onto the finer grid of the two
+        p0, p1, b0, b1 = p[0] << up_p, p[1] << up_p, b[0] << up_b, b[1] << up_b
+        fidelity = ((p0 + b0) ** 2 + (p1 + b1) ** 2) / (2 * ((wp << 2 * up_p) + (wb << 2 * up_b)))
+    return fidelity, _share_entropy(*sorted((_top_bits(wp, 2 * p[2]), _top_bits(wb, 2 * b[2])), key=_log2))
+
+
+def _gaussian(z: complex) -> tuple[int, int, int]:
+    """``z`` exactly, as ``(x, y, e)`` with z = (x + iy) / 2**e."""
+    z = complex(z)
+    (x, dx), (y, dy) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(dx, dy)
+    return x * (d // dx), y * (d // dy), d.bit_length() - 1
+
+
+def _product(factors: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """The product of ``_gaussian`` values, taken pairwise in a balanced
+    tree, so that most multiplications are of operands of like size."""
+    while len(factors) > 1:
+        pairs = [_times(u, v) for u, v in zip(factors[::2], factors[1::2])]
+        factors = pairs + factors[2 * len(pairs):]
+    return factors[0]
+
+
+def _times(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The product of two ``_gaussian`` values; past ``EXACT_BITS`` its parts
+    keep their top bits, a relative error below 2**(2 - EXACT_BITS)."""
+    x, y, e = u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0], u[2] + v[2]
+    drop = max(x.bit_length(), y.bit_length()) - EXACT_BITS
+    return (x >> drop, y >> drop, e - drop) if drop > 0 else (x, y, e)
+
+
+def _top_bits(w: int, e: int) -> tuple[int, int]:
+    """``w / 2**e`` as ``(m, s)``, about m * 2**s, with m the top 256 bits of ``w``."""
+    drop = max(0, w.bit_length() - 256)
+    return w >> drop, drop - e
+
+
+def _log2(weight: tuple[int, int]) -> int:
+    return weight[0].bit_length() + weight[1]
+
+
+def _share_entropy(small: tuple[int, int], big: tuple[int, int]) -> float:
+    """The base-2 entropy h(w) of the share w = small / (small + big), each
+    weight given as ``(m, s)`` for m * 2**s, to 40 digits, rounded once.
+
+    With q = small / big, w = q / (1 + q) and 1 - w = 1 / (1 + q), so
+    h = (q (L - ln q) + L) / ((1 + q) ln 2) with L = ln(1 + q), which a
+    series gives for small q.  A share below 2**-1200 gives an entropy
+    below half the smallest subnormal: 0."""
+    if _log2(small) - _log2(big) < -1200:
+        return 0.0
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        q = Decimal(small[0]) / Decimal(big[0]) * Decimal(2) ** (small[1] - big[1])
+        if q > Decimal("1e-3"):
+            L = (1 + q).ln()
+        else:
+            L, power, k = Decimal(0), q, 1
+            while L + power / k != L:
+                L += power / k
+                power, k = -power * q, k + 1
+        return float((q * (L - q.ln()) + L) / ((1 + q) * Decimal(2).ln()))

@@ -308,22 +308,26 @@ def test_entropy_of_a_small_schmidt_weight(command, alice):
     assert within_one_unit(record["entropy_D1"], want), (record["entropy_D1"], float(want))
 
 
-@pytest.mark.xfail(strict=True, reason="an entropy below the normal range loses its digits")
+BELOW_NORMAL = pytest.mark.xfail(strict=True, reason="an entropy below the normal range loses its digits")
+
+
 @pytest.mark.parametrize(
     "command, alice, bob",
     [
-        ("round", ["1e-100", "1"], ["1", "1e-57"]),
-        ("round", ["1e-170", "1"], ["1", "1e-170"]),
+        pytest.param("round", ["1e-100", "1"], ["1", "1e-57"], marks=BELOW_NORMAL),
+        pytest.param("round", ["1e-170", "1"], ["1", "1e-170"], marks=BELOW_NORMAL),
         ("star", ["1e-100", "1"], ["1", "1e-57"]),
     ],
 )
 def test_entropy_below_the_normal_range(command, alice, bob):
-    """Known defect: the smaller Schmidt weight is 1e-314 or 1e-680 of
-    both, so the exact entropy, about 1e-311 or 1e-677, lies below the
-    normal range.  At 1e-314 ``entropy_D1`` prints a subnormal, which holds
-    fewer than 12 digits: 1.0445281168e-311 for 1.04452811684e-311.  At
-    1e-680 the D1 amplitude itself underflows, and it prints 0.0 for
-    2.26e-677.  The star's cat, whose terms are 1 and 1e-157, alike."""
+    """The smaller Schmidt weight is 1e-314 or 1e-680 of both, so the
+    exact entropy, about 1e-311 or 1e-677, lies below the normal range.
+    Known defect of the rounds: at 1e-314 ``entropy_D1`` prints a
+    subnormal that has lost digits, 1.0445281168e-311 for
+    1.04452811684e-311; at 1e-680 the D1 amplitude itself underflows, and
+    it prints 0.0 for 2.26e-677.  The star's cat, whose terms are 1 and
+    1e-157, prints the subnormal nearest its exact entropy, which at this
+    size still holds 12 digits."""
     record = printed(command, "--R", "0.5", "--alice", *alice, "--bob", *bob)
     if command == "star":
         spokes = [cli.parse_qubit(("V", "H"), alice, "--alice")[1:]]
@@ -424,8 +428,8 @@ def parsed_hub(bob):
 def test_star_prints_the_exact_cat(R, alices, bob):
     """``star``'s ``cat_fidelity`` and ``entropy_any_bipartition`` against
     exact arithmetic on the inputs that it parsed, within one unit in the
-    12th digit.  An entropy below the normal range prints below it, without
-    its digits, a defect that ``test_entropy_below_the_normal_range`` pins."""
+    12th digit.  A value below the normal range prints as the subnormal
+    nearest to it, which holds fewer digits the smaller it is."""
     flags = [text for pair in alices for text in ("--alice", *pair)]
     record = printed("star", "--R", repr(R), *flags, "--bob", *bob)
     spokes = [cli.parse_qubit(("V", "H"), pair, "--alice")[1:] for pair in alices]
@@ -436,7 +440,6 @@ def test_star_prints_the_exact_cat(R, alices, bob):
             assert within_one_unit(record[name], value), (name, record[name], float(value))
 
 
-@pytest.mark.xfail(strict=True, reason="cat_fidelity sums two rounded terms that nearly cancel")
 @pytest.mark.parametrize(
     "R, alices, bob",
     [
@@ -452,12 +455,12 @@ def test_star_prints_the_exact_cat(R, alices, bob):
     ],
 )
 def test_cat_fidelity_near_a_cancellation(R, alices, bob):
-    """Known defect: against the balanced cat the cat's two terms nearly
-    cancel, so each term's rounding error shows in their sum.  At 0.48
-    and -0.48 to six digits it is 1e-10 of the sum: ``cat_fidelity``
-    prints 1.08507007723e-12 for 1.08507007742e-12.  Where the terms
-    cancel to one rounding step it is all of it: 1.60753511007e-32 for
-    9.91e-33, an example that ``test_star_prints_the_exact_cat`` drew."""
+    """Against the balanced cat the cat's two terms nearly cancel: at
+    0.48 and -0.48 to six digits, or to one rounding step in an example
+    that ``test_star_prints_the_exact_cat`` drew.  A float sum of the two
+    rounded terms would print its own rounding error, 1.08507007723e-12
+    for 1.08507007742e-12 and 1.60753511007e-32 for 9.91e-33; the exact
+    columns print the exact values."""
     flags = [text for pair in alices for text in ("--alice", *pair)]
     record = printed("star", "--R", R, *flags, "--bob", *bob)
     spokes = [cli.parse_qubit(("V", "H"), pair, "--alice")[1:] for pair in alices]

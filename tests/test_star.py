@@ -15,12 +15,14 @@ from conftest import (
     star_bruteforce,
     states_close,
 )
+from exact import star_cat_values
 from cfqsim import star
 from cfqsim.michelson import BOB_DEVICE, BeamSplitter, RoundConfig, d1_state_closed_form
 from cfqsim.star import (
     StarConfig,
     alice_register,
     cat_fidelity,
+    exact_cat_columns,
     ideal_cat,
     partial_propagator,
     run_star,
@@ -81,6 +83,27 @@ def pinned_or_tiny_qubit(rng, basis, p_pinned) -> Qubit:
     amps = [small * np.exp(1j * rng.uniform(0, 6)), math.sqrt(1.0 - small * small) * np.exp(1j * rng.uniform(0, 6))]
     rng.shuffle(amps)
     return Qubit(basis, complex(amps[0]), complex(amps[1]))
+
+
+def unit_pair(pair: tuple[complex, complex]) -> tuple[complex, complex]:
+    """``pair`` scaled to unit norm, first by its larger modulus, so that
+    no modulus squared underflows."""
+    top = max(abs(a) for a in pair)
+    a, b = (a / top for a in pair)
+    n = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    return a / n, b / n
+
+
+# Normalized pairs of ``AMPLITUDES``, either one possibly 0: parts down to
+# 1e-300, mixed in one amplitude, so the exact products carry wide integers.
+UNIT_PAIRS = st.one_of(
+    st.tuples(AMPLITUDES | st.just(0j), AMPLITUDES), st.tuples(AMPLITUDES, AMPLITUDES | st.just(0j))
+).map(unit_pair)
+
+
+def star_of(R: float, spokes, hub) -> StarConfig:
+    """The star with spoke amplitude pairs on (V, H) and a hub pair on (P, B)."""
+    return StarConfig(BeamSplitter(R), tuple(Qubit(("V", "H"), *q) for q in spokes), Qubit(("P", "B"), *hub))
 
 
 def log10_abs(a: complex) -> float:
@@ -416,3 +439,32 @@ class TestCatFidelity:
     def test_ideal_cat_normalized(self):
         for n in (1, 2, 4):
             assert ideal_cat(n).norm2() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(TINY_REFLECTANCES, st.lists(UNIT_PAIRS, min_size=1, max_size=12), UNIT_PAIRS)
+    @example(0.5, [(1.0, 0.0), (0.0, 1.0)], (SQ2, SQ2))  # zero yield
+    @example(0.5, [(1.0, 0.0)], (0.6, 0.8))  # one term
+    @example(0.37, [(SQ2, SQ2)] * 300, (SQ2, SQ2))
+    @example(5e-324, [(0.6, 0.8j)] * 5000, (0.8, -0.6))
+    def test_is_the_overlap_with_the_ideal_cat(self, R, spokes, hub):
+        """``cat_fidelity`` reads the cat's terms and a constant norm**2,
+        bit for bit what the generic overlap with ``ideal_cat`` gives."""
+        result = run_star(star_of(R, spokes, hub))
+        want = fidelity_up_to_phase(result.state, ideal_cat(len(spokes)))
+        assert cat_fidelity(result).hex() == want.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(TINY_REFLECTANCES, st.lists(UNIT_PAIRS, min_size=1, max_size=12), UNIT_PAIRS)
+    @example(0.5, [(1.0, 0.0), (0.0, 1.0)], (SQ2, SQ2))  # zero yield
+    @example(0.5, [(1.0, 0.0)], (0.6, 0.8))  # one term
+    @example(0.5, [(1e-100, 1.0)], (1.0, 1e-57))  # weights 1e-314 apart
+    @example(0.5, [(0.5999991999997, 0.8000005999996)], (0.6, -0.8))  # near cancellation
+    @example(0.37, [(0.6, 0.8j)] * 300, (0.8, -0.6))
+    def test_exact_columns_are_the_exact_values_rounded(self, R, spokes, hub):
+        """``exact_cat_columns`` gives the exact fidelity and entropy, each
+        rounded once to a double."""
+        cfg = star_of(R, spokes, hub)
+        want = star_cat_values([q[1:] for q in cfg.alices], *cfg.bob[1:])
+        fidelity, entropy = exact_cat_columns(cfg)
+        assert fidelity == float(want["cat_fidelity"])
+        assert entropy == float(want["entropy_any_bipartition"])
