@@ -34,6 +34,11 @@ another state's ``amps`` copies them first.  Both constructors, and so
 every operation, keep every nonzero amplitude, however small: nothing is
 pruned but exact zeros.
 
+``product_state``, ``apply_map``, ``sector``, ``postselect`` and
+``PureState.restrict`` have no runtime caller: no round, transfer, star,
+chain or CLI path runs them.  They are the checked library API, and the
+tests build their reference maps and oracles from them.
+
 ``_map_labels`` builds each output label in two C calls: it joins the
 input label and the branch's output pattern, and reads the result through
 a projection cached per (register count, positions), ``_splice``, which

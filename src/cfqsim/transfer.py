@@ -4,7 +4,9 @@ The receiver prepares a balanced device, one counterfactual round leaves
 the two devices in a payload-dependent entangled pair, and a Hadamard plus
 measurement on the sender's device steers the receiver into the payload up
 to a known Pauli correction announced with one classical bit.  Only the
-round's D1 sector is read: the D2 and DB outcomes are never built.
+round's D1 sector is read: the D2 and DB outcomes are never built.  The
+sender's Hadamard and the post-selection on its outcome run on the
+pair's labels (at most two), not through ``states``' label kernel.
 """
 
 from __future__ import annotations
@@ -13,14 +15,12 @@ import math
 from typing import NamedTuple
 
 from .michelson import ALICE_DEVICE, BOB_DEVICE, BeamSplitter, _outcomes
-from .states import PureState, Qubit, Register, _checked_registers, _restricted, apply_map, postselect
+from .states import PureState, Qubit, Register, _checked_registers, _rescued, _restricted
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# What ``_steer`` restricts to, checked once here: the device pair, and
-# each device alone.
+# What ``_steer`` restricts the D1 posterior to, checked once here.
 _PAIR = _checked_registers((ALICE_DEVICE, BOB_DEVICE))
-_ALONE = {device: _checked_registers((device,)) for device in _PAIR}
 
 
 class TransferTranscript(NamedTuple):
@@ -40,9 +40,11 @@ def _steer(
     ``sender`` is the device holding the payload; the receiver's device
     starts balanced.  The shared pair is a|H, P> + b|V, B>, and the
     Hadamard puts its minus sign on the sender's symbol of the |V, B> term.
-    Returns the pair, the receiver's device and, per sender outcome in
-    ``branches``, its probability and the receiver's uncorrected
-    amplitudes in the receiver's alphabet order.
+    The Hadamard and the post-selection run on the pair's labels, in
+    ``apply_map``'s and ``postselect``'s operation order.  Returns the
+    pair, the receiver's device and, per sender outcome in ``branches``,
+    its probability and the receiver's uncorrected amplitudes in the
+    receiver's alphabet order.
     """
     basis = sender.alphabet
     if tuple(payload.basis) != basis:
@@ -59,16 +61,20 @@ def _steer(
     if not d1.posterior.amps:
         raise ValueError("configuration admits no counterfactual branch")
     shared = _restricted(d1.posterior, _PAIR)
-    hadamard = {
-        (plus,): [((plus,), _SQRT_HALF), ((minus,), _SQRT_HALF)],
-        (minus,): [((plus,), _SQRT_HALF), ((minus,), -_SQRT_HALF)],
-    }
-    rotated = apply_map(shared, (sender,), hadamard)
+    s = _PAIR.index(sender)  # the sender's position in the pair's labels
+    # Each label fans out to its plus and its minus label at amp * (+-1/sqrt2);
+    # the two labels differ in the receiver's symbol, so no two outputs meet.
+    amps = {}
+    for label, amp in shared.amps.items():
+        other = label[1 - s]
+        for sym, coeff in ((plus, _SQRT_HALF), (minus, -_SQRT_HALF if label[s] == minus else _SQRT_HALF)):
+            amps[(sym, other) if s == 0 else (other, sym)] = amp * coeff
+    rotated, total = _rescued(PureState._trusted(_PAIR, amps))
     results = []
     for branch in branches:
-        prob, post = postselect(rotated, sender, branch)
-        received = _restricted(post, _ALONE[receiver])
-        results.append((prob, [received.amps.get((sym,), 0j) for sym in receiver.alphabet]))
+        post = PureState._trusted(_PAIR, {l: a for l, a in rotated.amps.items() if l[s] == branch})
+        received = {l[1 - s]: a for l, a in post.normalized().amps.items()}
+        results.append((post.norm2() / total, [received.get(sym, 0j) for sym in receiver.alphabet]))
     return shared, receiver, results
 
 

@@ -35,7 +35,7 @@ from cfqsim.states import (
     product_state,
     sector,
 )
-from cfqsim.transfer import _ALONE, _PAIR
+from cfqsim.transfer import _PAIR
 from cfqsim.zeno import _check_one_layer
 
 # Reflectances in [1e-300, 1), log-uniform and uniform.
@@ -254,7 +254,7 @@ def steer_reference(payload: Qubit, bs: BeamSplitter, sender: Register, branches
     results = []
     for branch in branches:
         prob, post = postselect(rotated, sender, branch)
-        received = _restricted(post, _ALONE[receiver])
+        received = post.restrict((receiver,))
         results.append((prob, [received.amps.get((sym,), 0j) for sym in receiver.alphabet]))
     return shared, receiver, results
 

@@ -1,8 +1,12 @@
 import cmath
+import contextlib
 import copy
+import importlib
 import itertools
 import math
 import pickle
+import pkgutil
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,10 +28,11 @@ from conftest import (
     unitary_rules,
 )
 from exact import abs2, entropy_bits, within_one_unit
-from cfqsim import cli
+import cfqsim
+from cfqsim import cli, states
 from cfqsim.costs import cost_profile, monte_carlo
-from cfqsim.michelson import BeamSplitter, RoundConfig, run_round
-from cfqsim.star import StarConfig, run_star
+from cfqsim.michelson import BeamSplitter, RoundConfig, closed_form_probs, round_record, run_round, run_scqkd_round
+from cfqsim.star import StarConfig, cat_fidelity, run_star
 from cfqsim.states import (
     PureState,
     Qubit,
@@ -40,7 +45,7 @@ from cfqsim.states import (
     product_state,
     sector,
 )
-from cfqsim.transfer import transfer_alice_to_bob
+from cfqsim.transfer import transfer_alice_to_bob, transfer_bob_to_alice, transfer_without_correction
 from cfqsim.zeno import ChainConfig, run_chain
 
 A = Register("device_a")
@@ -937,3 +942,60 @@ def test_map_labels_matches_its_reference(case):
     build: the same labels in the same order, every amplitude bit for bit."""
     state, idx, rules = case
     assert mapped_exactly(_map_labels, state, idx, rules) == mapped_exactly(map_labels_reference, state, idx, rules)
+
+
+# ---- the checked library API stays off the runtime path
+
+# The library API that the tests' references use and no runtime path calls:
+# the maps run ``_map_labels``, the rounds and transfers restrict through
+# ``_restricted``.
+REFERENCE_API = {
+    "product_state": states.product_state,
+    "apply_map": states.apply_map,
+    "sector": states.sector,
+    "postselect": states.postselect,
+    "restrict": PureState.restrict,
+}
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("a runtime path called the reference API")
+
+
+def test_no_runtime_path_runs_the_reference_api(capsys):
+    """The rounds, the transfers, the star, the chain and the CLI give their
+    answers with ``product_state``, ``apply_map``, ``sector``,
+    ``postselect`` and ``PureState.restrict`` patched to raise, and no
+    ``cfqsim`` module but ``states`` binds any of them."""
+    bs = BeamSplitter(0.2 + 0.1 * math.pi)  # a fresh R: the rounds build their table under the patch
+    alice, bob = Qubit(("V", "H"), 0.6, 0.8j), Qubit(("P", "B"), 0.8, -0.6)
+    pb = Qubit.balanced(("pass", "block"))
+    with contextlib.ExitStack() as patches:
+        for name in REFERENCE_API:
+            owner = PureState if name == "restrict" else states
+            patches.enter_context(mock.patch.object(owner, name, _refused))
+        records = [round_record(RoundConfig(bs, alice, bob, variant)) for variant in ("N09", "ScQKD")]
+        split = run_round(RoundConfig(bs, alice, bob), split_detector_polarization=True)
+        scqkd = run_scqkd_round(pb, pb, bs)
+        transfers = [transfer_alice_to_bob(alice, bs, "V"), transfer_bob_to_alice(bob, bs, "B")]
+        uncorrected = transfer_without_correction(alice)
+        star = run_star(StarConfig(bs, (alice, Qubit.balanced(("V", "H"))), Qubit.balanced(("P", "B"))))
+        fidelity = cat_fidelity(star)
+        chain = run_chain(ChainConfig(40, layers=2))
+        for argv in ("round --R 0.37", "scqkd --R 0.37", "table --R 0.37", "star --R 0.37 --N 3",
+                     "czqe --L 40 --N 2", "qst --R 0.37 --payload 0.6 0,0.8"):
+            assert cli.main(argv.split()) == 0, argv
+    capsys.readouterr()
+    assert records[0]["P_D1"] == pytest.approx(closed_form_probs(RoundConfig(bs, alice, bob)).P_D1, rel=1e-12)
+    for outcomes in ([records[1][f"P_{o}"] for o in ("D1", "D2", "DB")], [o.probability for o in split],
+                     [o.probability for o in scqkd]):
+        assert sum(outcomes) == pytest.approx(1.0, abs=1e-12)
+    assert [t.fidelity for t in transfers] == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert 0.5 <= uncorrected < 1.0
+    assert star.yield_probability > 0.0 and 0.0 < fidelity <= 1.0
+    assert 0.0 < chain.survival <= 1.0
+    for info in pkgutil.iter_modules(cfqsim.__path__):
+        if info.name != "states":
+            bound = vars(importlib.import_module(f"cfqsim.{info.name}"))
+            assert not set(REFERENCE_API) & set(bound), info.name
+            assert not any(any(v is f for f in REFERENCE_API.values()) for v in bound.values()), info.name
