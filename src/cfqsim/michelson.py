@@ -23,12 +23,14 @@ A round superposes after the maps: by linearity it is its four classical
 device pairs' rounds, each weighted by the pair's two amplitudes.  So
 ``_round_table`` runs the maps once per (beam splitter, variant) on the
 four pairs at unit weight, where every cancellation is exact, and tags
-each row with its detector symbol.  ``_outcomes`` is the table's one
-reader for the rounds and transfers: one scan weights the rows whose
-symbol it is asked for and sorts them into their outcomes' sectors; each
-sector's norm**2 is both its probability and its posterior's normaliser.
-``run_round`` reads all three outcomes, ``transfer`` the D1 sector alone,
-and ``star`` takes its D1 factors from the table's D1 rows.
+each row with its detector symbol; it alone refuses a degenerate splitter,
+for every protocol.  ``_outcomes`` is the table's reader for the rounds
+and transfers: one scan weights the rows whose symbol it is asked for and
+sorts them into their outcomes' sectors; each sector's norm**2 is both
+its probability and its normaliser, and each posterior is restricted
+once, to the registers its reader keeps.  ``run_round`` reads all three
+outcomes, ``transfer`` the D1 sector alone, and ``star`` its D1 factors
+and the cat's pairings from the table's D1 rows.
 
 Beam splitter phase convention: reflection picks up a factor i on the way
 out, transmission stays real; on the return pass the roles swap so that a
@@ -202,11 +204,13 @@ def _pass_block_switches(state: PureState) -> PureState:
 
 
 # Each ``DETECTOR`` symbol's outcome, in outcome order: one per output
-# detector, polarization summed, or one per tag; then DB, the silent detector.
-_CLICKS = {"D1V": "D1", "D1H": "D1", "D2V": "D2", "D2H": "D2", "none": "DB"}
-_SPLIT_CLICKS = {"D1V": "D1V", "D1H": "D1H", "D2V": "D2V", "D2H": "D2H", "none": "DB"}
+# detector, polarization summed, or one per tag; then DB, the silent
+# detector.  The D1 symbols, named once, also serve transfer and star.
+_D1_CLICKS = {"D1V": "D1", "D1H": "D1"}
+_CLICKS = {**_D1_CLICKS, "D2V": "D2", "D2H": "D2", "none": "DB"}
+_SPLIT_CLICKS = {symbol: "DB" if symbol == "none" else symbol for symbol in _CLICKS}
 
-# The registers each variant's posteriors keep, checked once here, since
+# The registers the readers' posteriors keep, checked once here, since
 # ``_outcomes`` restricts to them without the checks of ``restrict``.
 _DEVICES = _checked_registers((ALICE_DEVICE, BOB_DEVICE))
 _TAGGED_DEVICES = _checked_registers((*_DEVICES, DETECTOR))
@@ -221,7 +225,9 @@ def _round_table(bs: BeamSplitter, variant: str) -> tuple[tuple[Label, str, int,
     symbol, the indices of its sender's and its receiver's symbols in their
     devices' alphabets, and its amplitude.  Each label keeps its pair's
     device symbols, and the passing pairs' D1 terms, -r*t and t*r, cancel
-    to an exact zero."""
+    to an exact zero.  Every reader's R = 0 or 1 is refused here."""
+    if not 0.0 < bs.R < 1.0:
+        raise ValueError("degenerate beam splitter: R must lie strictly inside (0, 1)")
     n09 = variant == "N09"
     state = forward_beamsplitter(_N09_PAIRS if n09 else _SCQKD_PAIRS, bs)
     state = return_beamsplitter(switch_interaction(state) if n09 else _pass_block_switches(state), bs)
@@ -233,7 +239,7 @@ def _round_table(bs: BeamSplitter, variant: str) -> tuple[tuple[Label, str, int,
 
 
 def _outcomes(
-    bs: BeamSplitter, variant: str, sender: Qubit, receiver: Qubit, clicks: dict[str, str]
+    bs: BeamSplitter, variant: str, sender: Qubit, receiver: Qubit, clicks: dict[str, str], keep: tuple[Register, ...]
 ) -> list[RoundOutcome]:
     """The round of ``variant`` with both devices superposed (qubits
     declared in their devices' order) as one outcome per name in ``clicks``
@@ -241,35 +247,32 @@ def _outcomes(
     row of ``_round_table`` that ``clicks`` names by its sender's and its
     receiver's amplitude and sorts it into its outcome's sector, in table
     order, dropping exact zeros.  Each outcome is its sector's norm**2 and
-    the sector divided by its root, restricted to the variant's kept
-    registers; a norm**2 below the normal range goes through
-    ``normalized``, which rescales first.  Every kept amplitude is nonzero,
-    so a sector with labels has a posterior even where its probability
-    underflows."""
-    if not 0.0 < bs.R < 1.0:
-        raise ValueError("degenerate beam splitter: R must lie strictly inside (0, 1)")
+    the sector divided by its root, restricted once: a click's to ``keep``,
+    DB's to the variant's devices (and pass/block absorbers); a norm**2
+    below the normal range goes through ``normalized``, which rescales
+    first.  Every kept amplitude is nonzero, so a sector with labels has a
+    posterior even where its probability underflows."""
     n09 = variant == "N09"
     registers = (_N09_PAIRS if n09 else _SCQKD_PAIRS).registers
-    tagged, blocked_keep = (_TAGGED_DEVICES, _DEVICES) if n09 else (_SWITCHES, _SWITCHES_ABSORBERS)
     mu = (complex(sender.amp0), complex(sender.amp1))
     alpha = (complex(receiver.amp0), complex(receiver.amp1))
     parts: dict[str, dict] = {name: {} for name in clicks.values()}
-    for label, symbol, i, j, c in _round_table(bs, variant):
+    for label, symbol, i, j, c in _round_table(bs, variant):  # refuses a degenerate splitter
         if symbol in clicks:
             amp = mu[i] * alpha[j] * c
             if amp:
                 parts[clicks[symbol]][label] = amp
     outcomes = []
     for name, amps in parts.items():
-        keep = blocked_keep if name == "DB" else tagged
+        kept = (_DEVICES if n09 else _SWITCHES_ABSORBERS) if name == "DB" else keep
         n2 = float(sum(abs(a) ** 2 for a in amps.values()))
         if n2 >= sys.float_info.min:
             n = math.sqrt(n2)
-            posterior = _restricted(PureState._trusted(registers, {l: a / n for l, a in amps.items()}), keep)
+            posterior = _restricted(PureState._trusted(registers, {l: a / n for l, a in amps.items()}), kept)
         elif amps:
-            posterior = _restricted(PureState._trusted(registers, amps).normalized(), keep)
+            posterior = _restricted(PureState._trusted(registers, amps).normalized(), kept)
         else:
-            posterior = PureState._trusted(keep, {})
+            posterior = PureState._trusted(kept, {})
         outcomes.append(RoundOutcome(name, n2, posterior))
     return outcomes
 
@@ -284,7 +287,8 @@ def run_round(
     only the two devices.  Probabilities sum to 1.
     """
     clicks = _SPLIT_CLICKS if split_detector_polarization else _CLICKS
-    outcomes = _outcomes(config.bs, config.variant, config.alice, config.bob, clicks)  # checks R first
+    keep = _TAGGED_DEVICES if config.variant == "N09" else _SWITCHES
+    outcomes = _outcomes(config.bs, config.variant, config.alice, config.bob, clicks, keep)  # checks R first
     if split_detector_polarization and config.variant == "ScQKD":
         raise ValueError("the pass/block variant has no polarization-resolved detectors")
     return outcomes
@@ -341,7 +345,7 @@ def run_scqkd_round(
     """
     if tuple(alice.basis) != ("pass", "block") or tuple(bob.basis) != ("pass", "block"):
         raise ValueError("pass/block round needs qubits declared over (pass, block)")
-    return _outcomes(bs, "ScQKD", alice, bob, _CLICKS)
+    return _outcomes(bs, "ScQKD", alice, bob, _CLICKS, _SWITCHES)
 
 
 def round_record(config: RoundConfig) -> dict:

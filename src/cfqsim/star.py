@@ -7,7 +7,8 @@ superposition; the per-link evolution restricted to that sector is a
 simple non-unitary "keep the compatible branch" map, read off the D1
 rows of the N09 round's unit-pair table (``michelson._round_table``): its
 factor is -sqrt(R)*sqrt(T) on (H, P) and (V, B), so the cat carries a
-global phase (-1)**N.
+global phase (-1)**N.  So the star refuses R = 0 or 1 where the table
+does, and ``_d1_rules`` holds its only hub/spoke pairings.
 
 Given the hub's setting the links are independent, so ``run_star``
 carries only the live hub branches.  Per spoke it builds their (hub,
@@ -23,9 +24,9 @@ and its base-10 logarithm are built once, at the end.
 ``cat_fidelity`` reads the cat's two terms against the balanced cat's
 constant amplitude, so its cost does not grow with N.  The CLI's cat
 columns come from ``exact_cat_columns`` instead: both depend only on the
-branch amplitudes p = alpha prod nu_j and b = beta prod mu_j, which it
-multiplies exactly, as Gaussian integers over a power of two, and rounds
-once.
+branch amplitudes p = alpha prod nu_j and b = beta prod mu_j, one per
+pairing of ``_d1_rules``, which it multiplies exactly, as Gaussian
+integers over a power of two, and rounds once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .michelson import ALICE_DEVICE, BOB_DEVICE, BeamSplitter, _round_table
+from .michelson import ALICE_DEVICE, BOB_DEVICE, _D1_CLICKS, BeamSplitter, _round_table
 from .states import PureState, Qubit, Register, ValidatedTuple, _map_labels, _positions, _rescued
 
 
@@ -70,12 +71,12 @@ class CatResult(NamedTuple):
 
 @functools.lru_cache(maxsize=1)
 def _d1_rules(bs: BeamSplitter) -> dict:
-    """Each (device_b, device_a) pair's D1 factor, read off the D1 rows of
-    the N09 round's unit-pair table, as a rule on those registers; a pair
-    without D1 maps to none."""
-    rules = {(b, a): [] for a in ALICE_DEVICE.alphabet for b in BOB_DEVICE.alphabet}
+    """Each (device_b, device_a) pair's D1 factor, hub symbol major, read
+    off the D1 rows of the N09 round's unit-pair table, as a rule on those
+    registers; a pair without D1 maps to none."""
+    rules = {(b, a): [] for b in BOB_DEVICE.alphabet for a in ALICE_DEVICE.alphabet}
     for _, symbol, i, j, c in _round_table(bs, "N09"):
-        if symbol in ("D1V", "D1H"):
+        if symbol in _D1_CLICKS:
             pair = (BOB_DEVICE.alphabet[j], ALICE_DEVICE.alphabet[i])
             rules[pair] = [(pair, c)]
     return rules
@@ -170,9 +171,10 @@ def exact_cat_columns(config: StarConfig) -> tuple[float, float]:
     zero yield.
 
     Up to the common factor (-sqrt(RT))**N the cat is p|H..HP> + b|V..VB>
-    with p = alpha prod nu_j and b = beta prod mu_j.  Every float is a
-    dyadic rational, so p and b are Gaussian integers over a power of two,
-    multiplied in a balanced product tree.  The fidelity
+    with p = alpha prod nu_j and b = beta prod mu_j: one term per D1 pair
+    of ``_d1_rules``, in its order.  Every float is a dyadic rational, so
+    p and b are Gaussian integers over a power of two, multiplied in a
+    balanced product tree.  The fidelity
     |p + b|**2 / (2 (|p|**2 + |b|**2)) is one int division, which rounds
     correctly.  The two terms differ on every register, so the entropy is
     h(w) of the smaller Schmidt share w = min(|p|**2, |b|**2) /
@@ -180,8 +182,11 @@ def exact_cat_columns(config: StarConfig) -> tuple[float, float]:
     bits of each weight.  Only products wider than ``EXACT_BITS`` are
     rounded before that, to their top bits.
     """
-    p = _product([_gaussian(config.bob.amp0), *(_gaussian(q.amp1) for q in config.alices)])
-    b = _product([_gaussian(config.bob.amp1), *(_gaussian(q.amp0) for q in config.alices)])
+    p, b = (
+        _product([_gaussian(config.bob.amplitudes()[hub]), *(_gaussian(q.amplitudes()[spoke]) for q in config.alices)])
+        for (hub, spoke), rule in _d1_rules(config.bs).items()
+        if rule
+    )
     wp, wb = p[0] ** 2 + p[1] ** 2, b[0] ** 2 + b[1] ** 2  # |p|**2 * 4**p[2], |b|**2 * 4**b[2]
     if not (wp and wb):
         return (0.5 if wp or wb else 0.0), 0.0

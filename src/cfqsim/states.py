@@ -15,13 +15,7 @@ constructor, ``product_state``, the rule patterns of ``apply_map`` and
 the ``keep`` registers of ``PureState.restrict`` check every register and
 symbol they are given on every call.  ``michelson``'s maps, whose
 patterns are fixed, run ``apply_map``'s pattern checker over them once,
-at import, and then only its label loop.  The rounds build no input
-state per call: the maps run once per beam splitter on unit device pairs
-built at import, and each call weights the result by its qubits'
-amplitudes (``michelson._round_table``).  The rounds and transfers
-restrict to fixed keep tuples checked once, at import, through
-``_restricted``, which reads the kept and dropped label positions from a
-plan cached per (register tuple, keep tuple).  Each value type built on
+at import, and then only its label loop.  Each value type built on
 ``ValidatedTuple`` (``Register``, ``Qubit``, the engines'
 configs) checks its fields in ``__new__``, which ``_replace``,
 ``_make``, copies and pickles go through too.  States derived from
@@ -211,9 +205,9 @@ class PureState:
         This is a coherent uncompute of redundant records (e.g. a detector
         tag perfectly correlated with a device register), not a partial
         trace; it raises if a dropped register carries independent
-        information.  ``keep`` is checked on every call; the rounds and
-        transfers call ``_restricted`` directly, with fixed keep tuples
-        checked once, at import.
+        information.  ``keep`` is checked on every call;
+        ``michelson._outcomes`` calls ``_restricted`` directly, with fixed
+        keep tuples checked once, at import.
         """
         return _restricted(self, _checked_registers(keep))
 

@@ -14,13 +14,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .michelson import ALICE_DEVICE, BOB_DEVICE, BeamSplitter, _outcomes
-from .states import PureState, Qubit, Register, _checked_registers, _rescued, _restricted
+from .michelson import ALICE_DEVICE, BOB_DEVICE, _D1_CLICKS, _DEVICES, BeamSplitter, _outcomes
+from .states import PureState, Qubit, Register, _rescued
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-# What ``_steer`` restricts the D1 posterior to, checked once here.
-_PAIR = _checked_registers((ALICE_DEVICE, BOB_DEVICE))
 
 
 class TransferTranscript(NamedTuple):
@@ -57,11 +54,11 @@ def _steer(
     else:
         receiver, minus, plus = ALICE_DEVICE, "B", "P"
         alice, bob = Qubit.balanced(("V", "H")), payload
-    [d1] = _outcomes(bs, "N09", alice, bob, {"D1V": "D1", "D1H": "D1"})
-    if not d1.posterior.amps:
+    [d1] = _outcomes(bs, "N09", alice, bob, _D1_CLICKS, _DEVICES)
+    shared = d1.posterior  # on the device pair: ``_outcomes`` drops the detector tag
+    if not shared.amps:
         raise ValueError("configuration admits no counterfactual branch")
-    shared = _restricted(d1.posterior, _PAIR)
-    s = _PAIR.index(sender)  # the sender's position in the pair's labels
+    s = _DEVICES.index(sender)  # the sender's position in the pair's labels
     # Each label fans out to its plus and its minus label at amp * (+-1/sqrt2);
     # the two labels differ in the receiver's symbol, so no two outputs meet.
     amps = {}
@@ -69,10 +66,10 @@ def _steer(
         other = label[1 - s]
         for sym, coeff in ((plus, _SQRT_HALF), (minus, -_SQRT_HALF if label[s] == minus else _SQRT_HALF)):
             amps[(sym, other) if s == 0 else (other, sym)] = amp * coeff
-    rotated, total = _rescued(PureState._trusted(_PAIR, amps))
+    rotated, total = _rescued(PureState._trusted(_DEVICES, amps))
     results = []
     for branch in branches:
-        post = PureState._trusted(_PAIR, {l: a for l, a in rotated.amps.items() if l[s] == branch})
+        post = PureState._trusted(_DEVICES, {l: a for l, a in rotated.amps.items() if l[s] == branch})
         received = {l[1 - s]: a for l, a in post.normalized().amps.items()}
         results.append((post.norm2() / total, [received.get(sym, 0j) for sym in receiver.alphabet]))
     return shared, receiver, results

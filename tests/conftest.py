@@ -35,7 +35,6 @@ from cfqsim.states import (
     product_state,
     sector,
 )
-from cfqsim.transfer import _PAIR
 from cfqsim.zeno import _check_one_layer
 
 # Reflectances in [1e-300, 1), log-uniform and uniform.
@@ -247,7 +246,7 @@ def steer_reference(payload: Qubit, bs: BeamSplitter, sender: Register, branches
     d1 = run_round(RoundConfig(bs, alice, bob))[0]
     if not d1.posterior.amps:
         raise ValueError("configuration admits no counterfactual branch")
-    shared = _restricted(d1.posterior, _PAIR)
+    shared = d1.posterior.restrict((ALICE_DEVICE, BOB_DEVICE))
     h = 1.0 / math.sqrt(2.0)
     hadamard = {(plus,): [((plus,), h), ((minus,), h)], (minus,): [((plus,), h), ((minus,), -h)]}
     rotated = apply_map(shared, (sender,), hadamard)
@@ -268,19 +267,19 @@ OUTCOME_SYMBOLS = {
 }
 
 
-def outcomes_reference(state: PureState, names, tagged, blocked_keep) -> list[RoundOutcome]:
+def outcomes_reference(state: PureState, names, keep, blocked_keep) -> list[RoundOutcome]:
     """The outcomes ``names`` of an evolved round, each read apart: its
     ``sector``, that sector's ``norm2`` as the probability and its
-    ``normalized`` posterior, restricted to ``tagged`` or, for DB, to
-    ``blocked_keep``.  The reference that ``michelson._outcomes``, which
-    weights the unit-pair table's rows and sorts them into every sector in
-    one scan, and divides each by the root of the norm**2 it reports, must
-    match bit for bit."""
+    ``normalized`` posterior, restricted to ``keep``, the reader's
+    registers, or, for DB, to ``blocked_keep``.  The reference that
+    ``michelson._outcomes``, which weights the unit-pair table's rows and
+    sorts them into every sector in one scan, and divides each by the root
+    of the norm**2 it reports, must match bit for bit."""
     outcomes = []
     for name in names:
         part = sector(state, DETECTOR, OUTCOME_SYMBOLS[name])
-        keep = blocked_keep if name == "DB" else tagged
-        posterior = _restricted(part.normalized(), keep) if part.amps else PureState(keep, {})
+        kept = blocked_keep if name == "DB" else keep
+        posterior = _restricted(part.normalized(), kept) if part.amps else PureState(kept, {})
         outcomes.append(RoundOutcome(name, part.norm2(), posterior))
     return outcomes
 

@@ -73,6 +73,7 @@ COMMANDS = (
     "star --R 0.5 --N 5001",
     "star --R 0.5 --N 3 --alice 1 0",
     "star --R 0.5 --alice inf 1",
+    "star --R 1 --N 2",
     "czqe",
     "czqe --L 0",
     "czqe --L 10 --theta 2",

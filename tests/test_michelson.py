@@ -20,7 +20,7 @@ from conftest import (
     states_close,
     switch_interaction_reference,
 )
-from cfqsim import michelson, star, transfer
+from cfqsim import cli, michelson, star, transfer
 from cfqsim.michelson import (
     ABSORBER_ALICE,
     ABSORBER_BOB,
@@ -640,8 +640,12 @@ D1_SIGNS = {
 }
 
 
+# Reflectances log-uniform in [5e-324, 1).
+SUBNORMAL_REFLECTANCES = st.floats(min_value=-1074.0, max_value=0.0).map(lambda e: 2.0**e).filter(lambda R: R < 1.0)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.floats(min_value=-1074.0, max_value=0.0).map(lambda e: 2.0**e).filter(lambda R: R < 1.0))
+@given(SUBNORMAL_REFLECTANCES)
 @example(5e-324)
 @example(0.37)
 @example(0.5)
@@ -665,14 +669,106 @@ def test_the_table_clicks_d1_only_where_the_closed_forms_allow(R):
         assert dict(rows) == {pair: complex(sign * s) for pair, sign in signs.items()}, (variant, rows)
 
 
+@settings(max_examples=300, deadline=None)
+@given(SUBNORMAL_REFLECTANCES)
+@example(5e-324)
+@example(0.37)
+def test_a_click_tag_is_its_outcome_and_the_senders_symbol(R):
+    """Every D1 and D2 row of the N09 table carries the detector tag D1 or
+    D2 followed by device_a's symbol.  So the tag is a function of the
+    outcome and the device pair, and ``_outcomes`` may drop it from the
+    transfers' D1 posterior without merging two labels."""
+    registers = michelson._N09_PAIRS.registers
+    a, d = registers.index(ALICE_DEVICE), registers.index(DETECTOR)
+    clicks = [row for row in michelson._round_table(BeamSplitter(R), "N09") if row[1] != "none"]
+    assert {symbol[:2] for _, symbol, *_ in clicks} == {"D1", "D2"}
+    for label, symbol, i, *_ in clicks:
+        assert symbol == label[d] in (f"D1{label[a]}", f"D2{label[a]}"), label
+        assert label[a] == ALICE_DEVICE.alphabet[i], label
+
+
+# Each variant's D1 pairs, as (sender, receiver) symbols, and the arm that
+# the photon clicking D1 on that pair took: the paper's counterfactual claim.
+D1_ARMS = {
+    "N09": {("H", "P"): "internal", ("V", "B"): "internal"},
+    "ScQKD": {("pass", "block"): "internal", ("block", "pass"): "channel"},
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(SUBNORMAL_REFLECTANCES)
+@example(5e-324)
+@example(0.37)
+def test_a_d1_click_comes_from_one_arm(R):
+    """On the reference maps, each variant's unit device pairs are split
+    just before the return splitter into their channel part (``arm_b``
+    occupied) and their internal part, and the return splitter runs on
+    each.  N09 clicks D1 on the blocked pairs alone, and there the channel
+    part is exactly 0: the photon was never in the channel.  The pass/block
+    round's D1 on (pass, block) comes from the internal arm alone, and on
+    (block, pass) from the channel arm alone."""
+    bs = BeamSplitter(R)
+    for variant, arms in D1_ARMS.items():
+        n09 = variant == "N09"
+        pairs, switches = (
+            (michelson._N09_PAIRS, switch_interaction_reference)
+            if n09
+            else (michelson._SCQKD_PAIRS, pass_block_switches_reference)
+        )
+        before = switches(forward_beamsplitter_reference(pairs, bs))
+        parts = {
+            arm: return_beamsplitter_reference(sector(before, ARM_BOB, symbols), bs).amps
+            for arm, symbols in (("channel", ("V", "H")), ("internal", ("vac",)))
+        }
+        d1 = sector(return_beamsplitter_reference(before, bs), DETECTOR, ("D1V", "D1H"))
+        devices = (ALICE_DEVICE, BOB_DEVICE) if n09 else (SWITCH_ALICE, SWITCH_BOB)
+        s, r = (d1.registers.index(reg) for reg in devices)
+        assert {(label[s], label[r]) for label in d1.amps} == set(arms), variant
+        for label, amp in d1.amps.items():
+            arm = arms[(label[s], label[r])]
+            other = "internal" if arm == "channel" else "channel"
+            assert (parts[arm][label], parts[other].get(label, 0j)) == (amp, 0j), (variant, label)
+
+
+DEGENERATE = "^degenerate beam splitter: R must lie strictly inside \\(0, 1\\)$"
+
+
+@pytest.mark.parametrize("R", [0.0, 1.0])
+def test_every_reader_of_the_link_refuses_a_degenerate_splitter(R, capsys):
+    """The rounds, the transfers and the star all read the one unit-pair
+    table, which refuses R = 0 and 1 with one message; the CLI's star
+    exits 1 with that message on one ``error:`` line."""
+    bs = BeamSplitter(R)
+    vh, pb, hub = Qubit.balanced(("V", "H")), Qubit.balanced(("pass", "block")), Qubit.balanced(("P", "B"))
+    cat = star.StarConfig(bs, (vh, vh), hub)
+    link = PureState((BOB_DEVICE, star.alice_register(0)), {("P", "H"): 1.0})
+    for call in (
+        lambda: run_round(balanced_config(R)),
+        lambda: run_round(balanced_config(R), split_detector_polarization=True),
+        lambda: run_round(balanced_config(R)._replace(variant="ScQKD")),
+        lambda: run_scqkd_round(pb, pb, bs),
+        lambda: transfer_alice_to_bob(vh, bs, "V"),
+        lambda: transfer_bob_to_alice(hub, bs, "B"),
+        lambda: star.partial_propagator(link, 0, bs),
+        lambda: star.run_star(cat),
+        lambda: star.exact_cat_columns(cat),
+    ):
+        with pytest.raises(ValueError, match=DEGENERATE):
+            call()
+    capsys.readouterr()
+    assert cli.main(["star", "--R", f"{R:g}", "--N", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: degenerate beam splitter: R must lie strictly inside (0, 1)\n")
+
+
 @settings(max_examples=150, deadline=None)
 @given(REFLECTANCES, unit_pairs_down_to_tiny(), unit_pairs_down_to_tiny(), st.sampled_from(VARIANTS))
 @example(1e-300, (SQ2, SQ2), (SQ2, SQ2), "ScQKD")
 @example(0.37, (0.6, 0.8j), (0.6j, 0.8), "N09")
 @example(0.5, (1.0, 0.0), (0.0, 1.0), "N09")
 def test_rounds_and_transfers_match_the_reference_restrict(R, alice, bob, variant):
-    """The posteriors' and transfers' restrictions, on cached plans, against
-    the reference that looks every kept register up on each call."""
+    """The posteriors' restrictions, on cached plans, against the reference
+    that looks every kept register up on each call.  ``_outcomes`` makes
+    every restriction, the transfers' shared pair's too."""
     bs = BeamSplitter(R)
     config = RoundConfig(bs, Qubit(("V", "H"), *alice), Qubit(("P", "B"), *bob), variant)
     pass_block = Qubit(("pass", "block"), *alice), Qubit(("pass", "block"), *bob)
@@ -702,22 +798,19 @@ def test_rounds_and_transfers_match_the_reference_restrict(R, alice, bob, varian
         )
 
     new = results()
-    with mock.patch.object(michelson, "_restricted", restrict_reference), mock.patch.object(
-        transfer, "_restricted", restrict_reference
-    ):
+    with mock.patch.object(michelson, "_restricted", restrict_reference):
         assert results() == new
 
 
 # ---- the round's outcome read against its generic form
 
-# The transfers' read: D1 alone, every other detector symbol skipped.
+# The transfers' read: D1 alone, every other detector symbol skipped, its
+# posterior on the device pair.
 D1_CLICKS = {"D1V": "D1", "D1H": "D1"}
+PAIR = (ALICE_DEVICE, BOB_DEVICE)
 
-# Each variant's posterior registers: the clicks' and DB's.
-KEEPS = {
-    "N09": ((ALICE_DEVICE, BOB_DEVICE, DETECTOR), (ALICE_DEVICE, BOB_DEVICE)),
-    "ScQKD": ((SWITCH_ALICE, SWITCH_BOB), (SWITCH_ALICE, SWITCH_BOB, ABSORBER_ALICE, ABSORBER_BOB)),
-}
+# Each variant's DB posterior registers; a click's are its reader's.
+BLOCKED_KEEPS = {"N09": PAIR, "ScQKD": (SWITCH_ALICE, SWITCH_BOB, ABSORBER_ALICE, ABSORBER_BOB)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -735,17 +828,17 @@ def test_rounds_match_the_reference_outcomes(R, alice, bob):
 
     def results():
         rounds = [run_round(config), run_round(config, split_detector_polarization=True)]
-        d1_only = michelson._outcomes(bs, "N09", config.alice, config.bob, D1_CLICKS)
+        d1_only = michelson._outcomes(bs, "N09", config.alice, config.bob, D1_CLICKS, PAIR)
         rounds += [run_scqkd_round(*pass_block, bs), d1_only]
         transfers = [transfer_alice_to_bob(config.alice, bs, "V"), transfer_bob_to_alice(config.bob, bs, "B")]
         return [outcomes_exact(r) for r in rounds], [exact(t.shared) for t in transfers]
 
-    def reference(bs, variant, sender, receiver, clicks):
+    def reference(bs, variant, sender, receiver, clicks, keep):
         mu, alpha = list(sender.amplitudes().values()), list(receiver.amplitudes().values())
         registers = (michelson._N09_PAIRS if variant == "N09" else michelson._SCQKD_PAIRS).registers
         rows = michelson._round_table(bs, variant)
         state = PureState(registers, {label: mu[i] * alpha[j] * c for label, _, i, j, c in rows})
-        return outcomes_reference(state, list(dict.fromkeys(clicks.values())), *KEEPS[variant])
+        return outcomes_reference(state, list(dict.fromkeys(clicks.values())), keep, BLOCKED_KEEPS[variant])
 
     new = results()
     with mock.patch.object(michelson, "_outcomes", reference), mock.patch.object(transfer, "_outcomes", reference):

@@ -323,14 +323,16 @@ def tiny_states(registers, labels):
 
 
 def step_results(one, theta, link, R):
-    """``applied`` to each engine step built on the state kernel."""
-    return applied(
-        [
-            ("chain_step", one, lambda s: chain_step(s, theta)),
-            ("obstacle_step", one, lambda s: obstacle_step(s)[0]),
-            ("partial_propagator", link, lambda s: partial_propagator(s, 0, BeamSplitter(R))),
-        ]
-    )
+    """``applied`` to each engine step built on the state kernel.  At R = 0
+    or 1 the link refuses its splitter, so there the propagator must refuse
+    and is left out."""
+    steps = [("chain_step", one, lambda s: chain_step(s, theta)), ("obstacle_step", one, lambda s: obstacle_step(s)[0])]
+    if 0.0 < R < 1.0:
+        steps.append(("partial_propagator", link, lambda s: partial_propagator(s, 0, BeamSplitter(R))))
+    else:
+        with pytest.raises(ValueError, match="^degenerate beam splitter: R must lie strictly inside \\(0, 1\\)$"):
+            partial_propagator(link, 0, BeamSplitter(R))
+    return applied(steps)
 
 
 STEPS = (
