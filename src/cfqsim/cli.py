@@ -50,8 +50,10 @@ SWEEP_MAX_POINTS = 100_000
 # lgamma values near n ln n, whose rounding (about 1e-5 at 5e9) grows with n.
 MC_MAX_RUNS = 5_000_000_000
 # Most czqe work, summed over the sweep points: L one-layer steps plus the
-# 2^(layers+1) labels of the layered output.  L = 59996 at one layer takes
-# about 0.21 s, --N 14 (2^15 labels) at L = 1 about 0.1 s.
+# 2^(layers+1) labels of the layered output.  End to end, L = 59996 at one
+# layer takes about 0.22 s and --N 14 (2^15 labels) at L = 1 about 0.15 s,
+# medians of 7 runs on a shared 2-vCPU host where `python -c pass` took
+# about 50 ms.
 # The cap sits below the 1-2 s budget of the other caps on purpose: the
 # chain composes L rotations one at a time, so its rounding error grows
 # with L, and near the cap the 12th printed digit can already be wrong.
@@ -290,11 +292,17 @@ def cmd_czqe(args) -> str:
         )
     configs = [ChainConfig(L=L, theta=args.theta, obstacle=obstacle, layers=layers) for L in l_values]
     target = asymptotic_limit(obstacle, layers)
+
+    def normal(value: float) -> float | None:
+        # every valid chain's survival and fidelity are positive, so 0.0 or a
+        # subnormal is an underflow that has lost digits: null, as star's yield
+        return value if value >= sys.float_info.min else None
+
     rows = []
     for config in configs:
         result = run_chain(config, args.readout)
         fidelity = fidelity_up_to_phase(result.final, target)
-        rows.append({"L": config.L, "fidelity": fidelity, "survival": result.survival})
+        rows.append({"L": config.L, "fidelity": normal(fidelity), "survival": normal(result.survival)})
     if args.sweep:
         return emit(rows, args.format or "csv")
     record = {

@@ -9,8 +9,10 @@ state in the long-chain limit.  On each obstacle branch the layers evolve
 independently, so ``run_chain`` steps one layer (at most 4 labels) and
 builds the layered state once.  A step is the 2x2 rotation R(theta) on
 each branch's (mode 0, mode 1) amplitude pair; the obstacle then removes
-the block branch's mode 1 amplitude.  ``czqe --sweep``, the convergence
-scan, compares one ``run_chain`` per L with the ``asymptotic_limit`` state.
+the block branch's mode 1 amplitude, which ``run_chain`` pops in place
+from the rotated state it owns (``obstacle_step`` is the copying
+reference).  ``czqe --sweep``, the convergence scan, compares one
+``run_chain`` per L with the ``asymptotic_limit`` state.
 """
 
 from __future__ import annotations
@@ -112,7 +114,8 @@ def chain_step(state: PureState, theta: float) -> PureState:
 def obstacle_step(state: PureState) -> tuple[PureState, float]:
     """Absorb the upper arm on the block branch: returns the state without
     its ("block", "1") label and the mass that label carried.  Absorbed
-    amplitudes never interfere again, so the chain keeps only their total."""
+    amplitudes never interfere again, so the chain keeps only their total.
+    ``run_chain`` absorbs in place; this copying map is its reference."""
     _check_one_layer(state)
     amps = dict(state.amps)  # _trusted keeps the dict it is handed
     lost = abs(amps.pop(("block", "1"), 0j)) ** 2
@@ -126,6 +129,10 @@ def run_chain(config: ChainConfig, readout: str = "after_final_bs") -> ChainResu
     obstacle interactions in between; ``after_final_obstacle`` appends the
     L-th obstacle interaction, which is the readout under which a pure
     blocker leaves the mode amplitude cos(theta)**L.
+
+    Each obstacle interaction pops ("block", "1") from the rotated state in
+    place, as ``obstacle_step`` would from a copy: ``chain_step`` builds a
+    fresh dict on every call, and only this loop holds it.
     """
     if readout not in READOUTS:
         raise ValueError(f"unknown readout {readout!r}")
@@ -136,8 +143,7 @@ def run_chain(config: ChainConfig, readout: str = "after_final_bs") -> ChainResu
     for k in range(config.L):
         state = chain_step(state, theta)
         if k < config.L - 1 or readout == "after_final_obstacle":
-            state, lost = obstacle_step(state)
-            loss += lost
+            loss += abs(state.amps.pop(("block", "1"), 0j)) ** 2
     # a layered label's amplitude is its branch's obstacle amplitude times
     # the one-layer amplitude of each layer's symbol on that branch
     one = {b: [(x, a) for (c, x), a in state.amps.items() if c == b] for b in ("pass", "block")}

@@ -534,10 +534,10 @@ def test_czqe_past_a_quarter_turn():
     assert within_one_unit(record["fidelity_asymptote"], value), (record["fidelity_asymptote"], float(value))
 
 
-@pytest.mark.xfail(strict=True, reason="a survival below the normal range prints 0.0")
+@pytest.mark.xfail(strict=True, reason="a survival below the normal range prints null")
 def test_czqe_below_the_normal_range():
     """Known defect: a pure blocker at theta = 1.5 over L = 2000 keeps
-    cos(1.5)**3998, about 8e-4600, which prints as 0.0."""
+    cos(1.5)**3998, about 8e-4600, which underflows and prints as null."""
     flags = ["--L", "2000", "--theta", "1.5", "--bob", "0", "1"]
     record = printed("czqe", *flags)
     kept = within_one_unit(record["survival"], czqe_exact(flags)["survival"])

@@ -128,6 +128,8 @@ COMMANDS = (
     "czqe --L 1 --N 14",
     # the longest chain CZQE_MAX_WORK allows
     "czqe --L 59996",
+    # a chain whose survival (about 8e-4600) and fidelity underflow: null
+    "czqe --L 2000 --theta 1.5 --bob 0 1",
     # a mu*beta product that underflows to 0j
     "round --R 0.5 --alice 1e-200 1 --bob 1 1e-200",
 )

@@ -1,10 +1,13 @@
 import cmath
+import functools
+import itertools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TINY_AMPLITUDES, TINY_MAGNITUDES, applied, chain_step_reference, states_close
@@ -197,23 +200,28 @@ class TestRunChain:
         assert set(result.final.amps) == {("block", "absorbed")}
         assert result.survival == 0.0 and isinstance(result.survival, float)
 
-    def test_steps_see_at_most_four_labels(self, monkeypatch):
+    def test_steps_see_at_most_four_labels(self, monkeypatch, capsys):
+        # one chain_step per cycle, on one layer; the chain absorbs in the
+        # state it owns, so neither run_chain nor czqe calls obstacle_step
         seen = []
 
-        def counting(step):
-            def wrapped(state, *args):
-                seen.append(len(state.amps))
-                return step(state, *args)
+        def counting(state, theta):
+            seen.append(len(state.amps))
+            return chain_step(state, theta)
 
-            return wrapped
+        def refused(state):
+            raise AssertionError("obstacle_step is off the runtime path")
 
-        monkeypatch.setattr(zeno, "chain_step", counting(chain_step))
-        monkeypatch.setattr(zeno, "obstacle_step", counting(obstacle_step))
+        monkeypatch.setattr(zeno, "chain_step", counting)
+        monkeypatch.setattr(zeno, "obstacle_step", refused)
         for readout in ("after_final_bs", "after_final_obstacle"):
+            seen.clear()
             result = run_chain(ChainConfig(L=30, theta=0.3, layers=6), readout)
             assert len(result.final.amps) > 64
-        assert len(seen) == 30 + 29 + 30 + 30
-        assert max(seen) <= 4
+            assert len(seen) == 30
+            assert max(seen) <= 4
+        assert cli.main(["czqe", "--sweep", "10:30:10", "--N", "3", "--readout", "after_final_obstacle"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
 
     def test_steps_reject_other_registers(self):
         for regs in ((MODE, OBSTACLE), (OBSTACLE, MODE, mode_register(1)), (OBSTACLE, mode_register(1))):
@@ -383,6 +391,66 @@ def _same_chain(config, readout):
 def test_run_chain_matches_reference_stepping(angle, phase, L, theta, layers, readout):
     obstacle = obstacle_qubit(math.cos(angle), math.sin(angle) * cmath.exp(1j * phase))
     _same_chain(ChainConfig(L=L, theta=theta, obstacle=obstacle, layers=layers), readout)
+
+
+def hex_items(state):
+    """A state's items in order, each part as ``float.hex``: -0.0 and 0.0 differ."""
+    return [(label, a.real.hex(), a.imag.hex()) for label, a in state.amps.items()]
+
+
+def chain_by_hand(config, readout):
+    """``run_chain`` through the public one-step maps: L ``chain_step``s,
+    each but the ``after_final_bs`` readout's last followed by an
+    ``obstacle_step``, then each obstacle branch's layers multiplied out
+    label by label and the absorbed mass put on one label."""
+    theta = config.resolved_theta
+    one = PureState((OBSTACLE, MODE), {("pass", "0"): 1.0, ("block", "0"): 1.0})
+    loss = 0.0
+    for k in range(1, config.L + 1):
+        one = chain_step(one, theta)
+        if k < config.L or readout == "after_final_obstacle":
+            one, lost = obstacle_step(one)
+            loss += lost
+    amps = {}
+    for b, weight in config.obstacle.amplitudes().items():
+        branch = [(x, a) for (c, x), a in one.amps.items() if c == b]
+        for terms in itertools.product(branch, repeat=config.layers):
+            amps[(b, *(x for x, _ in terms))] = functools.reduce(operator.mul, (a for _, a in terms), weight)
+    unabsorbed = PureState((OBSTACLE, *(mode_register(j) for j in range(config.layers))), amps)
+    absorbed = 1.0 if loss >= 1.0 else -math.expm1(config.layers * math.log1p(-loss))
+    amps[("block", *("absorbed",) * config.layers)] = abs(config.obstacle.amp1) * math.sqrt(absorbed)
+    return PureState(unabsorbed.registers, amps), unabsorbed.norm2()
+
+
+CHAIN_OBSTACLES = st.one_of(
+    st.sampled_from((PASS, BLOCK, obstacle_qubit(1e-300, 1.0), obstacle_qubit(1.0, 1e-300))),
+    st.builds(
+        lambda angle, phase: obstacle_qubit(math.cos(angle), math.sin(angle) * cmath.exp(1j * phase)),
+        st.floats(min_value=0.0, max_value=math.pi / 2),
+        st.floats(min_value=0.0, max_value=2 * math.pi),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    CHAIN_OBSTACLES,
+    st.integers(1, 3000),
+    st.one_of(st.none(), ANGLES),
+    st.integers(1, 4),
+    st.sampled_from(zeno.READOUTS),
+)
+@example(BLOCK, 1000, 1.5, 1, "after_final_bs")
+@example(BLOCK, 1000, 1.5, 1, "after_final_obstacle")
+def test_run_chain_matches_public_stepping(obstacle, L, theta, layers, readout):
+    # _same_chain swaps only the rotation; this pins the in-place absorption
+    # against obstacle_step, bit for bit
+    config = ChainConfig(L=L, theta=theta, obstacle=obstacle, layers=layers)
+    got = run_chain(config, readout)
+    final, survival = chain_by_hand(config, readout)
+    assert hex_items(got.final) == hex_items(final)
+    assert got.final.registers == final.registers
+    assert got.survival.hex() == survival.hex()
 
 
 def test_default_angle_keeps_pass_branch_residue():
