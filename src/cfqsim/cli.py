@@ -145,6 +145,15 @@ def _round12(value):
     return value
 
 
+def _normal(value: float) -> float | None:
+    """``value``, or None (JSON null, an empty CSV cell) below the normal
+    range.  For a column that is positive on every valid input (a cost
+    column other than ``R``, a ``table`` outcome whose sector holds a
+    label, the star's nonzero yield, the chain's survival and fidelity), a
+    0.0 or a subnormal there is an underflow that has lost its digits."""
+    return value if value >= sys.float_info.min else None
+
+
 def _csv_cell(text: str) -> str:
     """RFC 4180 quoting: a cell holding a comma, quote or line break is
     wrapped in quotes with its quotes doubled; any other cell is as is."""
@@ -200,14 +209,16 @@ def cmd_table(args) -> str:
     # Swapping both inputs' basis symbols leaves the probabilities alone, so
     # each row runs both inputs of its pair and checks that they agree.
     for pair in (("VP", "HB"), ("VB", "HP")):
-        probs = []
+        rounds = []
         for a_sym, b_sym in pair:
             alice = Qubit(("V", "H"), float(a_sym == "V"), float(a_sym == "H"))
             bob = Qubit(("P", "B"), float(b_sym == "P"), float(b_sym == "B"))
-            probs.append([o.probability for o in run_round(RoundConfig(bs, alice, bob))])
-        if any(abs(x - y) > 1e-12 for x, y in zip(*probs)):
+            rounds.append(run_round(RoundConfig(bs, alice, bob)))
+        if any(abs(x.probability - y.probability) > 1e-12 for x, y in zip(*rounds)):
             raise ValueError("paired basis configurations disagree; simulation bug")
-        records.append({"inputs": "|".join(pair), **dict(zip(("P_D1", "P_D2", "P_DB"), probs[0]))})
+        # an empty sector's probability is an exact 0.0; any other is positive
+        probs = {f"P_{o.outcome}": _normal(o.probability) if o.posterior.amps else o.probability for o in rounds[0]}
+        records.append({"inputs": "|".join(pair), **probs})
     if args.format == "json":
         return emit({"R": args.R, "rows": records}, "json")
     return emit(records, "csv")
@@ -254,11 +265,11 @@ def cmd_star(args) -> str:
     config = StarConfig(BeamSplitter(args.R), alices, bob)
     result = run_star(config)
     fidelity, entropy = exact_cat_columns(config)
-    y = result.yield_probability  # null below the normal range, where it has lost digits; 0 only if exact
+    y = result.yield_probability
     record = {
         "N": len(alices),
         "R": args.R,
-        "yield": y if y >= sys.float_info.min or result.log10_yield == -math.inf else None,
+        "yield": y if result.log10_yield == -math.inf else _normal(y),  # an exact zero prints 0.0
         "log10_yield": result.log10_yield,
         "cat_fidelity": fidelity,
         "entropy_any_bipartition": entropy,
@@ -292,17 +303,11 @@ def cmd_czqe(args) -> str:
         )
     configs = [ChainConfig(L=L, theta=args.theta, obstacle=obstacle, layers=layers) for L in l_values]
     target = asymptotic_limit(obstacle, layers)
-
-    def normal(value: float) -> float | None:
-        # every valid chain's survival and fidelity are positive, so 0.0 or a
-        # subnormal is an underflow that has lost digits: null, as star's yield
-        return value if value >= sys.float_info.min else None
-
     rows = []
     for config in configs:
         result = run_chain(config, args.readout)
         fidelity = fidelity_up_to_phase(result.final, target)
-        rows.append({"L": config.L, "fidelity": normal(fidelity), "survival": normal(result.survival)})
+        rows.append({"L": config.L, "fidelity": _normal(fidelity), "survival": _normal(result.survival)})
     if args.sweep:
         return emit(rows, args.format or "csv")
     record = {
@@ -337,18 +342,19 @@ def cmd_cost(args) -> str:
         if args.R is not None:
             raise ValueError("cost takes --R or --sweep, not both")
         rows = [
-            {k: getattr(p, k) for k in ("R", "P_D1", "P_D2", "P_DB", "C_q", "C", "p1_prime")}
+            {"R": p.R, **{k: _normal(getattr(p, k)) for k in ("P_D1", "P_D2", "P_DB", "C_q", "C", "p1_prime")}}
             for p in map(cost_profile, parse_sweep(args.sweep))
         ]
         return emit(rows, args.format or "csv")
     if args.R is None:
         raise ValueError("cost needs --R (or --sweep)")
-    record = {**cost_profile(args.R)._asdict(), "total_qst_cost": total_qst_cost(args.R)}
+    profile = {**cost_profile(args.R)._asdict(), "total_qst_cost": total_qst_cost(args.R)}
+    record = {k: v if k == "R" else _normal(v) for k, v in profile.items()}
     return emit(record, args.format or "json")
 
 
 def cmd_cost_min(args) -> str:
-    from .costs import minimize_classical_cost, minimize_quantum_cost
+    from .costs import minimize_classical_cost, minimize_quantum_cost, total_qst_cost
 
     rq, cq = minimize_quantum_cost()
     rc, cc = minimize_classical_cost()
@@ -357,7 +363,7 @@ def cmd_cost_min(args) -> str:
         "C_q_min": cq,
         "R_classical": rc,
         "C_min": cc,
-        "total_qst_cost_min": cc + 1.0,
+        "total_qst_cost_min": total_qst_cost(rc),
     }
     return emit(record, args.format)
 

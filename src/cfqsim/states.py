@@ -13,9 +13,10 @@ concurrently without coordination.
 Validation happens once, at the boundary: the public ``PureState``
 constructor, ``product_state``, the rule patterns of ``apply_map`` and
 the ``keep`` registers of ``PureState.restrict`` check every register and
-symbol they are given on every call.  ``michelson``'s maps, whose
-patterns are fixed, run ``apply_map``'s pattern checker over them once,
-at import, and then only its label loop.  Each value type built on
+symbol they are given on every call.  Module constants are not input:
+the engines' fixed rules run only ``apply_map``'s label loop, and
+``michelson``'s keep tuples go to ``_restricted``, unchecked; the tests
+pin both against the checked API.  Each value type built on
 ``ValidatedTuple`` (``Register``, ``Qubit``, the engines'
 configs) checks its fields in ``__new__``, which ``_replace``,
 ``_make``, copies and pickles go through too.  States derived from
@@ -28,10 +29,11 @@ another state's ``amps`` copies them first.  Both constructors, and so
 every operation, keep every nonzero amplitude, however small: nothing is
 pruned but exact zeros.
 
-``product_state``, ``apply_map``, ``sector``, ``postselect`` and
-``PureState.restrict`` have no runtime caller: no round, transfer, star,
-chain or CLI path runs them.  They are the checked library API, and the
-tests build their reference maps and oracles from them.
+``product_state``, ``apply_map`` with its checker ``_check_patterns``,
+``sector``, ``postselect`` and ``PureState.restrict`` have no runtime
+caller: no round, transfer, star, chain or CLI path runs them.  They are
+the checked library API, and the tests build their reference maps and
+oracles from them.
 
 ``_map_labels`` builds each output label in two C calls: it joins the
 input label and the branch's output pattern, and reads the result through
@@ -206,8 +208,8 @@ class PureState:
         tag perfectly correlated with a device register), not a partial
         trace; it raises if a dropped register carries independent
         information.  ``keep`` is checked on every call;
-        ``michelson._outcomes`` calls ``_restricted`` directly, with fixed
-        keep tuples checked once, at import.
+        ``michelson._outcomes`` calls ``_restricted`` directly, with its
+        module's fixed keep tuples.
         """
         return _restricted(self, _checked_registers(keep))
 
@@ -255,9 +257,8 @@ def _restrict_plan(
 
 
 def _restricted(state: PureState, keep: tuple[Register, ...]) -> PureState:
-    """``state.restrict(keep)`` for a ``keep`` that ``_checked_registers``
-    has passed, its label positions looked up once per register tuple
-    and keep tuple."""
+    """``state.restrict(keep)`` for a ``keep`` of distinct registers, its
+    label positions looked up once per register tuple and keep tuple."""
     kept, dropped = _restrict_plan(state.registers, keep)
     seen: dict[Label, Label] = {}
     out: dict[Label, complex] = {}
@@ -339,8 +340,9 @@ def _check_patterns(alphabets: Sequence[Sequence[str]], rules: MapRules) -> None
 
 def _map_labels(state: PureState, idx: tuple[int, ...], rules: MapRules) -> PureState:
     """The label loop of ``apply_map`` over the registers at positions
-    ``idx``, for rules whose patterns ``_check_patterns`` has passed.  A
-    sum that cancels to an exact zero goes; any other is kept."""
+    ``idx``, for rules whose patterns fit them: ``apply_map``'s, which
+    ``_check_patterns`` has passed, or an engine's fixed rules.  A sum
+    that cancels to an exact zero goes; any other is kept."""
     key = _projection(idx)
     splice = _splice(len(state.registers), idx)
     out: dict[Label, complex] = {}

@@ -286,7 +286,7 @@ def outcomes_reference(state: PureState, names, keep, blocked_keep) -> list[Roun
 
 # The Michelson maps as rule dicts rebuilt, and checked, on every call, and
 # run through the reference label loop: the references that ``michelson``'s
-# maps, which check their patterns once at import, must match bit for bit.
+# maps, which never check their fixed patterns, must match bit for bit.
 
 
 def forward_beamsplitter_reference(state: PureState, bs: BeamSplitter, link: int = 0) -> PureState:

@@ -137,7 +137,10 @@ def rounded(value: Fraction, digits: int = 12) -> Decimal:
 def within_one_unit(printed: float, value: Fraction, digits: int = 12) -> bool:
     """Whether a number printed at ``digits`` significant digits equals
     ``value`` rounded to them, or differs from that by one unit in the last
-    digit (of the smaller of the two, across a power of ten)."""
+    digit (of the smaller of the two, across a power of ten).  A null
+    (None) is no number, so it is within no unit of any value."""
+    if printed is None:
+        return False
     if value == 0:
         return printed == 0.0
     want, got = rounded(value, digits), Decimal(repr(printed))

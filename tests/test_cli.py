@@ -350,7 +350,7 @@ def test_table_prints_the_exact_rows(R):
             assert within_one_unit(rows[inputs][name], value), (inputs, name, rows[inputs][name], float(value))
 
 
-@pytest.mark.xfail(strict=True, reason="a blocked pair's P_D2, R**2 = 1e-400, underflows to 0.0")
+@pytest.mark.xfail(strict=True, reason="a blocked pair's P_D2, R**2 = 1e-400, prints 0.0 or null, not its digits")
 @pytest.mark.parametrize(
     "argv, exact",
     [
@@ -361,7 +361,9 @@ def test_table_prints_the_exact_rows(R):
 )
 def test_p_d2_below_the_normal_range(argv, exact):
     """Known defect: the D2 posterior of a blocked pair exists, but its
-    norm**2, R**2, underflows, so each command prints 0.0."""
+    norm**2, R**2, underflows, so ``round`` and ``scqkd`` print 0.0 and
+    ``table``, whose rule knows the sector holds a label, prints null.
+    The gate is the exact digits."""
     record = printed(*argv.split())
     p_d2 = record["rows"][1]["P_D2"] if "rows" in record else record["P_D2"]
     assert within_one_unit(p_d2, exact), (p_d2, exact)
@@ -381,13 +383,48 @@ def test_cost_prints_the_exact_columns(R):
         assert within_one_unit(record[name], value), (name, record[name], float(value))
 
 
-@pytest.mark.xfail(strict=True, reason="a column below the normal range loses its digits")
+@pytest.mark.xfail(strict=True, reason="a column below the normal range prints null, not its digits")
 @pytest.mark.parametrize("name", ["P_D1", "p1_prime"])
 def test_cost_at_the_smallest_reflectance(name):
-    """Known defect: at R = 5e-324, P_D1 (exactly 2.47e-324) rounds to 0.0,
-    and p1_prime (4.94e-324) is the smallest double, which prints as 5e-324."""
+    """Known defect: at R = 5e-324, P_D1 (exactly 2.47e-324) and p1_prime
+    (4.94e-324) lie below the normal range, so each prints null.  The gate
+    is the exact digits."""
     record = printed("cost", "--R", "5e-324")
     assert within_one_unit(record[name], cost_columns(5e-324)[name]), (name, record[name])
+
+
+# Reflectances log-uniform in [5e-324, 1).
+ALL_REFLECTANCES = st.floats(min_value=-1074.0, max_value=0.0).map(lambda e: 2.0**e).filter(lambda R: R < 1.0)
+
+
+def null_or_within_one_unit(printed_value, exact) -> bool:
+    """Whether a printed number is null where its exact value lies outside
+    the double range, nonzero below the normal range or above the largest
+    double, or else within one unit of that value."""
+    if printed_value is None:
+        return 0 < exact < sys.float_info.min or exact > sys.float_info.max
+    return within_one_unit(printed_value, exact)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_REFLECTANCES)
+@example(5e-324)
+@example(1e-320)
+@example(1e-200)
+@example(2.0**-1022)
+@example(0.9999999999999999)
+def test_cost_and_table_print_null_or_the_exact_digits(R):
+    """Every ``cost`` column and ``table`` outcome at any R in (0, 1): a
+    value below the normal range has lost its digits and prints null; any
+    other prints within one unit of its exact value."""
+    record = printed("cost", "--R", repr(R))
+    for name, value in cost_columns(R).items():
+        assert null_or_within_one_unit(record[name], value), (name, record[name], float(value))
+    rows = {row["inputs"]: row for row in printed("table", "--R", repr(R), "--format", "json")["rows"]}
+    for inputs, values in table_rows(R).items():
+        for name, value in values.items():
+            got = rows[inputs][name]
+            assert null_or_within_one_unit(got, value), (inputs, name, got, float(value))
 
 
 @settings(max_examples=200, deadline=None)

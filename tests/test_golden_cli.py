@@ -132,6 +132,10 @@ COMMANDS = (
     "czqe --L 2000 --theta 1.5 --bob 0 1",
     # a mu*beta product that underflows to 0j
     "round --R 0.5 --alice 1e-200 1 --bob 1 1e-200",
+    # cost columns and a table outcome below the normal range print null
+    "cost --R 5e-324",
+    "table --R 1e-200 --format json",
+    "cost --sweep 5e-324:1e-323:5e-324",
 )
 
 

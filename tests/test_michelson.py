@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -609,12 +610,10 @@ def test_rounds_match_the_reference_maps(R, alice, bob, variant):
 
         return run
 
-    def clear_caches():
-        michelson._round_table.cache_clear()
-        star._d1_rules.cache_clear()
-
     new = results()
     ran = []
+    # No cache stands between the rounds and the maps: every read of the
+    # unit-pair table runs them, here the references.
     with mock.patch.multiple(
         michelson,
         forward_beamsplitter=counted("forward", forward_beamsplitter_reference),
@@ -622,11 +621,7 @@ def test_rounds_match_the_reference_maps(R, alice, bob, variant):
         return_beamsplitter=counted("return", return_beamsplitter_reference),
         _pass_block_switches=counted("pass_block", pass_block_switches_reference),
     ):
-        clear_caches()  # else the table cached above would answer for the references
-        try:
-            assert results() == new
-        finally:
-            clear_caches()  # nor may a table of the references outlive the patch
+        assert results() == new
     # both variants' tables ran on the references; the N09 one only if a round needed it
     assert {"forward", "return", "pass_block"} <= set(ran)
     assert ("switch" in ran) == (variant == "N09")
@@ -667,6 +662,70 @@ def test_the_table_clicks_d1_only_where_the_closed_forms_allow(R):
         ]
         assert len(rows) == len(signs), (variant, rows)
         assert dict(rows) == {pair: complex(sign * s) for pair, sign in signs.items()}, (variant, rows)
+
+
+# Each variant's unit-pair table, row by row in table order: the label,
+# whose DETECTOR symbol is its last, and the row's coefficient as
+# (phase, a, b) for phase * sqrt(R)**a * sqrt(T)**b.  A passing pair's D2
+# is i * (r**2 + t**2); a pair blocked on one arm clicks D1, D2 or DB.
+TABLE_SHAPES = {
+    "N09": [
+        (("V", "0", "P", "vac", "vac", "D2V"), (1j, 0, 0)),
+        (("V", "0", "B", "vac", "vac", "D1V"), (-1, 1, 1)),
+        (("V", "0", "B", "vac", "vac", "D2V"), (1j, 2, 0)),
+        (("V", "Y", "B", "vac", "vac", "none"), (1, 0, 1)),
+        (("H", "0", "P", "vac", "vac", "D1H"), (-1, 1, 1)),
+        (("H", "0", "P", "vac", "vac", "D2H"), (1j, 2, 0)),
+        (("H", "Y", "P", "vac", "vac", "none"), (1, 0, 1)),
+        (("H", "0", "B", "vac", "vac", "D2H"), (1j, 0, 0)),
+    ],
+    "ScQKD": [
+        (("V", "pass", "pass", "vac", "vac", "0", "0", "D2V"), (1j, 0, 0)),
+        (("V", "pass", "block", "vac", "vac", "0", "0", "D1V"), (-1, 1, 1)),
+        (("V", "pass", "block", "vac", "vac", "0", "0", "D2V"), (1j, 2, 0)),
+        (("V", "pass", "block", "vac", "vac", "0", "Y", "none"), (1, 0, 1)),
+        (("V", "block", "pass", "vac", "vac", "Y", "0", "none"), (1j, 1, 0)),
+        (("V", "block", "pass", "vac", "vac", "0", "0", "D1V"), (1, 1, 1)),
+        (("V", "block", "pass", "vac", "vac", "0", "0", "D2V"), (1j, 0, 2)),
+        (("V", "block", "block", "vac", "vac", "Y", "0", "none"), (1j, 1, 0)),
+        (("V", "block", "block", "vac", "vac", "0", "Y", "none"), (1, 0, 1)),
+    ],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(SUBNORMAL_REFLECTANCES)
+@example(5e-324)
+@example(2.0**-1022)
+@example(0.37)
+@example(1.0 - 2.0**-53)
+def test_the_table_has_one_shape_at_every_reflectance(R):
+    """Each variant's unit-pair table holds the same rows at every R, 8
+    for N09 and 9 for ScQKD, each row's coefficient a phase, exactly one
+    of 1, -1, i and -i, times sqrt(R)**a sqrt(T)**b with a and b fixed per
+    row.  Each magnitude is that of the rounded square roots' product
+    within 4 ulp, or 4 steps of the smallest subnormal below the normal
+    range; the passing pairs' D2 is i times their two squares' rounded
+    sum."""
+    bs = BeamSplitter(R)
+    r, t = math.sqrt(bs.R), math.sqrt(bs.T)
+    for variant, shape in TABLE_SHAPES.items():
+        sender, receiver = (ALICE_DEVICE, BOB_DEVICE) if variant == "N09" else (SWITCH_ALICE, SWITCH_BOB)
+        registers = (michelson._N09_PAIRS if variant == "N09" else michelson._SCQKD_PAIRS).registers
+        s, j = registers.index(sender), registers.index(receiver)
+        table = michelson._round_table(bs, variant)
+        assert [row[0] for row in table] == [label for label, _ in shape], variant
+        for (label, symbol, i_sender, i_receiver, c), (_, (phase, a, b)) in zip(table, shape):
+            assert symbol == label[-1]
+            assert (sender.alphabet[i_sender], receiver.alphabet[i_receiver]) == (label[s], label[j])
+            if (a, b) == (0, 0):
+                assert c == 1j * (r * r + t * t), (variant, label, c)
+            # the phase, exactly: the other part is a zero
+            magnitude = (c / phase).real
+            assert (c / phase).imag == 0.0 and magnitude > 0.0, (variant, label, c)
+            want = r**a * t**b
+            tolerance = 4 * (math.ulp(want) if want >= sys.float_info.min else math.ulp(0.0))
+            assert abs(magnitude - want) <= tolerance, (variant, label, c, want)
 
 
 @settings(max_examples=300, deadline=None)
